@@ -71,6 +71,7 @@ from .families import (
     gen_ci_nonfactorial,
     gen_double_solid_nonfactorial,
     gen_hypersurface_nonfactorial,
+    generate,
 )
 
 __version__ = "1.0.0"

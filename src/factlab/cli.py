@@ -11,7 +11,7 @@ Exit codes:
   2  input error (syntax, bad parameters, degree/field mismatch)
   3  scan too large for the cap
   4  degenerate draw after retries
-  5  verification failure (locus mismatch, missing separator)
+  5  verification failure (locus mismatch, failed re-check, missing separator)
   1  unexpected internal error
 """
 
@@ -35,12 +35,13 @@ from .errors import (
     PolySyntaxError,
     TooLarge,
     UnknownVariable,
+    VerificationFailure,
     XiTooSmall,
 )
 from .fields import FieldSpec, parse_field_spec
 from .lincond import SeparatorFailure, bese_check, defect, separator
 from .poly import HomoPoly, parse_poly
-from .projgeom import dump_point_set, load_point_set, point_set
+from .projgeom import DEFAULT_SCAN_CAP, dump_point_set, load_point_set, point_set
 from .sing_locus import NodalInstance, singular_points, verify_nodal
 
 _PARSE_ERRORS = (
@@ -239,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--field", default="Fp:101")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=env_threads)
-        sp.add_argument("--scan-cap", type=int, default=10**7, dest="scan_cap")
+        sp.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP, dest="scan_cap")
         sp.add_argument("--output", default=None)
 
     sp = sub.add_parser("sing", help="singular locus of a hypersurface or CI")
@@ -328,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DegenerateDraw as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except LocusMismatch as exc:
+    except (LocusMismatch, VerificationFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     except _PARSE_ERRORS as exc:

@@ -29,7 +29,7 @@ from .poly import (
     poly_sqrt,
     restrict_to_plane,
 )
-from .projgeom import PointSet, ProjPoint, enumerate_projective, span_dim
+from .projgeom import DEFAULT_SCAN_CAP, PointSet, ProjPoint, enumerate_projective, span_dim
 from .sing_locus import NodalInstance, singular_points, verify_nodal
 
 
@@ -347,7 +347,7 @@ class HongParkVerdict:
 def hong_park_classify(
     f: HomoPoly,
     r: int,
-    scan_cap: int = 10**8,
+    scan_cap: int = DEFAULT_SCAN_CAP,
     threads: int = 1,
 ) -> HongParkVerdict:
     """Classify a nodal surface of degree 2r in P^3: defect 0 at 3r-4 means

@@ -96,6 +96,10 @@ class LocusMismatch(FactlabError):
         self.extra = list(extra)
 
 
+class VerificationFailure(FactlabError):
+    """An independent re-check rejected a result the fast path produced."""
+
+
 class XiTooSmall(FactlabError):
     """Degree below the checker's standing assumption."""
 

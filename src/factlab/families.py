@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BadParams, DegenerateDraw
 from .fields import FieldSpec
 from .lincond import point_row
@@ -37,6 +39,7 @@ from .projgeom import (
     enumerate_projective,
 )
 from .rng import SplitMix64
+from .scan import eval_on_points, projective_zeros
 from .sing_locus import (
     NodalInstance,
     ci_singular_points,
@@ -78,14 +81,12 @@ class FamilySpec:
 def _curve_smooth_points(f: HomoPoly, p: int) -> List[ProjPoint]:
     """Smooth F_p-points of a plane curve, in enumeration order."""
     grads = gradient(f)
-    pts = []
-    for q in enumerate_projective(f.nvars - 1, p):
-        if eval_poly(f, q.coords):
-            continue
-        if all(not eval_poly(g, q.coords) for g in grads):
-            continue  # singular point of the curve itself
-        pts.append(q)
-    return pts
+
+    def smooth(rows: np.ndarray) -> np.ndarray:
+        return np.any([eval_on_points(g, rows, p) != 0 for g in grads], axis=0)
+
+    rows = projective_zeros([f], f.nvars - 1, p, extra_predicate=smooth)
+    return [ProjPoint(tuple(int(v) for v in row), f.field) for row in rows]
 
 
 def _line_points_on_curve(curve: HomoPoly, a: ProjPoint, b: ProjPoint, p: int) -> List[ProjPoint]:
@@ -320,7 +321,6 @@ def gen_ci_nonfactorial(
     spec: FamilySpec,
     scan_cap: int = DEFAULT_SCAN_CAP,
     threads: int = 1,
-    check_smooth_generators: bool = False,
 ) -> NodalInstance:
     """Complete intersection F = x*A + y*B + z*C (degree m), G = x*D + y*E + z*H
     (degree k) in P^5, both containing the 2-plane {x = y = z = 0}, with
@@ -369,17 +369,9 @@ def gen_ci_nonfactorial(
         ]
 
     def _plane_degeneracy_count(row1, row2):
-        count = 0
-        for q in enumerate_projective(2, p):
-            a_, b_, c_ = (eval_poly(g, q.coords) for g in row1)
-            d_, e_, h_ = (eval_poly(g, q.coords) for g in row2)
-            if (
-                field.sub(field.mul(a_, e_), field.mul(b_, d_)) == field.zero
-                and field.sub(field.mul(a_, h_), field.mul(c_, d_)) == field.zero
-                and field.sub(field.mul(b_, h_), field.mul(c_, e_)) == field.zero
-            ):
-                count += 1
-        return count
+        (a_, b_, c_), (d_, e_, h_) = row1, row2
+        minors = [a_ * e_ - b_ * d_, a_ * h_ - c_ * d_, b_ * h_ - c_ * e_]
+        return len(projective_zeros(minors, 2, p))
 
     def build(seed, cap, thr):
         rng = SplitMix64(seed)
@@ -424,10 +416,6 @@ def gen_ci_nonfactorial(
         G = x * D + y * E + z * H
         sing = ci_singular_points(F, G, scan_cap=cap, threads=thr)
         inst = verify_nodal(NodalInstance([F, G], 5, sing))
-        if check_smooth_generators:
-            for poly in (F, G):
-                if len(singular_points(poly, scan_cap=cap, threads=thr)):
-                    return None
         inst.generators = {"F": F, "G": G}
         return inst
 

@@ -420,7 +420,7 @@ def incidence_bound_from_intersection(
     """Verify by full scan that the common zero locus of the generators is
     exactly sigma; then Bezout bounds incidences by deg * k."""
     from .errors import LocusMismatch
-    from .scan import common_zeros, coords_table
+    from .scan import projective_zeros
 
     degrees = {g.degree for g in generators}
     if len(degrees) != 1:
@@ -430,8 +430,7 @@ def incidence_bound_from_intersection(
     if not field.is_prime_field:
         raise ValueError("locus verification requires a prime field")
     p = field.p
-    pts = coords_table(sigma.ambient_dim, p, scan_cap)
-    rows = common_zeros(list(generators), pts, p, threads=threads)
+    rows = projective_zeros(list(generators), sigma.ambient_dim, p, scan_cap, threads)
     locus = {tuple(int(v) for v in row) for row in rows}
     sigma_keys = {pt.coords for pt in sigma}
     if locus != sigma_keys:

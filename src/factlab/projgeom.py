@@ -95,11 +95,16 @@ def projective_count(n: int, p: int) -> int:
     return (p ** (n + 1) - 1) // (p - 1)
 
 
-def enumerate_projective(n: int, p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[ProjPoint]:
-    """Each point of P^n(F_p) exactly once, canonical, deterministic order."""
+def check_scan_cap(n: int, p: int, scan_cap: int) -> None:
+    """Raise TooLarge when P^n(F_p) has more than scan_cap points."""
     total = projective_count(n, p)
     if total > scan_cap:
         raise TooLarge(f"P^{n}(F_{p}) has {total} points > cap {scan_cap}")
+
+
+def enumerate_projective(n: int, p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[ProjPoint]:
+    """Each point of P^n(F_p) exactly once, canonical, deterministic order."""
+    check_scan_cap(n, p, scan_cap)
     field = FieldSpec("prime", p)
     for pivot in range(n + 1):
         free = n - pivot

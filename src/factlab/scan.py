@@ -1,30 +1,37 @@
 """Vectorized exhaustive scans over P^n(F_p).
 
-The coordinate table replicates enumerate_projective's order exactly
-(pivot ascending, then lex on free coordinates); chunked evaluation keeps
-memory bounded and gives the thread pool disjoint work items whose results
-are merged in chunk order, so thread count never changes output.
+projective_zeros is the scan primitive.  It visits P^n(F_p) in
+enumerate_projective's order (pivot ascending, then lex on the free
+coordinates) without building a coordinate table: in the chart with pivot
+coordinate 1 and earlier coordinates 0, the k free coordinates run over a
+full p^k grid, on which the first form is evaluated by nested Horner, one
+variable at a time (about deg * p^k operations, not terms * p^k).  Only the
+rows where it vanishes are built, and the remaining forms are evaluated on
+those rows alone.  Each chart's grid is cut into slabs along its first free
+coordinate; slabs bound memory, are the thread pool's work items and are
+merged in slab order, so thread count never changes output.
+
+coords_table, eval_on_points and common_zeros are the term-by-term path on
+explicit rows: common_zeros filters each slab's survivors, and the full
+table serves tests as an oracle.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import TooLarge
 from .poly import HomoPoly
-from .projgeom import DEFAULT_SCAN_CAP, projective_count
+from .projgeom import DEFAULT_SCAN_CAP, check_scan_cap
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # rows per work item (at least one value of the first free coordinate)
 
 
 def coords_table(n: int, p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> np.ndarray:
     """(N, n+1) int64 table of canonical representatives of P^n(F_p)."""
-    total = projective_count(n, p)
-    if total > scan_cap:
-        raise TooLarge(f"P^{n}(F_{p}) has {total} points > cap {scan_cap}")
+    check_scan_cap(n, p, scan_cap)
     blocks = []
     for pivot in range(n + 1):
         free = n - pivot
@@ -85,12 +92,87 @@ def common_zeros(
         return alive
 
     chunks = [pts[i:i + _CHUNK] for i in range(0, pts.shape[0], _CHUNK)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results: List[np.ndarray] = list(pool.map(work, chunks))
-    else:
-        results = [work(c) for c in chunks]
+    results = _map_in_order(work, chunks, threads)
     nonempty = [r for r in results if r.shape[0]]
     if not nonempty:
         return pts[:0]
     return np.concatenate(nonempty, axis=0)
+
+
+def _map_in_order(work: Callable, items: list, threads: int) -> list:
+    """[work(item) for item in items], on a thread pool when threads > 1."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, items))
+    return [work(item) for item in items]
+
+
+def _horner(coeffs: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
+    """sum_j coeffs[..., j, :] * t**j mod p for every value in t: an array of
+    shape (..., D, G) becomes (..., len(t), G)."""
+    tt = t[:, None]
+    acc = np.repeat(coeffs[..., -1:, :], len(t), axis=-2)
+    for j in range(coeffs.shape[-2] - 2, -1, -1):
+        # acc, t and the coefficients are all below p, and p < 2**31 (the
+        # FieldSpec bound; p < scan_cap besides), so acc * t + c < p**2 + p
+        # cannot overflow int64
+        acc *= tt
+        acc += coeffs[..., j, None, :]
+        acc %= p
+    return acc
+
+
+def _chart_table(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
+    """f on the chart x_pivot = 1 (earlier coordinates 0) with k >= 1 free
+    coordinates t_1..t_k, as a (deg+1, p^(k-1)) array: row j holds the
+    coefficient of t_1^j on the grid of t_2..t_k in lex order."""
+    k = f.nvars - 1 - pivot
+    dense = np.zeros((f.degree + 1,) * k, dtype=np.int64)
+    for mono, c in f.terms.items():
+        if not any(mono[:pivot]):
+            dense[mono[pivot + 1:]] = int(c) % p
+    # Horner in t_k first: each new grid axis lands in front of the later ones
+    table = dense.reshape(dense.shape + (1,))
+    t = np.arange(p, dtype=np.int64)
+    for _ in range(k - 1):
+        table = _horner(table, t, p)
+        table = table.reshape(table.shape[:-2] + (-1,))
+    return table
+
+
+def projective_zeros(
+    polys: Sequence[HomoPoly],
+    n: int,
+    p: int,
+    scan_cap: int = DEFAULT_SCAN_CAP,
+    threads: int = 1,
+    extra_predicate: Callable[[np.ndarray], np.ndarray] = None,
+) -> np.ndarray:
+    """Rows of P^n(F_p) where every poly vanishes (and extra_predicate
+    holds), as canonical int64 coordinates in enumerate_projective's order.
+
+    polys[0] is evaluated on each chart's whole grid by the Horner kernel;
+    the other polys and extra_predicate only on its zeros, by common_zeros.
+    """
+    check_scan_cap(n, p, scan_cap)
+    items = []  # (pivot, chart table, first-coordinate range) per slab
+    for pivot in range(n):
+        table = _chart_table(polys[0], pivot, p)
+        step = max(1, _CHUNK // table.shape[1])
+        items += [(pivot, table, lo, min(lo + step, p)) for lo in range(0, p, step)]
+
+    def work(item) -> np.ndarray:
+        pivot, table, lo, hi = item
+        vals = _horner(table, np.arange(lo, hi, dtype=np.int64), p)
+        flat = np.flatnonzero(vals == 0) + lo * table.shape[1]
+        rows = np.zeros((flat.size, n + 1), dtype=np.int64)
+        rows[:, pivot] = 1
+        rows[:, pivot + 1:] = np.column_stack(np.unravel_index(flat, (p,) * (n - pivot)))
+        return common_zeros(polys[1:], rows, p, threads=1, extra_predicate=extra_predicate)
+
+    results = _map_in_order(work, items, threads)
+    # the last chart is the single point (0:...:0:1)
+    last = np.zeros((1, n + 1), dtype=np.int64)
+    last[0, n] = 1
+    results.append(common_zeros(polys, last, p, threads=1, extra_predicate=extra_predicate))
+    return np.concatenate(results, axis=0)

@@ -12,7 +12,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import CharDividesDegree, CharTooSmall, TooLarge
+from .errors import CharDividesDegree, CharTooSmall, VerificationFailure
 from .fields import FieldSpec
 from .linalg import nullspace, rank as matrix_rank
 from .poly import (
@@ -24,7 +24,7 @@ from .poly import (
     partial,
 )
 from .projgeom import DEFAULT_SCAN_CAP, PointSet, ProjPoint, canonicalize
-from .scan import common_zeros, coords_table, eval_on_points
+from .scan import eval_on_points, projective_zeros
 
 
 @dataclass
@@ -64,14 +64,12 @@ def singular_points(
     if f.degree % p == 0:
         raise CharDividesDegree(f"p={p} divides degree {f.degree}")
     n = f.nvars - 1
-    pts = coords_table(n, p, scan_cap)
-    rows = common_zeros([f] + gradient(f), pts, p, threads=threads)
-    result = _rows_to_pointset(rows, n, f.field)
     grads = gradient(f)
+    rows = projective_zeros([f] + grads, n, p, scan_cap, threads)
+    result = _rows_to_pointset(rows, n, f.field)
     for pt in result:
-        assert not eval_poly_horner(f, pt.coords), "scan soundness: f"
-        for g in grads:
-            assert not eval_poly_horner(g, pt.coords), "scan soundness: gradient"
+        if any(eval_poly_horner(g, pt.coords) for g in [f] + grads):
+            raise VerificationFailure(f"scan soundness: {pt} is not a singular point of f")
     return result
 
 
@@ -170,14 +168,16 @@ def ci_singular_points(
     scan_cap: int = DEFAULT_SCAN_CAP,
     threads: int = 1,
 ) -> PointSet:
-    """Points with F = G = 0 where the 2 x (n+1) Jacobian has rank <= 1."""
+    """Points with F = G = 0 where the 2 x (n+1) Jacobian has rank <= 1.
+
+    Every hit is re-verified with an independent evaluation routine.
+    """
     if F.field != G.field or F.nvars != G.nvars:
         raise ValueError("F and G must share field and variables")
     if not F.field.is_prime_field:
         raise ValueError("scans require a prime field")
     p = F.field.p
     n = F.nvars - 1
-    pts = coords_table(n, p, scan_cap)
     pF = [partial(F, v) for v in range(n + 1)]
     pG = [partial(G, v) for v in range(n + 1)]
 
@@ -191,5 +191,11 @@ def ci_singular_points(
                 ok &= minor == 0
         return ok
 
-    rows = common_zeros([F, G], pts, p, threads=threads, extra_predicate=jacobian_rank_le_1)
-    return _rows_to_pointset(rows, n, F.field)
+    rows = projective_zeros([F, G], n, p, scan_cap, threads, extra_predicate=jacobian_rank_le_1)
+    result = _rows_to_pointset(rows, n, F.field)
+    for pt in result:
+        c = pt.coords
+        jac = [[eval_poly_horner(g, c) for g in pF], [eval_poly_horner(g, c) for g in pG]]
+        if eval_poly_horner(F, c) or eval_poly_horner(G, c) or matrix_rank(jac, F.field) > 1:
+            raise VerificationFailure(f"scan soundness: {pt} is not a singular point of F = G = 0")
+    return result

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +187,11 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["applies"] is True
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(example, scope)
+    assert len(scope["rep"]) == 0  # the Fermat quartic is smooth

@@ -1,0 +1,132 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import factlab.sing_locus as sing_locus
+from factlab import cli
+from factlab.errors import TooLarge, VerificationFailure
+from factlab.fields import GF
+from factlab.poly import eval_poly_horner, make_poly, monomial_basis, parse_poly
+from factlab.projgeom import enumerate_projective, projective_count
+from factlab.scan import common_zeros, coords_table, projective_zeros
+
+
+def _form(nvars, degree, field, rng, density):
+    terms = {m: rng.randrange(1, field.p) for m in monomial_basis(nvars, degree) if rng.random() < density}
+    return make_poly(nvars, degree, terms, field)
+
+
+def _times_x0(g):
+    x0 = make_poly(g.nvars, 1, {(1,) + (0,) * (g.nvars - 1): 1}, g.field)
+    return x0 * g
+
+
+def _cases():
+    """(n, p, polys): seeded random forms of degree 1..6, some of degree >= p,
+    some sparse, some of the form x0 * g (zero on every chart but the first)."""
+    rng = random.Random(20260)
+    for n in range(1, 5):
+        for p in (2, 3, 5, 7, 13):
+            if projective_count(n, p) > 40_000:
+                continue
+            # FieldSpec refuses p = 2; the scan reads coefficients as integers
+            # mod p, so F_2 forms are written over a larger field
+            field = GF(p if p > 2 else 101)
+            for degree in range(1, 7):
+                first = _form(n + 1, degree, field, rng, rng.choice((0.3, 1.0)))
+                if degree > 1 and rng.random() < 0.3:
+                    first = _times_x0(_form(n + 1, degree - 1, field, rng, 1.0))
+                rest = [_form(n + 1, rng.randint(1, degree), field, rng, 1.0)
+                        for _ in range(rng.randint(0, 2))]
+                yield pytest.param(n, p, [first] + rest, id=f"n{n}-p{p}-d{degree}")
+
+
+def _odd_last(rows):
+    return rows[:, -1] % 2 == 1
+
+
+@pytest.mark.parametrize("n,p,polys", _cases())
+def test_projective_zeros_matches_table_scan(n, p, polys):
+    table = coords_table(n, p)
+    for pred in (None, _odd_last):
+        want = common_zeros(polys, table, p, extra_predicate=pred)
+        for threads in (1, 2):
+            got = projective_zeros(polys, n, p, threads=threads, extra_predicate=pred)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+    if p > 2 and projective_count(n, p) <= 1000:
+        slow = [q.coords for q in enumerate_projective(n, p)
+                if all(not eval_poly_horner(f, q.coords) for f in polys)]
+        assert [tuple(map(int, row)) for row in projective_zeros(polys, n, p)] == slow
+
+
+def test_single_point_chart():
+    # the last chart is the single point (0:...:0:1)
+    F = GF(7)
+    assert projective_zeros([parse_poly("x*y", 2, F)], 1, 7).tolist() == [[1, 0], [0, 1]]
+    assert projective_zeros([parse_poly("x^2 + y^2", 2, F)], 1, 7).shape == (0, 2)  # -1 is no square
+    rows = projective_zeros([parse_poly("x*w", 4, F)], 3, 7)
+    assert rows.shape[0] == projective_count(3, 7) - 7**2 * 6  # all but x != 0 != w
+    assert rows[-1].tolist() == [0, 0, 0, 1]
+
+
+def test_projective_zeros_cap():
+    f = parse_poly("x^2 + y*z", 4, GF(5))
+    total = projective_count(3, 5)
+    assert projective_zeros([f], 3, 5, scan_cap=total).shape[0] > 0
+    with pytest.raises(TooLarge):
+        projective_zeros([f], 3, 5, scan_cap=total - 1)
+
+
+# --- the independent re-check of every scan hit ------------------------------
+
+
+def _bogus_scan(*args, **kwargs):
+    n = args[1]
+    return np.array([[1] + [0] * n], dtype=np.int64)  # (1:0:...:0), on neither form below
+
+
+def test_singular_points_recheck(monkeypatch):
+    monkeypatch.setattr(sing_locus, "projective_zeros", _bogus_scan)
+    f = parse_poly("x^2 + y^2 + z^2 + w^2", 4, GF(11))
+    with pytest.raises(VerificationFailure):
+        sing_locus.singular_points(f)
+
+
+def test_ci_singular_points_recheck(monkeypatch):
+    monkeypatch.setattr(sing_locus, "projective_zeros", _bogus_scan)
+    F = GF(11)
+    with pytest.raises(VerificationFailure):
+        sing_locus.ci_singular_points(parse_poly("x^2 + y*z", 4, F), parse_poly("x*w + y^2", 4, F))
+    # a point on both forms where the Jacobian has rank 2 is rejected too
+    monkeypatch.setattr(sing_locus, "projective_zeros",
+                        lambda *a, **k: np.array([[0, 0, 1, 0]], dtype=np.int64))
+    with pytest.raises(VerificationFailure):
+        sing_locus.ci_singular_points(parse_poly("x", 4, F), parse_poly("y", 4, F))
+
+
+_RECHECK_SCRIPT = """
+import sys
+import numpy as np
+import factlab.sing_locus
+from factlab import cli
+factlab.sing_locus.projective_zeros = lambda *a, **k: np.array([[1, 0, 0, 0]], dtype=np.int64)
+sys.exit(cli.main(["sing", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]])
+@pytest.mark.parametrize("body", ["x^2 + y^2 + z^2 + w^2", "x^2 + y*z\nx*w + y^2"])
+def test_recheck_exit_5(tmp_path, optimize, body):
+    poly = tmp_path / "f.poly"
+    poly.write_text(f"F 4 Fp:11\n{body}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, *optimize, "-c", _RECHECK_SCRIPT, str(poly)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 5, proc.stderr
+    assert "scan soundness" in proc.stderr
