@@ -18,7 +18,6 @@ from .poly import (
     restrict_to_plane,
 )
 from .projgeom import (
-    LinearCenter,
     PointSet,
     ProjPoint,
     canonicalize,
@@ -26,9 +25,6 @@ from .projgeom import (
     enumerate_projective,
     load_point_set,
     point_set,
-    project_point,
-    project_set,
-    random_center,
 )
 from .sing_locus import (
     NodalInstance,

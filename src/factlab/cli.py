@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: sing, defect, separator, bese, classify, criteria, gen.
-Global flags: --field, --seed, --threads, --scan-cap, --output.  The
-environment variable FACTLAB_THREADS supplies the default thread count
-(the flag wins).  All reports are exact-integer/rational JSON; identical
+Global flags: --threads, --scan-cap, --output; gen alone also takes
+--field and --seed (the others read the field from their input file).
+The environment variable FACTLAB_THREADS supplies the default thread
+count (the flag wins).  All reports are exact-integer/rational JSON; identical
 command lines produce byte-identical output.
 
 Exit codes:
@@ -38,7 +39,7 @@ from .errors import (
     VerificationFailure,
     XiTooSmall,
 )
-from .fields import FieldSpec, parse_field_spec
+from .fields import parse_field_spec
 from .lincond import SeparatorFailure, bese_check, defect, separator
 from .poly import HomoPoly, parse_poly
 from .projgeom import DEFAULT_SCAN_CAP, dump_point_set, load_point_set, point_set
@@ -130,6 +131,8 @@ def cmd_defect(args) -> int:
 def cmd_separator(args) -> int:
     with open(args.points_file) as fh:
         sigma = load_point_set(fh.read())
+    if not 0 <= args.point < len(sigma):
+        raise BadParams(f"--point {args.point} is not an index into {len(sigma)} points")
     P = sigma.points[args.point]
     result = separator(sigma, P, args.xi)
     if isinstance(result, SeparatorFailure):
@@ -172,25 +175,25 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# each theorem's engine and the flags it takes, in argument order
+_THEOREMS = {
+    "main": (crit.theorem_main_certify, ("n", "lambda", "size", "xi")),
+    "prop_3r4": (crit.prop_3r4_certify, ("r", "eps", "size")),
+    "double_solid": (crit.app_double_solid, ("r", "nsing")),
+    "hypersurface": (crit.app_hypersurface, ("d", "nsing")),
+    "ci1": (crit.app_ci1, ("m", "k", "nsing")),
+    "ci2": (crit.app_ci2, ("m", "k", "nsing")),
+    "double_hypersurface": (crit.app_double_hypersurface, ("d", "r", "nsing")),
+}
+
+
 def cmd_criteria(args) -> int:
-    t = args.theorem
-    if t == "main":
-        v = crit.theorem_main_certify(args.n, getattr(args, "lambda"), args.size, args.xi)
-    elif t == "prop_3r4":
-        v = crit.prop_3r4_certify(args.r, args.eps, args.size)
-    elif t == "double_solid":
-        v = crit.app_double_solid(args.r, args.nsing)
-    elif t == "hypersurface":
-        v = crit.app_hypersurface(args.d, args.nsing)
-    elif t == "ci1":
-        v = crit.app_ci1(args.m, args.k, args.nsing)
-    elif t == "ci2":
-        v = crit.app_ci2(args.m, args.k, args.nsing)
-    elif t == "double_hypersurface":
-        v = crit.app_double_hypersurface(args.d, args.r, args.nsing)
-    else:
-        raise BadParams(f"unknown theorem {t!r}")
-    _emit(v.to_json(), args.output)
+    engine, flags = _THEOREMS[args.theorem]
+    values = [getattr(args, f) for f in flags]
+    missing = [f"--{f}" for f, v in zip(flags, values) if v is None]
+    if missing:
+        raise BadParams(f"--theorem {args.theorem} needs {', '.join(missing)}")
+    _emit(engine(*values).to_json(), args.output)
     return 0
 
 
@@ -237,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--field", default="Fp:101")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=env_threads)
         sp.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP, dest="scan_cap")
         sp.add_argument("--output", default=None)
@@ -276,19 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("criteria", help="pure-arithmetic criterion engines")
-    sp.add_argument(
-        "--theorem",
-        required=True,
-        choices=[
-            "main",
-            "prop_3r4",
-            "double_solid",
-            "hypersurface",
-            "ci1",
-            "ci2",
-            "double_hypersurface",
-        ],
-    )
+    sp.add_argument("--theorem", required=True, choices=list(_THEOREMS))
     sp.add_argument("--n", type=int)
     sp.add_argument("--lambda", type=int, dest="lambda")
     sp.add_argument("--size", type=int)
@@ -312,6 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int)
     sp.add_argument("--m", type=int)
     sp.add_argument("--k", type=int)
+    sp.add_argument("--field", default="Fp:101")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--prefix", default="family")
     sp.add_argument("--max-retries", type=int, default=5, dest="max_retries")
     common(sp)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 from typing import Dict, List, Optional, Tuple
 
-from .errors import BadParams
-from .fields import FieldSpec
+from .errors import BadParams, VerificationFailure
 from .lincond import defect
 from .poly import (
     HomoPoly,
@@ -25,11 +24,10 @@ from .poly import (
     embed_poly,
     eval_poly,
     make_poly,
-    parse_poly,
     poly_sqrt,
     restrict_to_plane,
 )
-from .projgeom import DEFAULT_SCAN_CAP, PointSet, ProjPoint, enumerate_projective, span_dim
+from .projgeom import DEFAULT_SCAN_CAP, PointSet, enumerate_projective
 from .sing_locus import NodalInstance, singular_points, verify_nodal
 
 
@@ -61,7 +59,9 @@ class CriterionVerdict:
 
 
 def _verdict(cid, applies, ineqs, degree, params) -> CriterionVerdict:
-    assert not applies or all(h for _, h in ineqs)
+    failed = [text for text, holds in ineqs if not holds]
+    if applies and failed:
+        raise VerificationFailure(f"{cid} applies, but {'; '.join(failed)} fails")
     return CriterionVerdict(cid, applies, ineqs, degree if applies else None, params)
 
 
@@ -238,7 +238,6 @@ def _candidate_planes(
 ) -> List[HomoPoly]:
     """Planes through node triples carrying more than 2r nodes; for small
     fields fall back to every plane of P^3(F_p)."""
-    from .lincond import point_row
     from .linalg import nullspace
     from .poly import monomial_basis
 

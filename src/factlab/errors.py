@@ -75,14 +75,6 @@ class TooFew(FactlabError):
     """Not enough points for the requested incidence computation."""
 
 
-class CenterHit(FactlabError):
-    """Point lies on the projection center."""
-
-
-class FieldTooSmall(FactlabError):
-    """Could not sample independent generators after bounded retries."""
-
-
 class WrongAmbient(FactlabError):
     """Operation requires a different ambient dimension."""
 

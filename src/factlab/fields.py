@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CharTwo, FieldMismatch, NotPrime, PolySyntaxError
+from .errors import CharTwo, NotPrime, PolySyntaxError
 
 Scalar = Union[int, Fraction]
 
@@ -24,7 +24,7 @@ _MR_WITNESSES = (2, 3, 5, 7)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -150,10 +150,6 @@ class FieldSpec:
 
     def spec_string(self) -> str:
         return f"Fp:{self.p}" if self.is_prime_field else "QQ"
-
-    def check_same(self, other: "FieldSpec"):
-        if self != other:
-            raise FieldMismatch(f"{self.spec_string()} vs {other.spec_string()}")
 
 
 def parse_field_spec(text: str) -> FieldSpec:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -21,6 +21,7 @@ from .errors import (
     Overlap,
     TooFew,
     TooLarge,
+    VerificationFailure,
     WrongAmbient,
     XiTooSmall,
 )
@@ -195,10 +196,10 @@ def separator(sigma: PointSet, P: ProjPoint, xi: int):
         if val:
             form = _form_from_coeffs(vec, mat.basis, sigma.ambient_dim + 1, xi, field)
             cert = SeparatorCertificate(P, form)
-            assert cert.verify(sigma), "separator failed its defining evaluations"
+            if not cert.verify(sigma):
+                raise VerificationFailure(f"separator for {P} failed its defining evaluations")
             return cert
     # P's row is in the span: produce the witness combination
-    cols = [[row[i] for row in mat.rows] for i in range(len(prow))] if mat.rows else []
     transposed = [[mat.rows[j][i] for j in range(len(mat.rows))] for i in range(mat.ncols)]
     combo = solve(transposed, prow, field) or []
     return SeparatorFailure(P, [(q, c) for q, c in zip(others.points, combo)])
@@ -256,7 +257,8 @@ def swap_combine(
     for key, cert in seps_delta.items():
         g_certs[key] = G * cert.form
         combined = SeparatorCertificate(cert.point, g_certs[key])
-        assert combined.verify(union), "combined Delta certificate failed"
+        if not combined.verify(union):
+            raise VerificationFailure(f"combined Delta certificate for {cert.point} failed")
         out.append(combined)
     # Lambda points: correct F by multiples of the G_i
     for cert in seps_lambda.values():
@@ -269,7 +271,8 @@ def swap_combine(
             if mu:
                 corrected = corrected + Gi.scale(mu)
         combined = SeparatorCertificate(cert.point, corrected)
-        assert combined.verify(union), "combined Lambda certificate failed"
+        if not combined.verify(union):
+            raise VerificationFailure(f"combined Lambda certificate for {cert.point} failed")
         out.append(combined)
     return out
 

@@ -10,7 +10,7 @@ tuple order).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -340,67 +340,58 @@ def gradient(f: HomoPoly) -> List[HomoPoly]:
     return [partial(f, v) for v in range(f.nvars)]
 
 
-def _dehomogenize(f: HomoPoly, pivot: int) -> Dict[Monomial, Scalar]:
-    """Set the pivot variable to 1; returns an inhomogeneous term dict over
-    the remaining nvars-1 variables (pivot slot removed)."""
-    fld = f.field
-    out: Dict[Monomial, Scalar] = {}
-    for m, c in f.terms.items():
-        key = m[:pivot] + m[pivot + 1:]
-        out[key] = fld.add(out.get(key, fld.zero), c)
-    return {m: c for m, c in out.items() if c}
+def hessian(f: HomoPoly) -> List[List[HomoPoly]]:
+    """The symmetric matrix of second partials partial(partial(f, i), j)."""
+    H: List[List[HomoPoly]] = [[None] * f.nvars for _ in range(f.nvars)]
+    for i, g in enumerate(gradient(f)):
+        for j in range(i, f.nvars):
+            H[i][j] = H[j][i] = partial(g, j)
+    return H
 
 
-def _dict_partial(terms: Dict[Monomial, Scalar], var: int, fld: FieldSpec):
-    out: Dict[Monomial, Scalar] = {}
-    for m, c in terms.items():
-        e = m[var]
-        if not e:
-            continue
-        nc = fld.mul(c, fld.of_int(e))
-        if not nc:
-            continue
-        nm = m[:var] + (e - 1,) + m[var + 1:]
-        out[nm] = fld.add(out.get(nm, fld.zero), nc)
-    return out
+def hessian_block(H: List[List[HomoPoly]], coords: Sequence[Scalar]) -> List[List[Scalar]]:
+    """H at coords without the row and column of the pivot (the first
+    nonzero coordinate).
+
+    At a canonical point (pivot coordinate 1) this is the affine Hessian in
+    the pivot chart; scaling the point scales it by a nonzero constant, so
+    its rank does not depend on the representative.
+    """
+    pivot = next(i for i, c in enumerate(coords) if c)
+    keep = [i for i in range(len(coords)) if i != pivot]
+    block = [[None] * len(keep) for _ in keep]
+    for a, i in enumerate(keep):
+        for b in range(a, len(keep)):
+            block[a][b] = block[b][a] = eval_poly(H[i][keep[b]], coords)
+    return block
 
 
-def _dict_eval(terms: Dict[Monomial, Scalar], coords, fld: FieldSpec):
-    total = fld.zero
-    for m, c in terms.items():
-        v = c
-        for x, e in zip(coords, m):
-            if e:
-                v = fld.mul(v, fld.power(x, e))
-        total = fld.add(total, v)
-    return total
+def node_rank(grads: Sequence[HomoPoly], H: List[List[HomoPoly]], coords: Sequence[Scalar]) -> int:
+    """Rank of hessian_block(H, coords) at a point where every form in grads
+    (the gradient whose Jacobian is H) vanishes.
+
+    Raises NotSingular when the gradient does not vanish there, CharTooSmall
+    in characteristic 2.
+    """
+    from .linalg import rank as matrix_rank  # local import; no cycle at module level
+
+    fld = grads[0].field
+    if fld.is_prime_field and fld.p == 2:
+        raise CharTooSmall("Hessian rank test unreliable in characteristic 2")
+    for g in grads:
+        if eval_poly(g, coords):
+            raise NotSingular(f"gradient nonzero at {tuple(coords)}")
+    return matrix_rank(hessian_block(H, coords), fld)
 
 
 def hessian_rank_at(f: HomoPoly, point) -> int:
-    """Rank of the affine Hessian at a singular point (chart: pivot coord = 1).
+    """Rank of the Hessian of f at a singular point, in the chart of its
+    pivot coordinate.
 
     point is a ProjPoint (anything with .coords).  Raises NotSingular when the
     gradient does not vanish there, CharTooSmall in characteristic 2.
     """
-    from .linalg import rank as matrix_rank  # local import; no cycle at module level
-
-    fld = f.field
-    if fld.is_prime_field and fld.p == 2:
-        raise CharTooSmall("Hessian rank test unreliable in characteristic 2")
-    coords = tuple(point.coords)
-    for g in gradient(f):
-        if eval_poly(g, coords):
-            raise NotSingular(f"gradient nonzero at {coords}")
-    pivot = next(i for i, c in enumerate(coords) if c)
-    affine = _dehomogenize(f, pivot)
-    acoords = coords[:pivot] + coords[pivot + 1:]
-    n = f.nvars - 1
-    firsts = [_dict_partial(affine, i, fld) for i in range(n)]
-    H = [
-        [_dict_eval(_dict_partial(firsts[i], j, fld), acoords, fld) for j in range(n)]
-        for i in range(n)
-    ]
-    return matrix_rank(H, fld)
+    return node_rank(gradient(f), hessian(f), tuple(point.coords))
 
 
 # --- restriction, division, roots ----------------------------------------

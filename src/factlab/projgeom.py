@@ -1,5 +1,5 @@
-"""Projective points, point sets, enumeration of P^n(F_p), and projections
-from seeded linear centers.
+"""Projective points, point sets, enumeration of P^n(F_p), and the
+point-set file format.
 
 Points are kept canonical (first nonzero coordinate scaled to 1), so
 equality and hashing are plain tuple comparisons.  Enumeration order is
@@ -11,19 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .errors import (
-    CenterHit,
-    DuplicatePoint,
-    FieldTooSmall,
-    PolySyntaxError,
-    TooLarge,
-    ZeroVector,
-)
+from .errors import DuplicatePoint, PolySyntaxError, TooLarge, ZeroVector
 from .fields import FieldSpec, Scalar, parse_field_spec
-from .linalg import rank as matrix_rank, solve
-from .rng import SplitMix64
+from .linalg import rank as matrix_rank
 
 DEFAULT_SCAN_CAP = 10**8
 
@@ -112,102 +104,12 @@ def enumerate_projective(n: int, p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> It
             yield ProjPoint((0,) * pivot + (1,) + tail, field)
 
 
-@dataclass(frozen=True)
-class LinearCenter:
-    """Projection center: span of the generators, mapping onto the coordinate
-    subspace of the target indices."""
-
-    generators: Tuple[ProjPoint, ...]
-    target: Tuple[int, ...]
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.generators[0].field
-
-
-def project_point(P: ProjPoint, center: LinearCenter) -> ProjPoint:
-    """Image of P under projection from the center onto the target subspace."""
-    field = center.field
-    n = P.ambient_dim
-    others = [j for j in range(n + 1) if j not in center.target]
-    # solve P + sum(lam_i * g_i) = 0 on the non-target coordinates
-    A = [[g.coords[j] for g in center.generators] for j in others]
-    rhs = [field.neg(P.coords[j]) for j in others]
-    lam = solve(A, rhs, field)
-    if lam is None:
-        raise CenterHit(f"{P} projects nowhere (center misconfigured)")
-    image = []
-    for j in center.target:
-        v = P.coords[j]
-        for li, g in zip(lam, center.generators):
-            v = field.add(v, field.mul(li, g.coords[j]))
-        image.append(v)
-    if not any(image):
-        raise CenterHit(f"{P} lies on the projection center")
-    return canonicalize(image, field)
-
-
-@dataclass(frozen=True)
-class ProjectionReport:
-    image: PointSet
-    injective: bool
-    collisions: Tuple[Tuple[ProjPoint, ProjPoint], ...]
-
-
-def project_set(sigma: PointSet, center: LinearCenter) -> ProjectionReport:
-    """Image of a set with a collision report; collisions are surfaced,
-    never silently merged."""
-    images = {}
-    collisions = []
-    out: List[ProjPoint] = []
-    for pt in sigma:
-        img = project_point(pt, center)
-        if img.coords in images:
-            collisions.append((images[img.coords], pt))
-        else:
-            images[img.coords] = pt
-            out.append(img)
-    m = len(center.target) - 1
-    return ProjectionReport(
-        image=PointSet(m, tuple(out), sigma.field),
-        injective=not collisions,
-        collisions=tuple(collisions),
-    )
-
-
 def span_dim(points: Sequence[ProjPoint]) -> int:
     """Projective dimension of the linear span."""
     if not points:
         raise ValueError("span of no points")
     field = points[0].field
     return matrix_rank([list(p.coords) for p in points], field) - 1
-
-
-def random_center(n: int, m: int, field: FieldSpec, seed: int, max_retries: int = 100) -> LinearCenter:
-    """Seeded center: n-m independent generators spanning an (n-m-1)-plane
-    disjoint from the coordinate target {0..m}."""
-    if not (2 <= m < n):
-        raise ValueError("need 2 <= m < n")
-    rng = SplitMix64(seed)
-    target = tuple(range(m + 1))
-    others = [j for j in range(n + 1) if j not in target]
-    for _ in range(max_retries):
-        gens = []
-        for _ in range(n - m):
-            coords = [field.of_int(rng.below(field.p)) if field.is_prime_field else field.of_int(rng.below(19) - 9) for _ in range(n + 1)]
-            if any(coords):
-                gens.append(canonicalize(coords, field))
-        if len(gens) < n - m:
-            continue
-        if matrix_rank([list(g.coords) for g in gens], field) != n - m:
-            continue
-        # disjoint from the target plane <=> generator block on the other
-        # coordinates is invertible
-        block = [[g.coords[j] for g in gens] for j in others]
-        if matrix_rank(block, field) != n - m:
-            continue
-        return LinearCenter(tuple(gens), target)
-    raise FieldTooSmall(f"no valid center after {max_retries} draws")
 
 
 # --- point-set file format ---------------------------------------------------

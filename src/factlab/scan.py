@@ -12,8 +12,8 @@ coordinate; slabs bound memory, are the thread pool's work items and are
 merged in slab order, so thread count never changes output.
 
 coords_table, eval_on_points and common_zeros are the term-by-term path on
-explicit rows: common_zeros filters each slab's survivors, and the full
-table serves tests as an oracle.
+explicit rows: common_zeros filters each slab's survivors in one pass, on
+the calling thread, and the full table serves tests as an oracle.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ def common_zeros(
     polys: Sequence[HomoPoly],
     pts: np.ndarray,
     p: int,
-    threads: int = 1,
     extra_predicate: Callable[[np.ndarray], np.ndarray] = None,
 ) -> np.ndarray:
     """Rows of pts where every poly vanishes (and extra_predicate holds).
@@ -79,32 +78,14 @@ def common_zeros(
     Polys are applied as successive filters so later ones only evaluate on
     survivors.  Returns the surviving rows in their original order.
     """
-
-    def work(block: np.ndarray) -> np.ndarray:
-        alive = block
-        for f in polys:
-            if alive.shape[0] == 0:
-                return alive
-            vals = eval_on_points(f, alive, p)
-            alive = alive[vals == 0]
-        if extra_predicate is not None and alive.shape[0]:
-            alive = alive[extra_predicate(alive)]
-        return alive
-
-    chunks = [pts[i:i + _CHUNK] for i in range(0, pts.shape[0], _CHUNK)]
-    results = _map_in_order(work, chunks, threads)
-    nonempty = [r for r in results if r.shape[0]]
-    if not nonempty:
-        return pts[:0]
-    return np.concatenate(nonempty, axis=0)
-
-
-def _map_in_order(work: Callable, items: list, threads: int) -> list:
-    """[work(item) for item in items], on a thread pool when threads > 1."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, items))
-    return [work(item) for item in items]
+    alive = pts
+    for f in polys:
+        if alive.shape[0] == 0:
+            return alive
+        alive = alive[eval_on_points(f, alive, p) == 0]
+    if extra_predicate is not None and alive.shape[0]:
+        alive = alive[extra_predicate(alive)]
+    return alive
 
 
 def _horner(coeffs: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
@@ -168,11 +149,15 @@ def projective_zeros(
         rows = np.zeros((flat.size, n + 1), dtype=np.int64)
         rows[:, pivot] = 1
         rows[:, pivot + 1:] = np.column_stack(np.unravel_index(flat, (p,) * (n - pivot)))
-        return common_zeros(polys[1:], rows, p, threads=1, extra_predicate=extra_predicate)
+        return common_zeros(polys[1:], rows, p, extra_predicate=extra_predicate)
 
-    results = _map_in_order(work, items, threads)
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, items))
+    else:
+        results = [work(item) for item in items]
     # the last chart is the single point (0:...:0:1)
     last = np.zeros((1, n + 1), dtype=np.int64)
     last[0, n] = 1
-    results.append(common_zeros(polys, last, p, threads=1, extra_predicate=extra_predicate))
+    results.append(common_zeros(polys, last, p, extra_predicate=extra_predicate))
     return np.concatenate(results, axis=0)

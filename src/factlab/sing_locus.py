@@ -8,7 +8,7 @@ top of it is mod-p evidence, not a characteristic-0 proof.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -20,7 +20,9 @@ from .poly import (
     eval_poly,
     eval_poly_horner,
     gradient,
-    hessian_rank_at,
+    hessian,
+    hessian_block,
+    node_rank,
     partial,
 )
 from .projgeom import DEFAULT_SCAN_CAP, PointSet, ProjPoint, canonicalize
@@ -83,11 +85,15 @@ def verify_nodal(inst: NodalInstance, isolation_factor: int = 5) -> NodalInstanc
     n = inst.ambient_dim
     degree = max(g.degree for g in inst.defining)
     flags: List[bool] = []
-    for pt in inst.sing:
-        if len(inst.defining) == 1:
-            flags.append(hessian_rank_at(inst.defining[0], pt) == n)
-        else:
-            flags.append(_ci_node_check(inst.defining[0], inst.defining[1], pt))
+    if inst.sing:
+        # gradients and Hessians are built once per form, not once per point
+        grads = [gradient(g) for g in inst.defining]
+        hessians = [hessian(g) for g in inst.defining]
+        for pt in inst.sing:
+            if len(inst.defining) == 1:
+                flags.append(node_rank(grads[0], hessians[0], pt.coords) == n)
+            else:
+                flags.append(_ci_node_check(grads[0], grads[1], hessians[0], hessians[1], pt))
     inst.node_flags = flags
     inst.clean = all(flags) if flags else True
     threshold = isolation_factor * degree * n
@@ -100,20 +106,21 @@ def verify_nodal(inst: NodalInstance, isolation_factor: int = 5) -> NodalInstanc
     return inst
 
 
-def _ci_node_check(F: HomoPoly, G: HomoPoly, pt: ProjPoint) -> bool:
-    """Ordinary double point test for a codimension-2 complete intersection.
+def _ci_node_check(dF, dG, HF, HG, pt: ProjPoint) -> bool:
+    """Ordinary double point test for a codimension-2 complete intersection
+    F = G = 0, given the gradients dF, dG and the Hessians HF, HG.
 
     At a Jacobian-rank-1 point, one combination of F, G has vanishing
     differential; its affine Hessian restricted to the tangent hyperplane of
     the transverse combination must have full rank n-1.
     """
-    fld = F.field
+    fld = pt.field
     if fld.is_prime_field and fld.p == 2:
         raise CharTooSmall("Hessian test unreliable in characteristic 2")
     coords = pt.coords
-    nv = F.nvars
-    gF = [eval_poly(partial(F, v), coords) for v in range(nv)]
-    gG = [eval_poly(partial(G, v), coords) for v in range(nv)]
+    nv = len(coords)
+    gF = [eval_poly(g, coords) for g in dF]
+    gG = [eval_poly(g, coords) for g in dG]
     jac_rank = matrix_rank([gF, gG], fld)
     if jac_rank != 1:
         return False  # rank 0: worse than a node; rank 2: smooth point
@@ -121,8 +128,8 @@ def _ci_node_check(F: HomoPoly, G: HomoPoly, pt: ProjPoint) -> bool:
     combo = nullspace([[a, b] for a, b in zip(gF, gG)], 2, fld)[0]
     alpha, beta = combo
     pivot = next(i for i, c in enumerate(coords) if c)
-    Hf = _affine_hessian(F, coords, pivot)
-    Hg = _affine_hessian(G, coords, pivot)
+    Hf = hessian_block(HF, coords)
+    Hg = hessian_block(HG, coords)
     n = nv - 1
     H = [[fld.add(fld.mul(alpha, Hf[i][j]), fld.mul(beta, Hg[i][j])) for j in range(n)] for i in range(n)]
     # transverse differential in the affine chart
@@ -146,20 +153,6 @@ def _quad(H, u, v, fld):
             if vj:
                 total = fld.add(total, fld.mul(ui, fld.mul(H[i][j], vj)))
     return total
-
-
-def _affine_hessian(f: HomoPoly, coords, pivot: int):
-    from .poly import _dehomogenize, _dict_partial, _dict_eval  # module-internal reuse
-
-    fld = f.field
-    affine = _dehomogenize(f, pivot)
-    acoords = coords[:pivot] + coords[pivot + 1:]
-    n = f.nvars - 1
-    firsts = [_dict_partial(affine, i, fld) for i in range(n)]
-    return [
-        [_dict_eval(_dict_partial(firsts[i], j, fld), acoords, fld) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def ci_singular_points(

@@ -105,6 +105,14 @@ def test_separator_subcommand(fixture_files, capsys):
     assert code == 5 and json.loads(out)["separated"] is False
 
 
+@pytest.mark.parametrize("index", ["2", "5", "-1"])
+def test_separator_point_out_of_range_exit_2(tmp_path, index, capsys):
+    pts = tmp_path / "two.points"
+    pts.write_text("P 2 Fp:101\n1,3,7\n1,5,31\n")
+    code, out, err = run_cli(["separator", str(pts), "--xi", "1", "--point", index], capsys)
+    assert code == 2 and "--point" in err and not out
+
+
 def test_classify_subcommand(fixture_files, capsys):
     base, prefix = fixture_files
     code, out, _ = run_cli(["classify", prefix + ".poly", "--r", "2"], capsys)
@@ -142,6 +150,32 @@ def test_criteria_bad_params_exit_2(capsys):
         ["criteria", "--theorem", "double_solid", "--r", "1", "--nsing", "5"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["main", "--n", "3", "--lambda", "9", "--size", "44"], "--xi"),
+        (["prop_3r4", "--r", "5"], "--size"),
+        (["double_solid", "--r", "2"], "--nsing"),
+        (["hypersurface", "--nsing", "17"], "--d"),
+        (["ci1", "--m", "7", "--nsing", "3"], "--k"),
+        (["ci2", "--k", "1", "--nsing", "3"], "--m"),
+        (["double_hypersurface", "--d", "4", "--nsing", "3"], "--r"),
+    ],
+)
+def test_criteria_missing_argument_exit_2(argv, missing, capsys):
+    code, out, err = run_cli(["criteria", "--theorem", *argv], capsys)
+    assert code == 2 and missing in err and not out
+
+
+@pytest.mark.parametrize("flag", [["--field", "Fp:7"], ["--seed", "3"]])
+def test_field_and_seed_only_for_gen(fixture_files, flag, capsys):
+    base, prefix = fixture_files
+    with pytest.raises(SystemExit) as exc:
+        main(["defect", prefix + ".points", "--xi", "1", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_bese_subcommand(tmp_path, capsys):

@@ -13,7 +13,7 @@ from factlab.criteria import (
     prop_3r4_certify,
     theorem_main_certify,
 )
-from factlab.errors import BadParams
+from factlab.errors import BadParams, VerificationFailure
 from factlab.fields import GF
 from factlab.poly import parse_poly, random_homo
 from factlab.sing_locus import singular_points
@@ -64,6 +64,13 @@ def test_verdict_inequalities_consistent():
         assert v.applies == all(h for _, h in v.instantiated_inequalities) or not v.applies
         if v.applies:
             assert all(h for _, h in v.instantiated_inequalities)
+
+
+def test_verdict_refuses_a_failed_inequality():
+    from factlab.criteria import _verdict
+
+    with pytest.raises(VerificationFailure):
+        _verdict("main_bullet1", True, [("xi = 3", True), ("|Sigma| = 9 < 8", False)], 3, {})
 
 
 def test_prop_3r4():

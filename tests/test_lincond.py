@@ -6,6 +6,7 @@ from factlab.errors import (
     LocusMismatch,
     NotInSet,
     Overlap,
+    VerificationFailure,
     WrongAmbient,
     XiTooSmall,
 )
@@ -102,6 +103,13 @@ def test_separator_not_in_set():
         separator(sigma, outsider, 2)
 
 
+def test_separator_refused_when_verify_fails(monkeypatch):
+    sigma = conic_points(7, 6)
+    monkeypatch.setattr(SeparatorCertificate, "verify", lambda self, sigma: False)
+    with pytest.raises(VerificationFailure):
+        separator(sigma, sigma.points[0], 3)
+
+
 def _quadric_through(sigma, miss, rng):
     field = sigma.field
     basis = monomial_basis(sigma.ambient_dim + 1, 2)
@@ -120,7 +128,7 @@ def _quadric_through(sigma, miss, rng):
     raise AssertionError("no quadric found")
 
 
-def test_swap_combine(double_solid_r2):
+def test_swap_combine(double_solid_r2, monkeypatch):
     lam = double_solid_r2.sing
     rng = SplitMix64(9)
     delta_pts = []
@@ -146,6 +154,10 @@ def test_swap_combine(double_solid_r2):
     not_through = parse_poly("x^2 + y^2 + z^2 + w^2", 4, F101)
     with pytest.raises(GVanishesOnDelta):
         swap_combine(seps_lam, seps_delta, not_through)
+    # a combined certificate that fails its re-check is refused, not returned
+    monkeypatch.setattr(SeparatorCertificate, "verify", lambda self, sigma: False)
+    with pytest.raises(VerificationFailure):
+        swap_combine(seps_lam, seps_delta, G)
 
 
 def test_max_on_lines():

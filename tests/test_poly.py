@@ -11,12 +11,15 @@ from factlab.errors import (
     UnknownVariable,
 )
 from factlab.fields import GF, QQ
+from factlab.projgeom import ProjPoint
 from factlab.poly import (
     divide_by_linear,
     embed_poly,
     eval_poly,
     eval_poly_horner,
     gradient,
+    hessian,
+    hessian_block,
     hessian_rank_at,
     linear_change,
     make_poly,
@@ -142,6 +145,29 @@ def test_hessian_rank_invariant_under_linear_change():
     sing = singular_points(g)
     assert len(sing) == 1
     assert hessian_rank_at(g, sing.points[0]) == 3
+
+
+def test_hessian_block_in_the_pivot_chart():
+    F = GF(101)
+    f = parse_poly("x^2*w + 3*x*y*w + y^3 + 5*z^3", 4, F)
+    H = hessian(f)
+    assert all(H[i][j] == H[j][i] for i in range(4) for j in range(4))
+    assert H[0][3].to_text() == "2*x + 3*y"
+    # at (0:0:0:1) the w-row and column go; d^2/dx^2 (x^2) = 2, d^2/dxdy = 3
+    assert hessian_block(H, (0, 0, 0, 1)) == [[2, 3, 0], [3, 0, 0], [0, 0, 0]]
+    # at (1:0:0:0) the x-row and column go, and w = 0 there
+    assert hessian_block(H, (1, 0, 0, 0)) == [[0, 0, 3], [0, 0, 0], [3, 0, 0]]
+
+
+def test_hessian_rank_independent_of_representative():
+    # along q = 0 the Hessian of q^2 is 2 grad(q) grad(q)^T, of rank 1; a
+    # representative whose pivot coordinate is not 1 must give the same rank
+    F = GF(101)
+    q = parse_poly("x*w - y*z", 4, F)
+    coords = (1, 2, 3, 6)
+    for scale in (1, 2, 3, 100):
+        pt = ProjPoint(tuple(scale * c % 101 for c in coords), F)
+        assert hessian_rank_at(q * q, pt) == 1
 
 
 def test_restrict_to_plane():

@@ -1,19 +1,15 @@
 import pytest
 
-from factlab.errors import CenterHit, DuplicatePoint, TooLarge, ZeroVector
+from factlab.errors import DuplicatePoint, TooLarge, ZeroVector
 from factlab.fields import GF, QQ
 from factlab.projgeom import (
-    LinearCenter,
     PointSet,
     canonicalize,
     dump_point_set,
     enumerate_projective,
     load_point_set,
     point_set,
-    project_point,
-    project_set,
     projective_count,
-    random_center,
     span_dim,
 )
 from factlab.scan import coords_table
@@ -69,28 +65,6 @@ def test_span_dim():
     assert span_dim([a]) == 0
     assert span_dim([a, b]) == 1
     assert span_dim([a, b, c]) == 1
-
-
-def test_projection_from_seeded_center():
-    F = GF(101)
-    center = random_center(4, 2, F, seed=3)
-    sigma = point_set(
-        [canonicalize([1, t, t * t % 101, (t**3) % 101, 5], F) for t in range(8)]
-    )
-    report = project_set(sigma, center)
-    assert report.image.ambient_dim == 2
-    assert report.injective == (len(report.image) == len(sigma))
-
-
-def test_projection_center_hit():
-    F = GF(101)
-    g = canonicalize([0, 0, 0, 0, 1], F)
-    center = LinearCenter((g,), (0, 1, 2, 3))
-    with pytest.raises(CenterHit):
-        project_point(g, center)
-    # a generic point projects by dropping the last coordinate
-    q = canonicalize([1, 2, 3, 4, 5], F)
-    assert project_point(q, center).coords == (1, 2, 3, 4)
 
 
 def test_point_set_file_roundtrip():

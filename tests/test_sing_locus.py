@@ -103,3 +103,21 @@ def test_thread_count_does_not_change_results():
     s1 = singular_points(f, threads=1)
     s4 = singular_points(f, threads=4)
     assert [q.coords for q in s1] == [q.coords for q in s4]
+
+
+def test_verify_nodal_builds_each_hessian_once(monkeypatch, double_solid_r2, ci_22):
+    import factlab.sing_locus as sl
+
+    built = []
+    original = sl.hessian
+
+    def counting(f):
+        built.append(f)
+        return original(f)
+
+    monkeypatch.setattr(sl, "hessian", counting)
+    inst = verify_nodal(NodalInstance(double_solid_r2.defining, 3, double_solid_r2.sing))
+    assert len(inst.sing) == 6 and inst.clean and len(built) == 1
+    built.clear()
+    inst = verify_nodal(NodalInstance(ci_22.defining, ci_22.ambient_dim, ci_22.sing))
+    assert len(inst.sing) > 1 and inst.clean and len(built) == 2
