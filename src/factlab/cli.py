@@ -68,6 +68,8 @@ def load_poly_file(path: str) -> List[HomoPoly]:
     if len(parts) != 3:
         raise PolySyntaxError(f"bad header {lines[0]!r}")
     nvars = int(parts[1])
+    if nvars < 2:
+        raise PolySyntaxError(f"need at least 2 variables (forms on P^n, n >= 1), not {nvars}")
     field = parse_field_spec(parts[2])
     polys = [parse_poly(ln, nvars, field) for ln in lines[1:]]
     if not polys:
@@ -97,6 +99,8 @@ def _point_json(pt):
 
 def cmd_sing(args) -> int:
     polys = load_poly_file(args.poly_file)
+    if len(polys) > 2:
+        raise BadParams(f"sing takes 1 form (hypersurface) or 2 (CI), not {len(polys)}")
     if len(polys) == 1:
         sing = singular_points(polys[0], scan_cap=args.scan_cap, threads=args.threads)
     else:
@@ -168,6 +172,8 @@ def cmd_bese(args) -> int:
 
 def cmd_classify(args) -> int:
     polys = load_poly_file(args.poly_file)
+    if len(polys) > 1:
+        raise BadParams(f"classify takes 1 form, not {len(polys)}")
     verdict = crit.hong_park_classify(
         polys[0], args.r, scan_cap=args.scan_cap, threads=args.threads
     )

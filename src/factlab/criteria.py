@@ -68,29 +68,11 @@ def _verdict(cid, applies, ineqs, degree, params) -> CriterionVerdict:
 # --- main criterion (three bullets) --------------------------------------------
 
 
-def _mu_candidates(n: int, lam: int, size: int, xi: int) -> List[Fraction]:
-    """Rationals with denominator dividing 60 over [1/60, lam+3], plus the
-    exact boundary candidates xi/3, (xi+3)/3, xi/n, (xi+1)/n, size/lam."""
-    top = 60 * (lam + 3)
-    cands = [Fraction(t, 60) for t in range(1, top + 1)]
-    extra = [
-        Fraction(xi, 3),
-        Fraction(xi + 3, 3),
-        Fraction(xi, n) if n else None,
-        Fraction(xi + 1, n) if n else None,
-        Fraction(size, lam) if lam else None,
-    ]
-    seen = set(cands)
-    for mu in extra:
-        if mu is not None and 0 < mu <= lam + 3 and mu not in seen:
-            cands.append(mu)
-            seen.add(mu)
-    return cands
-
-
 def theorem_main_certify(n: int, lam: int, size: int, xi: int) -> CriterionVerdict:
     """First of the three bullet conditions that certifies independence of
-    size points at degree xi under the lambda-incidence hypothesis."""
+    size points at degree xi under the lambda-incidence hypothesis.  Bullets
+    2 and 3 each ask for a rational mu in an interval; the verdict records
+    the least admissible mu, decided exactly."""
     if n < 2 or lam < 2 or size < 0 or xi < 0:
         raise BadParams("need n >= 2, lambda >= 2, size >= 0, xi >= 0")
     params: Dict[str, object] = {"n": n, "lambda": lam, "size": size, "xi": xi}
@@ -106,31 +88,34 @@ def theorem_main_certify(n: int, lam: int, size: int, xi: int) -> CriterionVerdi
         return _verdict("main_bullet1", True, ineqs1, xi, params)
 
     # bullet 2: xi = floor(3*mu - 3), |Sigma| <= lambda*mu,
-    #           floor(3*mu) - mu - 2 >= lambda >= mu
-    for mu in _mu_candidates(n, lam, size, xi):
-        if not (floor(3 * mu) - mu - 2 >= lam >= mu):
-            continue
-        if xi != floor(3 * mu - 3) or size > lam * mu:
-            continue
+    #           floor(3*mu) - mu - 2 >= lambda >= mu.
+    # The first puts mu in [(xi+3)/3, (xi+4)/3), where floor(3*mu) = xi + 3,
+    # so the third reads mu <= min(lambda, xi + 1 - lambda); the second is
+    # the lower bound |Sigma|/lambda.  The least admissible mu is the larger
+    # lower bound, if it meets both upper bounds.
+    mu = max(Fraction(xi + 3, 3), Fraction(size, lam))
+    if mu < Fraction(xi + 4, 3) and mu <= min(lam, xi + 1 - lam):
         params["mu"] = mu
         ineqs2 = [
-            (f"xi = floor(3*mu - 3) = {floor(3 * mu - 3)} with mu = {mu}", True),
-            (f"|Sigma| = {size} <= lambda*mu = {lam * mu}", True),
-            (f"floor(3*mu) - mu - 2 = {floor(3 * mu) - mu - 2} >= lambda = {lam} >= mu = {mu}", True),
+            (f"xi = floor(3*mu - 3) = {floor(3 * mu - 3)} with mu = {mu}", xi == floor(3 * mu - 3)),
+            (f"|Sigma| = {size} <= lambda*mu = {lam * mu}", size <= lam * mu),
+            (
+                f"floor(3*mu) - mu - 2 = {floor(3 * mu) - mu - 2} >= lambda = {lam} >= mu = {mu}",
+                floor(3 * mu) - mu - 2 >= lam >= mu,
+            ),
         ]
         return _verdict("main_bullet2", True, ineqs2, xi, params)
 
-    # bullet 3: xi = floor(n*mu), |Sigma| <= lambda*mu, (n-1)*mu >= lambda
-    for mu in _mu_candidates(n, lam, size, xi):
-        if (n - 1) * mu < lam:
-            continue
-        if xi != floor(n * mu) or size > lam * mu:
-            continue
+    # bullet 3: xi = floor(n*mu), |Sigma| <= lambda*mu, (n-1)*mu >= lambda.
+    # The first puts mu in [xi/n, (xi+1)/n); the others are the lower bounds
+    # |Sigma|/lambda and lambda/(n-1).
+    mu = max(Fraction(xi, n), Fraction(size, lam), Fraction(lam, n - 1))
+    if mu < Fraction(xi + 1, n):
         params["mu"] = mu
         ineqs3 = [
-            (f"xi = floor(n*mu) = {floor(n * mu)} with mu = {mu}", True),
-            (f"|Sigma| = {size} <= lambda*mu = {lam * mu}", True),
-            (f"(n-1)*mu = {(n - 1) * mu} >= lambda = {lam}", True),
+            (f"xi = floor(n*mu) = {floor(n * mu)} with mu = {mu}", xi == floor(n * mu)),
+            (f"|Sigma| = {size} <= lambda*mu = {lam * mu}", size <= lam * mu),
+            (f"(n-1)*mu = {(n - 1) * mu} >= lambda = {lam}", (n - 1) * mu >= lam),
         ]
         return _verdict("main_bullet3", True, ineqs3, xi, params)
 

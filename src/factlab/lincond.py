@@ -5,6 +5,12 @@ certificates, and the blown-up-plane base-point checker.
 The defect of a finite reduced point set at degree xi is |set| - rank of
 its evaluation matrix; defect 0 means the points impose independent linear
 conditions on degree-xi forms.
+
+The kernel of the evaluation matrix is the space of degree-xi forms through
+the set, and its rows span exactly the annihilator of that kernel.  So the
+base points of the blown-up plane are the common zeros of the kernel forms
+(one projective_zeros scan) and, at a point of the set, the directions on
+which every kernel form's gradient vanishes.
 """
 
 from __future__ import annotations
@@ -26,17 +32,17 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import RowSpace, nullspace, rank_and_dependents, solve
-from .poly import HomoPoly, eval_poly, make_poly, monomial_basis
+from .linalg import RowSpace, nullspace, rank_and_dependents, rref, solve
+from .poly import HomoPoly, eval_poly, gradient, make_poly, monomial_basis
 from .projgeom import (
     DEFAULT_SCAN_CAP,
     PointSet,
     ProjPoint,
     canonicalize,
-    enumerate_projective,
+    check_scan_cap,
     point_set,
-    span_dim,
 )
+from .scan import projective_zeros
 
 
 # --- evaluation matrices ------------------------------------------------------
@@ -53,30 +59,11 @@ def point_row(coords: Sequence[Scalar], basis, field: FieldSpec) -> List[Scalar]
     return row
 
 
-def directional_row(coords: Sequence[Scalar], direction: Sequence[Scalar], basis, field: FieldSpec) -> List[Scalar]:
-    """d/dt at 0 of each basis monomial along coords + t*direction."""
-    row = []
-    for m in basis:
-        total = field.zero
-        for i, e in enumerate(m):
-            if not e or not direction[i]:
-                continue
-            v = field.mul(field.of_int(e), direction[i])
-            for j, x in enumerate(coords):
-                ej = m[j] - (1 if j == i else 0)
-                if ej:
-                    v = field.mul(v, field.power(x, ej))
-            total = field.add(total, v)
-        row.append(total)
-    return row
-
-
 @dataclass
 class EvalMatrix:
     xi: int
     basis: List[Tuple[int, ...]]
-    rows: List[List[Scalar]]
-    row_labels: List[object]
+    rows: List[List[Scalar]]  # one per point of the set, in its order
     field: FieldSpec
 
     @property
@@ -84,24 +71,14 @@ class EvalMatrix:
         return len(self.basis)
 
 
-def evaluation_matrix(
-    sigma: PointSet,
-    xi: int,
-    extra_rows: Sequence[Tuple[ProjPoint, Sequence[Scalar]]] = (),
-) -> EvalMatrix:
-    """One evaluation row per point, then one directional row per extra pair."""
+def evaluation_matrix(sigma: PointSet, xi: int) -> EvalMatrix:
+    """One evaluation row per point."""
     if xi < 0:
         raise ValueError("xi >= 0 required")
     field = sigma.field
     basis = monomial_basis(sigma.ambient_dim + 1, xi)
-    rows, labels = [], []
-    for pt in sigma:
-        rows.append(point_row(pt.coords, basis, field))
-        labels.append(pt)
-    for pt, direction in extra_rows:
-        rows.append(directional_row(pt.coords, direction, basis, field))
-        labels.append((pt, tuple(direction)))
-    return EvalMatrix(xi, basis, rows, labels, field)
+    rows = [point_row(pt.coords, basis, field) for pt in sigma]
+    return EvalMatrix(xi, basis, rows, field)
 
 
 # --- defect -------------------------------------------------------------
@@ -281,20 +258,24 @@ def swap_combine(
 
 
 def max_on_lines(sigma: PointSet) -> Tuple[int, Tuple[ProjPoint, ProjPoint]]:
-    """Exact max of |line ∩ sigma| over all lines, via pair iteration."""
+    """Exact max of |line ∩ sigma| over all lines, with the first pair (in
+    pair order) spanning a line that attains it.
+
+    Each pair's line is keyed by the reduced row echelon form of the pair,
+    which is the same for every pair on that line; the points on a line are
+    the union of the pairs with its key.
+    """
     pts = sigma.points
     if len(pts) < 2:
         raise TooFew("need at least 2 points")
-    best, witness = 0, None
+    lines: Dict[Tuple, Tuple[Tuple[int, int], set]] = {}  # key -> (first pair, indices)
     for i, j in itertools.combinations(range(len(pts)), 2):
-        count = 2
-        for k in range(len(pts)):
-            if k in (i, j):
-                continue
-            if span_dim([pts[i], pts[j], pts[k]]) == 1:
-                count += 1
-        if count > best:
-            best, witness = count, (pts[i], pts[j])
+        key = tuple(map(tuple, rref([pts[i].coords, pts[j].coords], sigma.field)[0]))
+        lines.setdefault(key, ((i, j), set()))[1].update((i, j))
+    best, witness = 0, None
+    for (i, j), on_line in lines.values():
+        if len(on_line) > best:
+            best, witness = len(on_line), (pts[i], pts[j])
     return best, witness
 
 
@@ -423,7 +404,6 @@ def incidence_bound_from_intersection(
     """Verify by full scan that the common zero locus of the generators is
     exactly sigma; then Bezout bounds incidences by deg * k."""
     from .errors import LocusMismatch
-    from .scan import projective_zeros
 
     degrees = {g.degree for g in generators}
     if len(degrees) != 1:
@@ -498,6 +478,37 @@ def _tangent_directions(pt: ProjPoint, p: int, field: FieldSpec):
     return dirs
 
 
+def _first_base_point(sigma: PointSet, xi: int, scan_cap: int, threads: int):
+    """("base_point", witness) for the first F_p-rational base point of the
+    degree-xi forms through sigma on the blow-up, in enumerate_projective
+    order, or ("free", None).  The witness is a point Q outside sigma with
+    every kernel form g zero at Q, or (Q, v) with Q in sigma and v a tangent
+    direction there with grad g(Q) . v = 0 for every g."""
+    field = sigma.field
+    p = field.p
+    mat = evaluation_matrix(sigma, xi)
+    kernel = [
+        _form_from_coeffs(vec, mat.basis, 3, xi, field)
+        for vec in nullspace(mat.rows, mat.ncols, field)
+    ]
+    if kernel:
+        zeros = projective_zeros(kernel, 2, p, scan_cap, threads)
+    else:  # no degree-xi form passes through sigma: every point is a base point
+        check_scan_cap(2, p, scan_cap)
+        zeros = [(1, 0, 0)]
+    grads = [gradient(g) for g in kernel]
+    sigma_keys = {pt.coords for pt in sigma}
+    for row in zeros:
+        Q = ProjPoint(tuple(int(c) for c in row), field)
+        if Q.coords not in sigma_keys:
+            return "base_point", Q
+        grad_rows = [[eval_poly(d, Q.coords) for d in grad] for grad in grads]
+        for v in _tangent_directions(Q, p, field):
+            if not any(sum(a * b for a, b in zip(r, v)) % p for r in grad_rows):
+                return "base_point", (Q, v)
+    return "free", None
+
+
 def bese_check(
     sigma: PointSet,
     xi: int,
@@ -557,27 +568,7 @@ def bese_check(
     if scan:
         if not field.is_prime_field:
             raise ValueError("the base-point scan requires a prime field")
-        p = field.p
-        mat = evaluation_matrix(sigma, xi)
-        space = RowSpace(mat.ncols, field)
-        for row in mat.rows:
-            space.add(row)
-        sigma_keys = {pt.coords for pt in sigma}
-        scan_result = "free"
-        for Q in enumerate_projective(2, p, scan_cap):
-            if Q.coords in sigma_keys:
-                for v in _tangent_directions(Q, p, field):
-                    row = directional_row(Q.coords, v, mat.basis, field)
-                    if space.contains(row):
-                        scan_result, witness = "base_point", (Q, v)
-                        break
-                if witness:
-                    break
-            else:
-                row = point_row(Q.coords, mat.basis, field)
-                if space.contains(row):
-                    scan_result, witness = "base_point", Q
-                    break
+        scan_result, witness = _first_base_point(sigma, xi, scan_cap, threads)
     return BeseReport(
         xi=xi,
         delta=delta,

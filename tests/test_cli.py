@@ -82,6 +82,21 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert code == 2 and err
 
 
+def test_sing_refuses_a_third_form(tmp_path, capsys):
+    # (0:0:1:0) is singular on the first two forms but not on z^3 = 0
+    poly = tmp_path / "three.poly"
+    poly.write_text("F 4 Fp:7\nx^2 + y*z\nx*w + y^2\nz^3\n")
+    code, out, err = run_cli(["sing", str(poly)], capsys)
+    assert code == 2 and "not 3" in err and not out
+
+
+def test_classify_refuses_a_second_form(tmp_path, capsys):
+    poly = tmp_path / "two.poly"
+    poly.write_text("F 4 Fp:101\nx^4 + y^4 + z^4 + w^4\nx^4 - y^4\n")
+    code, out, err = run_cli(["classify", str(poly), "--r", "2"], capsys)
+    assert code == 2 and "not 2" in err and not out
+
+
 def test_defect_subcommand(fixture_files, capsys):
     base, prefix = fixture_files
     code, out, _ = run_cli(["defect", prefix + ".points", "--xi", "2"], capsys)

@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import ceil, floor, lcm
 
 import pytest
 
@@ -45,6 +47,55 @@ def test_main_monotone_in_size():
     assert base.applies
     for size in range(0, 44):
         assert theorem_main_certify(3, 9, size, 10).applies
+
+
+def _least_mu_oracle(n, lam, size, xi):
+    """(criterion_id, least mu) by trying every mu = a/L, L = lcm(3, lambda,
+    n, n-1), against the bullets as the paper states them.  Each bound on mu
+    has denominator 3, lambda, n or n-1, so the least admissible mu is on
+    this grid; mu < (xi+4)/3 in bullet 2 and mu < (xi+1)/n in bullet 3."""
+    if xi == floor(Fraction(3 * lam, 2) - 3) and size < lam * ceil(Fraction(lam, 2)):
+        return "main_bullet1", None
+    L = lcm(3, lam, n, n - 1)
+    # integer forms: with mu = a/L, floor(k*mu) = k*a // L
+    for a in range(1, (xi + 4) * L // 3 + 1):
+        if (
+            xi == (3 * a - 3 * L) // L
+            and size * L <= lam * a
+            and (3 * a // L - 2) * L - a >= lam * L >= a
+        ):
+            return "main_bullet2", Fraction(a, L)
+    for a in range(1, (xi + 1) * L // n + 1):
+        if xi == n * a // L and size * L <= lam * a and (n - 1) * a >= lam * L:
+            return "main_bullet3", Fraction(a, L)
+    return None, None
+
+
+def test_main_least_mu_matches_exact_oracle():
+    applied = 0
+    for n, lam, size, xi in itertools.product(
+        range(2, 6), range(2, 7), range(0, 25, 3), range(0, 11)
+    ):
+        v = theorem_main_certify(n, lam, size, xi)
+        cid, mu = _least_mu_oracle(n, lam, size, xi)
+        assert v.applies == (cid is not None), (n, lam, size, xi)
+        if v.applies:
+            applied += 1
+            assert v.criterion_id == cid and v.parameters.get("mu") == mu, (n, lam, size, xi)
+            assert all(h for _, h in v.instantiated_inequalities)
+    assert applied > 100
+
+
+@pytest.mark.parametrize(
+    "args, mu",
+    [((12, 10, 9, 10), Fraction(10, 11)), ((2, 2, 0, 11), Fraction(11, 2))],
+)
+def test_main_mu_off_the_old_grid(args, mu):
+    # mu = lambda/(n-1) = 10/11 has no denominator dividing 60; 11/2 is past lambda + 3
+    v = theorem_main_certify(*args)
+    assert v.applies and v.criterion_id == "main_bullet3"
+    assert v.parameters["mu"] == mu
+    assert _least_mu_oracle(*args) == ("main_bullet3", mu)
 
 
 def test_main_bad_params():

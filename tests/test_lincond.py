@@ -1,5 +1,10 @@
+import itertools
+import random
+from math import comb
+
 import pytest
 
+from factlab.cli import main
 from factlab.errors import (
     DegreeMismatch,
     GVanishesOnDelta,
@@ -8,12 +13,14 @@ from factlab.errors import (
     Overlap,
     VerificationFailure,
     WrongAmbient,
+    TooLarge,
     XiTooSmall,
 )
 from factlab.fields import GF
 from factlab.lincond import (
     SeparatorCertificate,
     SeparatorFailure,
+    _tangent_directions,
     all_separators,
     bese_check,
     defect,
@@ -26,9 +33,9 @@ from factlab.lincond import (
     separator,
     swap_combine,
 )
-from factlab.linalg import nullspace
+from factlab.linalg import nullspace, rank
 from factlab.poly import eval_poly, make_poly, monomial_basis, parse_poly
-from factlab.projgeom import canonicalize, point_set
+from factlab.projgeom import canonicalize, dump_point_set, enumerate_projective, point_set
 from factlab.rng import SplitMix64
 
 F7 = GF(7)
@@ -237,3 +244,154 @@ def test_bese_detects_base_point_on_overloaded_line():
     sigma = point_set(pts)
     rep = bese_check(sigma, 3)
     assert rep.hypotheses_hold == "no"
+
+
+def _seeded_plane_set(rng, p, size, kind):
+    """size distinct points of P^2(F_p); "collinear" and "conic" draw most of
+    them from the line z = 2y + x or the conic x*z = y^2."""
+    F = GF(p)
+    pts, seen = [], set()
+    while len(pts) < size:
+        t = rng.randrange(p)
+        if kind == "collinear" and rng.random() < 0.6:
+            c = [1, t, (2 * t + 1) % p]
+        elif kind == "conic" and rng.random() < 0.6:
+            c = [1, t, t * t % p]
+        else:
+            c = [rng.randrange(p) for _ in range(3)]
+            if not any(c):
+                continue
+        q = canonicalize(c, F)
+        if q.coords not in seen:
+            seen.add(q.coords)
+            pts.append(q)
+    return point_set(pts)
+
+
+def _gradient_row(coords, direction, basis, p):
+    """d/dt at t = 0 of each monomial along coords + t*direction, mod p."""
+    row = []
+    for m in basis:
+        total = 0
+        for i, e in enumerate(m):
+            if e and direction[i]:
+                v = e * direction[i]
+                for j, x in enumerate(coords):
+                    v *= x ** (m[j] - (j == i))
+                total += v
+        row.append(total % p)
+    return row
+
+
+def _bese_oracle(sigma, xi):
+    """First base point by row membership: rank of the evaluation rows of
+    sigma with the candidate row appended, point by point."""
+    p = sigma.field.p
+    basis = monomial_basis(3, xi)
+    rows = [point_row(q.coords, basis, sigma.field) for q in sigma]
+    base = rank(rows, sigma.field) if rows else 0
+
+    def in_span(row):
+        return rank(rows + [row], sigma.field) == base
+
+    for Q in enumerate_projective(2, p):
+        if Q not in sigma:
+            if in_span(point_row(Q.coords, basis, sigma.field)):
+                return "base_point", Q
+            continue
+        for v in _tangent_directions(Q, p, sigma.field):
+            if in_span(_gradient_row(Q.coords, v, basis, p)):
+                return "base_point", (Q, v)
+    return "free", None
+
+
+def _bese_cases():
+    rng = random.Random(2005)
+    cases = []
+    for p, xi, size, kind in [
+        (3, 3, 5, "random"), (3, 4, 7, "random"), (5, 3, 6, "collinear"),
+        (5, 3, 8, "conic"), (5, 4, 9, "collinear"), (7, 3, 4, "random"),
+        (7, 3, 7, "collinear"), (7, 3, 7, "conic"), (7, 4, 8, "conic"),
+        (7, 5, 6, "random"), (11, 3, 6, "random"), (11, 3, 5, "collinear"),
+        (11, 4, 9, "conic"), (13, 3, 7, "conic"), (13, 3, 9, "random"),
+    ]:
+        cases.append((_seeded_plane_set(rng, p, size, kind), xi))
+    return cases
+
+
+def test_bese_scan_matches_row_membership_oracle():
+    found = set()
+    for sigma, xi in _bese_cases():
+        rep = bese_check(sigma, xi)
+        want = _bese_oracle(sigma, xi)
+        assert (rep.scan_result, rep.witness) == want, (sigma.field.p, xi, list(sigma))
+        found.add(type(rep.witness).__name__)
+    # the set of cases reaches all three outcomes
+    assert found == {"NoneType", "ProjPoint", "tuple"}
+
+
+def _empty_kernel_set(p, xi, with_origin):
+    """|Sigma| = C(xi+2, 2) points of P^2(F_p) that impose independent
+    conditions at degree xi, so no degree-xi form passes through them."""
+    rng = random.Random(17)
+    F = GF(p)
+    origin = canonicalize([1, 0, 0], F)
+    while True:
+        sigma = _seeded_plane_set(rng, p, comb(xi + 2, 2), "random")
+        if (origin in sigma) == with_origin and defect(sigma, xi).defect == 0:
+            return sigma
+
+
+@pytest.mark.parametrize("with_origin", [False, True])
+def test_bese_empty_kernel_every_point_is_a_base_point(with_origin):
+    sigma = _empty_kernel_set(7, 3, with_origin)
+    rep = bese_check(sigma, 3)
+    origin = canonicalize([1, 0, 0], GF(7))
+    if with_origin:
+        assert rep.witness == (origin, _tangent_directions(origin, 7, GF(7))[0])
+    else:
+        assert rep.witness == origin
+    assert (rep.scan_result, rep.witness) == _bese_oracle(sigma, 3)
+
+
+@pytest.mark.parametrize("empty_kernel", [False, True])
+def test_bese_scan_cap_exit_3(tmp_path, capsys, empty_kernel):
+    sigma = _empty_kernel_set(7, 3, False) if empty_kernel else conic_points(7, 4)
+    path = tmp_path / "sigma.points"
+    path.write_text(dump_point_set(sigma))
+    # P^2(F_7) has 57 points
+    with pytest.raises(TooLarge):
+        bese_check(sigma, 3, scan_cap=56)
+    assert main(["bese", str(path), "--xi", "3", "--scan-cap", "56"]) == 3
+    assert main(["bese", str(path), "--xi", "3", "--scan-cap", "57"]) == 0
+    capsys.readouterr()
+
+
+def _lines_oracle(sigma):
+    """max_on_lines by a rank computation for every triple."""
+    pts = sigma.points
+    best, witness = 0, None
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        count = sum(
+            1 for q in pts
+            if rank([pts[i].coords, pts[j].coords, q.coords], sigma.field) == 2
+        )
+        if count > best:
+            best, witness = count, (pts[i], pts[j])
+    return best, witness
+
+
+def test_max_on_lines_matches_triple_oracle():
+    rng = random.Random(3)
+    for p, size, kind in [
+        (5, 8, "collinear"), (7, 12, "collinear"), (7, 10, "conic"),
+        (11, 9, "random"), (11, 14, "collinear"), (13, 12, "conic"), (3, 13, "random"),
+    ]:
+        sigma = _seeded_plane_set(rng, p, size, kind)
+        assert max_on_lines(sigma) == _lines_oracle(sigma)
+    # lines of P^3 too
+    F = GF(7)
+    pts = [canonicalize([1, t, 2 * t % 7, 0], F) for t in range(5)]
+    pts += [canonicalize([0, 1, t, 1], F) for t in range(3)]
+    sigma = point_set(pts)
+    assert max_on_lines(sigma) == _lines_oracle(sigma) and max_on_lines(sigma)[0] == 5
