@@ -7,7 +7,7 @@ point at an F_p-rational point, so each generator first picks rational
 points on a seeded curve and then randomizes the remaining forms inside the
 linear system of forms through those points.  Acceptance is always by scan
 verification (node count formula + all-ODP), with bounded retry and a loud
-DegenerateDraw carrying the per-seed observed counts.
+DegenerateDraw carrying the per-seed observed counts and failure reasons.
 """
 
 from __future__ import annotations
@@ -197,20 +197,28 @@ def _verified(
     threads: int,
 ) -> NodalInstance:
     """Retry loop: build(seed) -> NodalInstance candidate; accept iff the
-    scan finds exactly `expected` singular points, all ODP."""
-    observed = []
+    scan finds exactly `expected` singular points, all ODP.  A failure names
+    each seed's reason: no draw, or its singular point count and how many
+    of those points are not ordinary double points."""
+    observed, reasons = [], []
     for attempt in range(spec.max_retries):
         seed = (spec.seed + attempt) & (2**64 - 1)
         inst = build(seed, scan_cap, threads)
         if inst is None:
             observed.append(None)
+            reasons.append(f"seed {seed}: no draw")
             continue
         observed.append(len(inst.sing))
         if len(inst.sing) == expected and inst.clean:
             return inst
+        bad = inst.node_flags.count(False)
+        reason = f"seed {seed}: {len(inst.sing)} singular points, "
+        reason += f"{bad} not ordinary double points" if bad else "all ordinary double points"
+        if inst.isolated_warning:
+            reason += ", not isolated"
+        reasons.append(reason)
     raise DegenerateDraw(
-        f"{spec.family}: expected {expected} nodes, observed {observed} "
-        f"over seeds {spec.seed}..{spec.seed + spec.max_retries - 1}",
+        f"{spec.family}: expected {expected} nodes; " + "; ".join(reasons),
         observed_counts=observed,
     )
 

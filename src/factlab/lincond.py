@@ -15,8 +15,10 @@ which every kernel form's gradient vanishes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +40,6 @@ from .projgeom import (
     DEFAULT_SCAN_CAP,
     PointSet,
     ProjPoint,
-    canonicalize,
     check_scan_cap,
     point_set,
 )
@@ -279,23 +280,23 @@ def max_on_lines(sigma: PointSet) -> Tuple[int, Tuple[ProjPoint, ProjPoint]]:
     return best, witness
 
 
-def _line_form(p: ProjPoint, q: ProjPoint, field: FieldSpec) -> HomoPoly:
-    """Linear form in 3 variables vanishing on the line through p, q in P^2."""
-    coeffs = nullspace([list(p.coords), list(q.coords)], 3, field)[0]
-    basis = monomial_basis(3, 1)
-    return _form_from_coeffs(coeffs, basis, 3, 1, field)
-
-
-def _count_on_form(form: HomoPoly, sigma: PointSet) -> int:
-    return sum(1 for pt in sigma if not eval_poly(form, pt.coords))
-
-
 def max_on_conics(sigma: PointSet, cap: int = 40) -> Tuple[int, Optional[HomoPoly]]:
     """Exact max of |conic ∩ sigma| over all conics of P^2, with a witness.
 
-    Candidates: conics through non-degenerate 5-subsets, products of
-    two secant lines, a max-line plus a one-point residual line, and the
-    min(|sigma|, 5) baseline (any <= 5 points lie on a conic).
+    Candidates, each replacing the witness only when it holds strictly more
+    points: the first five points (any five lie on a conic), the conic
+    through each 5-subset with no four collinear (in lex order), and each
+    product of two secant lines.  A line with one more point needs no
+    candidate of its own: that point and a point of the line span a secant
+    line.
+
+    The 5-subsets are counted through pencils.  For each 4-subset T with no
+    four collinear, the conics through T form a pencil spanned by c1, c2.
+    Every other point q has a parameter [c1(q) : c2(q)], or is a base point
+    of the pencil when both vanish.  The conic through T and a non-base
+    point e holds T, the base points and every point with e's parameter.
+    That is C(n, 4) eliminations of 4 x 6 matrices instead of C(n, 5) of
+    5 x 6 ones.
     """
     if sigma.ambient_dim != 2:
         raise WrongAmbient("conic counting lives in P^2")
@@ -303,84 +304,62 @@ def max_on_conics(sigma: PointSet, cap: int = 40) -> Tuple[int, Optional[HomoPol
         raise TooLarge(f"|sigma| = {len(sigma)} > cap {cap}")
     field = sigma.field
     pts = sigma.points
+    n = len(pts)
     basis2 = monomial_basis(3, 2)
+    rows = [point_row(pt.coords, basis2, field) for pt in pts]
 
     def conic_through(subset) -> List[HomoPoly]:
-        rows = [point_row(pt.coords, basis2, field) for pt in subset]
         return [
             _form_from_coeffs(v, basis2, 3, 2, field)
-            for v in nullspace(rows, 6, field)
+            for v in nullspace([rows[i] for i in subset], 6, field)
         ]
 
-    best, witness = 0, None
-    if len(pts) <= 5:
-        sols = conic_through(pts)
-        return len(pts), (sols[0] if sols else None)
+    if n <= 5:
+        sols = conic_through(range(n))
+        return n, (sols[0] if sols else None)
 
-    # baseline: any 5 points lie on some conic
-    base_sols = conic_through(pts[:5])
-    best, witness = 5, base_sols[0]
+    def value(c, row):
+        return functools.reduce(field.add, map(field.mul, c, row))
 
-    # irreducible-type candidates from non-degenerate 5-subsets
-    for subset in itertools.combinations(pts, 5):
-        sols = conic_through(subset)
-        if len(sols) == 1:
-            cnt = _count_on_form(sols[0], sigma)
-            if cnt > best:
-                best, witness = cnt, sols[0]
-        # solution dim >= 2: four of the five are collinear; reducible
-        # conics through them are covered by the line-pair candidates
+    best, witness_subset = 5, tuple(range(5))
+    # a 4-subset ending at the last point extends to no 5-subset
+    for T in itertools.combinations(range(n - 1), 4):
+        pencil = nullspace([rows[i] for i in T], 6, field)
+        if len(pencil) != 2:  # the four points are collinear
+            continue
+        c1, c2 = pencil
+        base, params, bucket = 0, {}, Counter()
+        for q in range(n):
+            if q in T:
+                continue
+            a, b = value(c1, rows[q]), value(c2, rows[q])
+            if not a and not b:
+                base += 1
+                continue
+            params[q] = (field.one, field.div(b, a)) if a else (field.zero, field.one)
+            bucket[params[q]] += 1
+        for e in range(T[-1] + 1, n):
+            if e in params:
+                count = 4 + base + bucket[params[e]]
+                if count > best:
+                    best, witness_subset = count, T + (e,)
 
-    # line pairs: both lines secant to sigma
-    lines = {}
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        form = _line_form(pts[i], pts[j], field)
-        key = tuple(sorted(form.terms.items()))
-        lines.setdefault(key, form)
-    line_list = list(lines.values())
-    for l1, l2 in itertools.combinations_with_replacement(line_list, 2):
-        conic = l1 * l2
-        cnt = _count_on_form(conic, sigma)
-        if cnt > best:
-            best, witness = cnt, conic
-
-    # max line plus a residual line through one leftover point
-    nu1, pair = max_on_lines(sigma)
-    line = _line_form(pair[0], pair[1], field)
-    leftovers = [pt for pt in pts if eval_poly(line, pt.coords)]
-    if leftovers and nu1 + 1 > best:
-        q = leftovers[0]
-        others = [pt for pt in pts if pt.coords != q.coords]
-        for ref in _reference_directions(q, field):
-            cand = _line_form(q, ref, field)
-            if all(eval_poly(cand, pt.coords) for pt in others):
-                conic = line * cand
-                cnt = _count_on_form(conic, sigma)
-                if cnt > best:
-                    best, witness = cnt, conic
-                break
-    return best, witness
-
-
-def _reference_directions(q: ProjPoint, field: FieldSpec):
-    """A few points distinct from q to span candidate lines through q."""
-    refs = []
-    n = len(q.coords)
-    for i in range(n):
-        unit = tuple(field.one if j == i else field.zero for j in range(n))
-        if unit != q.coords:
-            refs.append(ProjPoint(unit, field))
-    if field.is_prime_field:
-        for a in range(field.p):
-            cand = canonicalize([field.one, field.of_int(a), field.one], field)
-            if cand.coords != q.coords:
-                refs.append(cand)
-    else:
-        for a in range(20):
-            cand = canonicalize([field.one, field.of_int(a), field.one], field)
-            if cand.coords != q.coords:
-                refs.append(cand)
-    return refs
+    # line pairs: the points on each secant line as a bitmask, lines keyed
+    # by their (canonical) equation in order of first pair
+    lines: Dict[Tuple, int] = {}
+    for i, j in itertools.combinations(range(n), 2):
+        key = tuple(nullspace([pts[i].coords, pts[j].coords], 3, field)[0])
+        lines[key] = lines.get(key, 0) | (1 << i) | (1 << j)
+    witness_lines = None
+    for (l1, m1), (l2, m2) in itertools.combinations_with_replacement(lines.items(), 2):
+        count = (m1 | m2).bit_count()
+        if count > best:
+            best, witness_lines = count, (l1, l2)
+    if witness_lines is None:
+        return best, conic_through(witness_subset)[0]
+    basis1 = monomial_basis(3, 1)
+    l1, l2 = (_form_from_coeffs(c, basis1, 3, 1, field) for c in witness_lines)
+    return best, l1 * l2
 
 
 # --- set-theoretic intersection certificates ---------------------------------

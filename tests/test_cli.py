@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from factlab import cli
 from factlab.cli import main
 from factlab.poly import parse_poly
 from factlab.projgeom import load_point_set
@@ -160,6 +162,24 @@ def test_criteria_subcommand(capsys):
     assert code == 0 and json.loads(out)["criterion_id"] == "main_bullet1"
 
 
+def test_criteria_calls_the_engine_through_its_module(monkeypatch, capsys):
+    """A wrapper on factlab.criteria's attribute sees each criteria call."""
+    import factlab.criteria as crit
+
+    calls = []
+    engine = crit.theorem_main_certify
+
+    def wrapped(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(crit, "theorem_main_certify", wrapped)
+    argv = ["criteria", "--theorem", "main", "--n", "3", "--lambda", "9", "--size", "44", "--xi", "10"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["criterion_id"] == "main_bullet1"
+    assert calls == [(3, 9, 44, 10)]
+
+
 def test_criteria_bad_params_exit_2(capsys):
     code, _, err = run_cli(
         ["criteria", "--theorem", "double_solid", "--r", "1", "--nsing", "5"], capsys
@@ -228,11 +248,13 @@ def test_threads_env_default(tmp_path, monkeypatch, capsys):
 
 
 def test_console_script_entrypoint():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "factlab.cli", "criteria", "--theorem",
          "double_solid", "--r", "2", "--nsing", "5"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["applies"] is True

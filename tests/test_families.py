@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import pytest
 
 from factlab.errors import BadParams, DegenerateDraw
 from factlab.families import (
     FamilySpec,
+    _verified,
     gen_double_solid_nonfactorial,
     gen_hypersurface_nonfactorial,
 )
@@ -64,6 +67,26 @@ def test_double_solid_small_field_contract():
         assert len(exc.observed_counts) == 5
     else:
         assert len(inst.sing) == 6 and inst.clean
+
+
+def test_degenerate_draw_names_each_seeds_reason():
+    draws = {
+        7: SimpleNamespace(sing=[None] * 15, node_flags=[True] * 14 + [False], clean=False,
+                           isolated_warning=None),
+        8: None,
+        9: SimpleNamespace(sing=[None] * 14, node_flags=[True] * 14, clean=True,
+                           isolated_warning=None),
+    }
+    spec = FamilySpec("double_solid_eq15", GF(101), seed=7, r=3, max_retries=3)
+    with pytest.raises(DegenerateDraw) as info:
+        _verified(spec, lambda seed, scan_cap, threads: draws[seed], 15, 10**8, 1)
+    assert info.value.observed_counts == [15, None, 14]
+    assert str(info.value) == (
+        "double_solid_eq15: expected 15 nodes; "
+        "seed 7: 15 singular points, 1 not ordinary double points; "
+        "seed 8: no draw; "
+        "seed 9: 14 singular points, all ordinary double points"
+    )
 
 
 def test_hypersurface_counts(hypersurface_d3, hypersurface_d4):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -16,10 +17,11 @@ from factlab.errors import (
     TooLarge,
     XiTooSmall,
 )
-from factlab.fields import GF
+from factlab.fields import GF, QQ
 from factlab.lincond import (
     SeparatorCertificate,
     SeparatorFailure,
+    _form_from_coeffs,
     _tangent_directions,
     all_separators,
     bese_check,
@@ -248,7 +250,8 @@ def test_bese_detects_base_point_on_overloaded_line():
 
 def _seeded_plane_set(rng, p, size, kind):
     """size distinct points of P^2(F_p); "collinear" and "conic" draw most of
-    them from the line z = 2y + x or the conic x*z = y^2."""
+    them from the line z = 2y + x or the conic x*z = y^2, "pair_and_conic"
+    from that line, the line y = 0 and that conic."""
     F = GF(p)
     pts, seen = [], set()
     while len(pts) < size:
@@ -257,6 +260,8 @@ def _seeded_plane_set(rng, p, size, kind):
             c = [1, t, (2 * t + 1) % p]
         elif kind == "conic" and rng.random() < 0.6:
             c = [1, t, t * t % p]
+        elif kind == "pair_and_conic" and rng.random() < 0.8:
+            c = ([1, t, (2 * t + 1) % p], [1, 0, t], [1, t, t * t % p])[rng.randrange(3)]
         else:
             c = [rng.randrange(p) for _ in range(3)]
             if not any(c):
@@ -395,3 +400,104 @@ def test_max_on_lines_matches_triple_oracle():
     pts += [canonicalize([0, 1, t, 1], F) for t in range(3)]
     sigma = point_set(pts)
     assert max_on_lines(sigma) == _lines_oracle(sigma) and max_on_lines(sigma)[0] == 5
+
+
+def _conics_oracle(sigma):
+    """max_on_conics by a nullspace for every 5-subset, a polynomial product
+    for every pair of secant lines, and a max line plus a residual line."""
+    field = sigma.field
+    pts = sigma.points
+    basis1, basis2 = monomial_basis(3, 1), monomial_basis(3, 2)
+
+    def conic_through(subset):
+        rows = [point_row(pt.coords, basis2, field) for pt in subset]
+        return [_form_from_coeffs(v, basis2, 3, 2, field) for v in nullspace(rows, 6, field)]
+
+    def line_form(p, q):
+        return _form_from_coeffs(nullspace([p.coords, q.coords], 3, field)[0], basis1, 3, 1, field)
+
+    def count_on(form):
+        return sum(1 for pt in pts if not eval_poly(form, pt.coords))
+
+    if len(pts) <= 5:
+        sols = conic_through(pts)
+        return len(pts), (sols[0] if sols else None)
+    best, witness = 5, conic_through(pts[:5])[0]
+    for subset in itertools.combinations(pts, 5):
+        sols = conic_through(subset)
+        if len(sols) == 1:
+            count = count_on(sols[0])
+            if count > best:
+                best, witness = count, sols[0]
+    lines = {}
+    for p, q in itertools.combinations(pts, 2):
+        form = line_form(p, q)
+        lines.setdefault(tuple(sorted(form.terms.items())), form)
+    for l1, l2 in itertools.combinations_with_replacement(list(lines.values()), 2):
+        count = count_on(l1 * l2)
+        if count > best:
+            best, witness = count, l1 * l2
+    nu1, pair = max_on_lines(sigma)
+    line = line_form(*pair)
+    leftovers = [pt for pt in pts if eval_poly(line, pt.coords)]
+    if leftovers and nu1 + 1 > best:
+        q = leftovers[0]
+        refs = [canonicalize([int(i == j) for j in range(3)], field) for i in range(3)]
+        refs += [canonicalize([1, a, 1], field) for a in range(field.p or 20)]
+        for ref in refs:
+            if ref.coords == q.coords:
+                continue
+            cand = line_form(q, ref)
+            if all(eval_poly(cand, pt.coords) for pt in pts if pt.coords != q.coords):
+                if count_on(line * cand) > best:
+                    best, witness = count_on(line * cand), line * cand
+                break
+    return best, witness
+
+
+def _conics_cases():
+    rng = random.Random(2020)
+    cases = [point_set(list(enumerate_projective(2, 3)))]  # all 13 points of P^2(F_3)
+    for p, sizes in [(3, (4, 6, 8)), (5, (5, 6, 9, 10)), (7, (3, 6, 8, 10)),
+                     (11, (6, 9, 11)), (13, (6, 8, 10)), (101, (5, 6, 8, 10))]:
+        for size in sizes:
+            for kind in ("random", "conic", "collinear", "pair_and_conic"):
+                cases.append(_seeded_plane_set(rng, p, size, kind))
+    # a line pair beats every 5-subset only when all points but at most one
+    # lie on one line
+    for p, on_line, off_line in [(5, 5, 1), (7, 6, 0), (7, 7, 1), (11, 7, 0), (13, 9, 1)]:
+        F = GF(p)
+        pts = [canonicalize([1, t, (2 * t + 1) % p], F) for t in range(on_line)]
+        pts += [canonicalize([0, 1, 1], F)] * off_line
+        cases.append(point_set(pts))
+    F = QQ
+    cases.append(point_set([canonicalize([Fraction(c) for c in coords], F) for coords in (
+        [1, 0, 0], [1, 1, 1], [1, 2, 4], [1, 3, 9], [1, -1, 1], [0, 0, 1],
+        [1, 1, 0], [1, 2, 0], [1, Fraction(1, 2), 3],
+    )]))
+    return cases
+
+
+def test_max_on_conics_matches_five_subset_oracle():
+    cases = _conics_cases()
+    assert len(cases) >= 60
+    for sigma in cases:
+        got = max_on_conics(sigma)
+        want = _conics_oracle(sigma)
+        assert got[0] == want[0] and repr(got[1]) == repr(want[1]), list(map(str, sigma))
+
+
+def test_max_on_conics_pencil_cost(monkeypatch):
+    """C(n, 4) pencils and C(n, 2) secant lines, not C(n, 5) nullspaces."""
+    import factlab.lincond as lincond
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return nullspace(*args)
+
+    monkeypatch.setattr(lincond, "nullspace", counting)
+    sigma = _seeded_plane_set(random.Random(15), 101, 15, "conic")
+    max_on_conics(sigma)
+    assert len(calls) <= comb(15, 4) + comb(15, 2) + 2
