@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: sing, defect, separator, bese, classify, criteria, gen.
-Global flags: --threads, --scan-cap, --output; gen alone also takes
---field and --seed (the others read the field from their input file).
-The environment variable FACTLAB_THREADS supplies the default thread
-count (the flag wins).  All reports are exact-integer/rational JSON; identical
-command lines produce byte-identical output.
+Every subcommand takes --output; the four that scan (sing, bese, classify,
+gen) also take --scan-cap.  gen alone takes --field and --seed (the others
+read the field from their input file).  All reports are
+exact-integer/rational JSON; identical command lines produce byte-identical
+output.
 
 Exit codes:
   0  success
@@ -19,8 +19,8 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -102,13 +102,11 @@ def cmd_sing(args) -> int:
     if len(polys) > 2:
         raise BadParams(f"sing takes 1 form (hypersurface) or 2 (CI), not {len(polys)}")
     if len(polys) == 1:
-        sing = singular_points(polys[0], scan_cap=args.scan_cap, threads=args.threads)
+        sing = singular_points(polys[0], scan_cap=args.scan_cap)
     else:
         from .sing_locus import ci_singular_points
 
-        sing = ci_singular_points(
-            polys[0], polys[1], scan_cap=args.scan_cap, threads=args.threads
-        )
+        sing = ci_singular_points(polys[0], polys[1], scan_cap=args.scan_cap)
     inst = verify_nodal(NodalInstance(polys, polys[0].nvars - 1, sing))
     report = {
         "count": len(sing),
@@ -163,9 +161,7 @@ def cmd_separator(args) -> int:
 def cmd_bese(args) -> int:
     with open(args.points_file) as fh:
         sigma = load_point_set(fh.read())
-    report = bese_check(
-        sigma, args.xi, scan=not args.no_scan, scan_cap=args.scan_cap, threads=args.threads
-    )
+    report = bese_check(sigma, args.xi, scan=not args.no_scan, scan_cap=args.scan_cap)
     _emit(report.to_json(), args.output)
     return 0
 
@@ -174,9 +170,7 @@ def cmd_classify(args) -> int:
     polys = load_poly_file(args.poly_file)
     if len(polys) > 1:
         raise BadParams(f"classify takes 1 form, not {len(polys)}")
-    verdict = crit.hong_park_classify(
-        polys[0], args.r, scan_cap=args.scan_cap, threads=args.threads
-    )
+    verdict = crit.hong_park_classify(polys[0], args.r, scan_cap=args.scan_cap)
     _emit(verdict.to_json(), args.output)
     return 0
 
@@ -217,7 +211,7 @@ def cmd_gen(args) -> int:
         k=args.k,
         max_retries=args.max_retries,
     )
-    inst = fam.generate(spec, scan_cap=args.scan_cap, threads=args.threads)
+    inst = fam.generate(spec, scan_cap=args.scan_cap)
     prefix = args.prefix
     poly_path = f"{prefix}.poly"
     points_path = f"{prefix}.points"
@@ -242,20 +236,26 @@ def cmd_gen(args) -> int:
 # --- parser ----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: callers share it, so none may
+    change it."""
     ap = argparse.ArgumentParser(prog="factlab", description=__doc__.split("\n\n")[0])
-    env_threads = int(os.environ.get("FACTLAB_THREADS", "1"))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--threads", type=int, default=env_threads)
-        sp.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP, dest="scan_cap")
         sp.add_argument("--output", default=None)
+
+    def scanning(sp):
+        sp.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP, dest="scan_cap")
+        # inert: accepted and ignored until the benchmark jobs stop passing it (ROADMAP item 1)
+        sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 
     sp = sub.add_parser("sing", help="singular locus of a hypersurface or CI")
     sp.add_argument("poly_file")
     sp.add_argument("--points-out", default=None, dest="points_out")
     common(sp)
+    scanning(sp)
     sp.set_defaults(func=cmd_sing)
 
     sp = sub.add_parser("defect", help="independence defect of a point set")
@@ -276,12 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--xi", type=int, required=True)
     sp.add_argument("--no-scan", action="store_true", dest="no_scan")
     common(sp)
+    scanning(sp)
     sp.set_defaults(func=cmd_bese)
 
     sp = sub.add_parser("classify", help="factoriality classification of a nodal surface")
     sp.add_argument("poly_file")
     sp.add_argument("--r", type=int, required=True)
     common(sp)
+    scanning(sp)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("criteria", help="pure-arithmetic criterion engines")
@@ -314,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prefix", default="family")
     sp.add_argument("--max-retries", type=int, default=5, dest="max_retries")
     common(sp)
+    scanning(sp)
     sp.set_defaults(func=cmd_gen)
     return ap
 

@@ -332,14 +332,13 @@ def hong_park_classify(
     f: HomoPoly,
     r: int,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    threads: int = 1,
 ) -> HongParkVerdict:
     """Classify a nodal surface of degree 2r in P^3: defect 0 at 3r-4 means
     factorial (mod-p evidence); positive defect triggers the structural
     detector for the equation g_r^2 = g_1 * g_{2r-1}."""
     if f.degree != 2 * r:
         raise BadParams(f"degree {f.degree} != 2r = {2 * r}")
-    sing = singular_points(f, scan_cap=scan_cap, threads=threads)
+    sing = singular_points(f, scan_cap=scan_cap)
     inst = verify_nodal(NodalInstance([f], 3, sing))
     cap = (2 * r - 1) * r + 1
     if len(sing) > cap:

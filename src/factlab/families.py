@@ -189,13 +189,7 @@ def _mix_in(plane_form: HomoPoly, nvars: int, positions: Tuple[int, ...],
     return lifted
 
 
-def _verified(
-    spec: FamilySpec,
-    build,
-    expected: int,
-    scan_cap: int,
-    threads: int,
-) -> NodalInstance:
+def _verified(spec: FamilySpec, build, expected: int) -> NodalInstance:
     """Retry loop: build(seed) -> NodalInstance candidate; accept iff the
     scan finds exactly `expected` singular points, all ODP.  A failure names
     each seed's reason: no draw, or its singular point count and how many
@@ -203,7 +197,7 @@ def _verified(
     observed, reasons = [], []
     for attempt in range(spec.max_retries):
         seed = (spec.seed + attempt) & (2**64 - 1)
-        inst = build(seed, scan_cap, threads)
+        inst = build(seed)
         if inst is None:
             observed.append(None)
             reasons.append(f"seed {seed}: no draw")
@@ -229,7 +223,6 @@ def _verified(
 def gen_double_solid_nonfactorial(
     spec: FamilySpec,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    threads: int = 1,
 ) -> NodalInstance:
     """Degree-2r surface f = g_r^2 - g_1 * g_{2r-1} in P^3 with exactly
     (2r-1)r nodes, all at F_p-rational points of {g_1 = g_r = g_{2r-1} = 0}.
@@ -247,7 +240,7 @@ def gen_double_solid_nonfactorial(
         raise BadParams(f"need p > 2r = {2 * r}")
     expected = (2 * r - 1) * r
 
-    def build(seed, cap, thr):
+    def build(seed):
         rng = SplitMix64(seed)
         # plane curve of degree r in the plane {x = 0}, coordinates (y, z, w)
         c_r = random_homo(3, r, field, rng.next_u64())
@@ -267,12 +260,12 @@ def gen_double_solid_nonfactorial(
         g_2r1 = _mix_in(c_2r1, 4, (1, 2, 3), (0,), field, rng)
         g_1 = make_poly(4, 1, {(1, 0, 0, 0): field.one}, field)
         f = g_r * g_r - g_1 * g_2r1
-        sing = singular_points(f, scan_cap=cap, threads=thr)
+        sing = singular_points(f, scan_cap=scan_cap)
         inst = verify_nodal(NodalInstance([f], 3, sing))
         inst.generators = {"g_1": g_1, "g_r": g_r, "g_2r_minus_1": g_2r1}
         return inst
 
-    return _verified(spec, build, expected, scan_cap, threads)
+    return _verified(spec, build, expected)
 
 
 # --- Family 2: hypersurface x*g + y*f in P^4 -------------------------------
@@ -281,7 +274,6 @@ def gen_double_solid_nonfactorial(
 def gen_hypersurface_nonfactorial(
     spec: FamilySpec,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    threads: int = 1,
 ) -> NodalInstance:
     """Degree-d hypersurface V = x*g + y*f in P^4 with exactly (d-1)^2 nodes,
     all on the plane {x = y = 0} at rational points of {f = g = 0}."""
@@ -294,7 +286,7 @@ def gen_hypersurface_nonfactorial(
         raise BadParams(f"need p > d = {d}")
     expected = (d - 1) ** 2
 
-    def build(seed, cap, thr):
+    def build(seed):
         rng = SplitMix64(seed)
         # plane {x = y = 0} has coordinates (z, w, t) = positions 2, 3, 4
         g_plane = random_homo(3, d - 1, field, rng.next_u64())
@@ -314,12 +306,12 @@ def gen_hypersurface_nonfactorial(
         x = make_poly(5, 1, {(1, 0, 0, 0, 0): field.one}, field)
         y = make_poly(5, 1, {(0, 1, 0, 0, 0): field.one}, field)
         V = x * g + y * f
-        sing = singular_points(V, scan_cap=cap, threads=thr)
+        sing = singular_points(V, scan_cap=scan_cap)
         inst = verify_nodal(NodalInstance([V], 4, sing))
         inst.generators = {"g": g, "f": f}
         return inst
 
-    return _verified(spec, build, expected, scan_cap, threads)
+    return _verified(spec, build, expected)
 
 
 # --- Family 3: complete intersection through a 2-plane in P^5 -----------------
@@ -328,7 +320,6 @@ def gen_hypersurface_nonfactorial(
 def gen_ci_nonfactorial(
     spec: FamilySpec,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    threads: int = 1,
 ) -> NodalInstance:
     """Complete intersection F = x*A + y*B + z*C (degree m), G = x*D + y*E + z*H
     (degree k) in P^5, both containing the 2-plane {x = y = z = 0}, with
@@ -381,7 +372,7 @@ def gen_ci_nonfactorial(
         minors = [a_ * e_ - b_ * d_, a_ * h_ - c_ * d_, b_ * h_ - c_ * e_]
         return len(projective_zeros(minors, 2, p))
 
-    def build(seed, cap, thr):
+    def build(seed):
         rng = SplitMix64(seed)
         all_pts = list(enumerate_projective(2, p))
         if len(all_pts) < expected:
@@ -422,17 +413,17 @@ def gen_ci_nonfactorial(
         x, y, z = coord(0), coord(1), coord(2)
         F = x * A + y * B + z * C
         G = x * D + y * E + z * H
-        sing = ci_singular_points(F, G, scan_cap=cap, threads=thr)
+        sing = ci_singular_points(F, G, scan_cap=scan_cap)
         inst = verify_nodal(NodalInstance([F, G], 5, sing))
         inst.generators = {"F": F, "G": G}
         return inst
 
-    return _verified(spec, build, expected, scan_cap, threads)
+    return _verified(spec, build, expected)
 
 
-def generate(spec: FamilySpec, scan_cap: int = DEFAULT_SCAN_CAP, threads: int = 1) -> NodalInstance:
+def generate(spec: FamilySpec, scan_cap: int = DEFAULT_SCAN_CAP) -> NodalInstance:
     if spec.family == "double_solid_eq15":
-        return gen_double_solid_nonfactorial(spec, scan_cap, threads)
+        return gen_double_solid_nonfactorial(spec, scan_cap)
     if spec.family == "hypersurface_xgyf":
-        return gen_hypersurface_nonfactorial(spec, scan_cap, threads)
-    return gen_ci_nonfactorial(spec, scan_cap, threads)
+        return gen_hypersurface_nonfactorial(spec, scan_cap)
+    return gen_ci_nonfactorial(spec, scan_cap)

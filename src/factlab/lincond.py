@@ -301,7 +301,7 @@ def max_on_conics(sigma: PointSet, cap: int = 40) -> Tuple[int, Optional[HomoPol
     if sigma.ambient_dim != 2:
         raise WrongAmbient("conic counting lives in P^2")
     if len(sigma) > cap:
-        raise TooLarge(f"|sigma| = {len(sigma)} > cap {cap}")
+        raise TooLarge(f"|sigma| = {len(sigma)} > conic cap {cap}")
     field = sigma.field
     pts = sigma.points
     n = len(pts)
@@ -378,7 +378,6 @@ def incidence_bound_from_intersection(
     sigma: PointSet,
     generators: Sequence[HomoPoly],
     scan_cap: int = DEFAULT_SCAN_CAP,
-    threads: int = 1,
 ) -> IncidenceCertificate:
     """Verify by full scan that the common zero locus of the generators is
     exactly sigma; then Bezout bounds incidences by deg * k."""
@@ -392,7 +391,7 @@ def incidence_bound_from_intersection(
     if not field.is_prime_field:
         raise ValueError("locus verification requires a prime field")
     p = field.p
-    rows = projective_zeros(list(generators), sigma.ambient_dim, p, scan_cap, threads)
+    rows = projective_zeros(list(generators), sigma.ambient_dim, p, scan_cap)
     locus = {tuple(int(v) for v in row) for row in rows}
     sigma_keys = {pt.coords for pt in sigma}
     if locus != sigma_keys:
@@ -457,7 +456,7 @@ def _tangent_directions(pt: ProjPoint, p: int, field: FieldSpec):
     return dirs
 
 
-def _first_base_point(sigma: PointSet, xi: int, scan_cap: int, threads: int):
+def _first_base_point(sigma: PointSet, xi: int, scan_cap: int):
     """("base_point", witness) for the first F_p-rational base point of the
     degree-xi forms through sigma on the blow-up, in enumerate_projective
     order, or ("free", None).  The witness is a point Q outside sigma with
@@ -471,7 +470,7 @@ def _first_base_point(sigma: PointSet, xi: int, scan_cap: int, threads: int):
         for vec in nullspace(mat.rows, mat.ncols, field)
     ]
     if kernel:
-        zeros = projective_zeros(kernel, 2, p, scan_cap, threads)
+        zeros = projective_zeros(kernel, 2, p, scan_cap)
     else:  # no degree-xi form passes through sigma: every point is a base point
         check_scan_cap(2, p, scan_cap)
         zeros = [(1, 0, 0)]
@@ -494,7 +493,6 @@ def bese_check(
     incidence_cert: Optional[IncidenceCertificate] = None,
     scan: bool = True,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    threads: int = 1,
 ) -> BeseReport:
     """Check the blow-up base-point-freeness hypotheses for points of P^2 at
     degree xi, then exhaustively scan for F_p-rational base points including
@@ -525,9 +523,14 @@ def bese_check(
             verdict = "yes" if nu <= bound else "no"
             detail.append((f"k=1: nu_1 = {nu} <= {bound}", verdict))
         elif k == 2:
-            nu, _ = max_on_conics(sigma)
-            verdict = "yes" if nu <= bound else "no"
-            detail.append((f"k=2: nu_2 = {nu} <= {bound}", verdict))
+            try:
+                nu, _ = max_on_conics(sigma)
+            except TooLarge as exc:  # above the conic count's cap: undecided, keep scanning
+                verdict = "unknown"
+                detail.append((f"k=2: {exc}", verdict))
+            else:
+                verdict = "yes" if nu <= bound else "no"
+                detail.append((f"k=2: nu_2 = {nu} <= {bound}", verdict))
         else:
             if incidence_cert is not None:
                 nu_bound = incidence_cert.bound(k)
@@ -547,7 +550,7 @@ def bese_check(
     if scan:
         if not field.is_prime_field:
             raise ValueError("the base-point scan requires a prime field")
-        scan_result, witness = _first_base_point(sigma, xi, scan_cap, threads)
+        scan_result, witness = _first_base_point(sigma, xi, scan_cap)
     return BeseReport(
         xi=xi,
         delta=delta,

@@ -8,17 +8,15 @@ full p^k grid, on which the first form is evaluated by nested Horner, one
 variable at a time (about deg * p^k operations, not terms * p^k).  Only the
 rows where it vanishes are built, and the remaining forms are evaluated on
 those rows alone.  Each chart's grid is cut into slabs along its first free
-coordinate; slabs bound memory, are the thread pool's work items and are
-merged in slab order, so thread count never changes output.
+coordinate; slabs bound memory and are scanned in order.
 
 coords_table, eval_on_points and common_zeros are the term-by-term path on
-explicit rows: common_zeros filters each slab's survivors in one pass, on
-the calling thread, and the full table serves tests as an oracle.
+explicit rows: common_zeros filters each slab's survivors in one pass, and
+the full table serves tests as an oracle.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,7 +24,7 @@ import numpy as np
 from .poly import HomoPoly
 from .projgeom import DEFAULT_SCAN_CAP, check_scan_cap
 
-_CHUNK = 1 << 16  # rows per work item (at least one value of the first free coordinate)
+_CHUNK = 1 << 16  # rows per slab (at least one value of the first free coordinate)
 
 
 def coords_table(n: int, p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> np.ndarray:
@@ -93,13 +91,18 @@ def _horner(coeffs: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
     shape (..., D, G) becomes (..., len(t), G)."""
     tt = t[:, None]
     acc = np.repeat(coeffs[..., -1:, :], len(t), axis=-2)
+    top = p - 1  # t and the coefficients lie in [0, p), and so does acc here
     for j in range(coeffs.shape[-2] - 2, -1, -1):
-        # acc, t and the coefficients are all below p, and p < 2**31 (the
-        # FieldSpec bound; p < scan_cap besides), so acc * t + c < p**2 + p
-        # cannot overflow int64
+        # acc * t + c <= (top + 1) * (p - 1); reduce mod p only when that
+        # could overflow int64 (p < 2**31, the FieldSpec bound, so a reduced
+        # acc always has room for one more step)
+        if (top + 1) * (p - 1) >= 2**63:
+            acc %= p
+            top = p - 1
         acc *= tt
         acc += coeffs[..., j, None, :]
-        acc %= p
+        top = (top + 1) * (p - 1)
+    acc %= p
     return acc
 
 
@@ -126,7 +129,6 @@ def projective_zeros(
     n: int,
     p: int,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    threads: int = 1,
     extra_predicate: Callable[[np.ndarray], np.ndarray] = None,
 ) -> np.ndarray:
     """Rows of P^n(F_p) where every poly vanishes (and extra_predicate
@@ -136,14 +138,9 @@ def projective_zeros(
     the other polys and extra_predicate only on its zeros, by common_zeros.
     """
     check_scan_cap(n, p, scan_cap)
-    items = []  # (pivot, chart table, first-coordinate range) per slab
-    for pivot in range(n):
-        table = _chart_table(polys[0], pivot, p)
-        step = max(1, _CHUNK // table.shape[1])
-        items += [(pivot, table, lo, min(lo + step, p)) for lo in range(0, p, step)]
 
-    def work(item) -> np.ndarray:
-        pivot, table, lo, hi = item
+    # a function, so that one slab's temporaries are freed before the next
+    def slab(pivot, table, lo, hi) -> np.ndarray:
         vals = _horner(table, np.arange(lo, hi, dtype=np.int64), p)
         flat = np.flatnonzero(vals == 0) + lo * table.shape[1]
         rows = np.zeros((flat.size, n + 1), dtype=np.int64)
@@ -151,11 +148,11 @@ def projective_zeros(
         rows[:, pivot + 1:] = np.column_stack(np.unravel_index(flat, (p,) * (n - pivot)))
         return common_zeros(polys[1:], rows, p, extra_predicate=extra_predicate)
 
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, items))
-    else:
-        results = [work(item) for item in items]
+    results = []
+    for pivot in range(n):
+        table = _chart_table(polys[0], pivot, p)
+        step = max(1, _CHUNK // table.shape[1])
+        results += [slab(pivot, table, lo, min(lo + step, p)) for lo in range(0, p, step)]
     # the last chart is the single point (0:...:0:1)
     last = np.zeros((1, n + 1), dtype=np.int64)
     last[0, n] = 1

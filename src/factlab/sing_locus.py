@@ -52,7 +52,6 @@ def _rows_to_pointset(rows: np.ndarray, n: int, field: FieldSpec) -> PointSet:
 def singular_points(
     f: HomoPoly,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    threads: int = 1,
 ) -> PointSet:
     """All P in P^n(F_p) with f(P) = 0 and vanishing gradient, in scan order.
 
@@ -67,7 +66,7 @@ def singular_points(
         raise CharDividesDegree(f"p={p} divides degree {f.degree}")
     n = f.nvars - 1
     grads = gradient(f)
-    rows = projective_zeros([f] + grads, n, p, scan_cap, threads)
+    rows = projective_zeros([f] + grads, n, p, scan_cap)
     result = _rows_to_pointset(rows, n, f.field)
     for pt in result:
         if any(eval_poly_horner(g, pt.coords) for g in [f] + grads):
@@ -159,7 +158,6 @@ def ci_singular_points(
     F: HomoPoly,
     G: HomoPoly,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    threads: int = 1,
 ) -> PointSet:
     """Points with F = G = 0 where the 2 x (n+1) Jacobian has rank <= 1.
 
@@ -184,7 +182,7 @@ def ci_singular_points(
                 ok &= minor == 0
         return ok
 
-    rows = projective_zeros([F, G], n, p, scan_cap, threads, extra_predicate=jacobian_rank_le_1)
+    rows = projective_zeros([F, G], n, p, scan_cap, extra_predicate=jacobian_rank_le_1)
     result = _rows_to_pointset(rows, n, F.field)
     for pt in result:
         c = pt.coords

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ import pytest
 
 from factlab import cli
 from factlab.cli import main
+from factlab.fields import GF
 from factlab.poly import parse_poly
-from factlab.projgeom import load_point_set
+from factlab.projgeom import canonicalize, dump_point_set, load_point_set, point_set
+from factlab.rng import SplitMix64
 
 
 def run_cli(args, capsys):
@@ -204,13 +207,21 @@ def test_criteria_missing_argument_exit_2(argv, missing, capsys):
     assert code == 2 and missing in err and not out
 
 
-@pytest.mark.parametrize("flag", [["--field", "Fp:7"], ["--seed", "3"]])
+@pytest.mark.parametrize(
+    "flag", [["--field", "Fp:7"], ["--seed", "3"], ["--scan-cap", "1000"], ["--threads", "2"]]
+)
 def test_field_and_seed_only_for_gen(fixture_files, flag, capsys):
+    """Subcommands that never read an option reject it (exit 2)."""
     base, prefix = fixture_files
-    with pytest.raises(SystemExit) as exc:
-        main(["defect", prefix + ".points", "--xi", "1", *flag])
-    assert exc.value.code == 2
-    assert flag[0] in capsys.readouterr().err
+    for argv in (
+        ["defect", prefix + ".points", "--xi", "1"],
+        ["separator", prefix + ".points", "--xi", "1", "--point", "0"],
+        ["criteria", "--theorem", "double_solid", "--r", "2", "--nsing", "5"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 def test_bese_subcommand(tmp_path, capsys):
@@ -220,6 +231,23 @@ def test_bese_subcommand(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["scan_result"] in ("free", "base_point")
+
+
+def test_bese_above_conic_cap_still_scans(tmp_path, capsys):
+    """Past max_on_conics' cap of 40 points the k=2 line is unknown, not exit 3."""
+    F = GF(101)
+    rng = SplitMix64(41)
+    pts = set()
+    while len(pts) < 41:
+        pts.add(canonicalize([1, rng.below(101), rng.below(101)], F))
+    path = tmp_path / "plane41.points"
+    path.write_text(dump_point_set(point_set(sorted(pts, key=lambda q: q.coords))))
+    code, out, _ = run_cli(["bese", str(path), "--xi", "6"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["hypotheses_hold"] == "no"
+    assert report["scan_result"] in ("free", "base_point")
+    assert ["k=2: |sigma| = 41 > conic cap 40", "unknown"] in report["hypothesis_detail"]
 
 
 def test_byte_identical_determinism(fixture_files, capsys):
@@ -239,12 +267,55 @@ def test_scan_cap_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_threads_env_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FACTLAB_THREADS", "2")
-    poly = tmp_path / "q.poly"
-    poly.write_text("F 4 Fp:31\nx^2 + y^2 + z^2\n")
-    code, out, _ = run_cli(["sing", str(poly)], capsys)
-    assert code == 0 and json.loads(out)["count"] == 1
+def test_hidden_threads_flag_changes_no_output(fixture_files, tmp_path, capsys):
+    """--threads is still accepted by the scanning subcommands, and ignored."""
+    base, prefix = fixture_files
+    plane = tmp_path / "plane.points"
+    plane.write_text("P 2 Fp:101\n1,3,7\n1,5,31\n1,11,64\n1,20,83\n1,41,2\n1,57,90\n")
+    for argv in (
+        ["sing", prefix + ".poly"],
+        ["classify", prefix + ".poly", "--r", "2"],
+        ["bese", str(plane), "--xi", "3"],
+        ["gen", "--family", "double_solid_eq15", "--r", "2", "--seed", "1",
+         "--prefix", str(tmp_path / "g")],
+    ):
+        runs = []
+        for extra in ([], ["--threads", "2"]):
+            code, out, err = run_cli(argv + extra, capsys)
+            written = [path.read_bytes() for path in sorted(tmp_path.glob("g.*"))]
+            runs.append((code, out, err, written))
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+
+
+def test_junk_factlab_threads_is_ignored():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]), FACTLAB_THREADS="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "factlab.cli", "criteria", "--theorem",
+         "double_solid", "--r", "2", "--nsing", "5"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0 and json.loads(proc.stdout)["applies"] is True
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):  # called once per parser build
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            argv = ["criteria", "--theorem", "double_solid", "--r", "2", "--nsing", "5"]
+            assert run_cli(argv, capsys)[0] == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built == ["factlab"]
 
 
 def test_console_script_entrypoint():

@@ -79,7 +79,7 @@ def test_degenerate_draw_names_each_seeds_reason():
     }
     spec = FamilySpec("double_solid_eq15", GF(101), seed=7, r=3, max_retries=3)
     with pytest.raises(DegenerateDraw) as info:
-        _verified(spec, lambda seed, scan_cap, threads: draws[seed], 15, 10**8, 1)
+        _verified(spec, lambda seed: draws[seed], 15)
     assert info.value.observed_counts == [15, None, 14]
     assert str(info.value) == (
         "double_solid_eq15: expected 15 nodes; "

@@ -13,7 +13,7 @@ from factlab.errors import TooLarge, VerificationFailure
 from factlab.fields import GF
 from factlab.poly import eval_poly_horner, make_poly, monomial_basis, parse_poly
 from factlab.projgeom import enumerate_projective, projective_count
-from factlab.scan import common_zeros, coords_table, projective_zeros
+from factlab.scan import _horner, common_zeros, coords_table, projective_zeros
 
 
 def _form(nvars, degree, field, rng, density):
@@ -55,14 +55,25 @@ def test_projective_zeros_matches_table_scan(n, p, polys):
     table = coords_table(n, p)
     for pred in (None, _odd_last):
         want = common_zeros(polys, table, p, extra_predicate=pred)
-        for threads in (1, 2):
-            got = projective_zeros(polys, n, p, threads=threads, extra_predicate=pred)
-            assert got.dtype == np.int64 and got.shape == want.shape
-            assert np.array_equal(got, want)
+        got = projective_zeros(polys, n, p, extra_predicate=pred)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
     if p > 2 and projective_count(n, p) <= 1000:
         slow = [q.coords for q in enumerate_projective(n, p)
                 if all(not eval_poly_horner(f, q.coords) for f in polys)]
         assert [tuple(map(int, row)) for row in projective_zeros(polys, n, p)] == slow
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2**31 - 1])
+def test_horner_reduces_before_int64_overflow(p):
+    """The chart kernel delays its mod-p reductions; at large p it must still
+    reduce before acc * t + c could leave int64."""
+    rng = random.Random(p)
+    coeffs = np.array([[rng.randrange(p) for _ in range(3)] for _ in range(10)], dtype=np.int64)
+    t = np.array([0, 1, p - 1, rng.randrange(p)], dtype=np.int64)
+    want = [[sum(int(coeffs[j, g]) * int(x) ** j for j in range(10)) % p for g in range(3)]
+            for x in t]
+    assert _horner(coeffs, t, p).tolist() == want
 
 
 def test_single_point_chart():

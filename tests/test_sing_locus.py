@@ -98,13 +98,6 @@ def test_ci_generic_quadrics_smooth():
     raise AssertionError("no smooth complete intersection among 10 seeds")
 
 
-def test_thread_count_does_not_change_results():
-    f = parse_poly("x^4 + y^4 + z^4 + w^4 + x*y*z*w", 4, GF(31))
-    s1 = singular_points(f, threads=1)
-    s4 = singular_points(f, threads=4)
-    assert [q.coords for q in s1] == [q.coords for q in s4]
-
-
 def test_verify_nodal_builds_each_hessian_once(monkeypatch, double_solid_r2, ci_22):
     import factlab.sing_locus as sl
 
