@@ -295,7 +295,8 @@ def eval_poly(f: HomoPoly, coords: Sequence[Scalar]) -> Scalar:
 def eval_poly_horner(f: HomoPoly, coords: Sequence[Scalar]) -> Scalar:
     """Independent evaluation path (recursive Horner by first variable).
 
-    Used as a double-check against eval_poly in scan verification.
+    The per-point oracle for scan.horner_on_rows, its batched form, which
+    re-checks every scan hit.
     """
     fld = f.field
     return _horner(dict(f.terms), list(coords), 0, f.nvars, fld)
@@ -371,7 +372,8 @@ def node_rank(grads: Sequence[HomoPoly], H: List[List[HomoPoly]], coords: Sequen
     (the gradient whose Jacobian is H) vanishes.
 
     Raises NotSingular when the gradient does not vanish there, CharTooSmall
-    in characteristic 2.
+    in characteristic 2.  sing_locus.verify_nodal takes the same test on
+    blocks of points at once; this per-point form is its oracle in tests.
     """
     from .linalg import rank as matrix_rank  # local import; no cycle at module level
 

@@ -13,6 +13,12 @@ coordinate; slabs bound memory and are scanned in order.
 coords_table, eval_on_points and common_zeros are the term-by-term path on
 explicit rows: common_zeros filters each slab's survivors in one pass, and
 the full table serves tests as an oracle.
+
+horner_on_rows is the re-check path: recursive Horner in the first variable
+on explicit rows, the batched form of poly.eval_poly_horner.  It shares no
+code with the chart kernel or with eval_on_points, so sing_locus re-checks
+every scan hit, and evaluates gradients and Hessians at the hits, along a
+path independent of the one that found them.
 """
 
 from __future__ import annotations
@@ -63,6 +69,35 @@ def eval_on_points(f: HomoPoly, pts: np.ndarray, p: int) -> np.ndarray:
             term = term * pow_cache[key] % p
         out = (out + term) % p
     return out
+
+
+def horner_on_rows(f: HomoPoly, rows: np.ndarray, p: int) -> np.ndarray:
+    """f at every row of rows (int64 entries in [0, p)), mod p.
+
+    Recursive Horner in the first variable, as poly.eval_poly_horner, with
+    the row columns as the variables and a reduction mod p at every step
+    (p < 2**31, so acc * x + c stays inside int64).
+    """
+    if not f.terms or not rows.shape[0]:
+        return np.zeros(rows.shape[0], dtype=np.int64)
+    return _horner_rows({m: int(c) % p for m, c in f.terms.items()}, rows, 0, p)
+
+
+def _horner_rows(terms, rows, var, p):
+    # below the last variable only the coefficient is left, as a Python int
+    if var == rows.shape[1]:
+        return sum(terms.values()) % p
+    by_exp = {}
+    for m, c in terms.items():
+        by_exp.setdefault(m[var], {})[m] = c
+    x = rows[:, var]
+    acc = np.zeros(rows.shape[0], dtype=np.int64)
+    for e in range(max(by_exp), -1, -1):
+        acc = acc * x
+        if e in by_exp:
+            acc += _horner_rows(by_exp[e], rows, var + 1, p)
+        acc %= p
+    return acc
 
 
 def common_zeros(

@@ -13,7 +13,7 @@ from factlab.errors import TooLarge, VerificationFailure
 from factlab.fields import GF
 from factlab.poly import eval_poly_horner, make_poly, monomial_basis, parse_poly
 from factlab.projgeom import enumerate_projective, projective_count
-from factlab.scan import _horner, common_zeros, coords_table, projective_zeros
+from factlab.scan import _horner, common_zeros, coords_table, horner_on_rows, projective_zeros
 
 
 def _form(nvars, degree, field, rng, density):
@@ -76,6 +76,21 @@ def test_horner_reduces_before_int64_overflow(p):
     assert _horner(coeffs, t, p).tolist() == want
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 65521, 2**31 - 1])
+def test_horner_on_rows_matches_eval_poly_horner(p):
+    rng = random.Random(p)
+    field = GF(p)
+    for n in range(1, 5):
+        rows = np.array([[0] * (n + 1), [p - 1] * (n + 1)]
+                        + [[rng.randrange(p) for _ in range(n + 1)] for _ in range(6)],
+                        dtype=np.int64)
+        for degree in range(1, 10):
+            for density in (0.0, 0.1, 1.0):
+                f = _form(n + 1, degree, field, rng, density)
+                want = [eval_poly_horner(f, row) for row in rows.tolist()]
+                assert horner_on_rows(f, rows, p).tolist() == want
+
+
 def test_single_point_chart():
     # the last chart is the single point (0:...:0:1)
     F = GF(7)
@@ -109,6 +124,30 @@ def test_singular_points_recheck(monkeypatch):
         sing_locus.singular_points(f)
 
 
+def test_singular_points_recheck_reads_the_gradient(monkeypatch):
+    # (1:1:3:0) is a smooth point of the quadric: f vanishes there, its
+    # gradient (2, 2, 6, 0) does not
+    monkeypatch.setattr(sing_locus, "projective_zeros",
+                        lambda *a, **k: np.array([[1, 1, 3, 0]], dtype=np.int64))
+    f = parse_poly("x^2 + y^2 + z^2 + w^2", 4, GF(11))
+    with pytest.raises(VerificationFailure, match=r"\(1:1:3:0\) is not a singular point"):
+        sing_locus.singular_points(f)
+
+
+@pytest.mark.parametrize("row", [[2, 0, 0, 0], [0, 3, 1, 0], [1, 11, 0, 0], [1, -1, 0, 0],
+                                 [0, 0, 0, 0]])
+def test_non_canonical_scan_row_refused(monkeypatch, row):
+    # (0:0:0:1) is the cone's vertex, a true singular point, so only the row
+    # after it can fail
+    rows = np.array([[0, 0, 0, 1], row], dtype=np.int64)
+    monkeypatch.setattr(sing_locus, "projective_zeros", lambda *a, **k: rows)
+    F = GF(11)
+    with pytest.raises(VerificationFailure, match="not a canonical point"):
+        sing_locus.singular_points(parse_poly("x^2 + y*z", 4, F))
+    with pytest.raises(VerificationFailure, match="not a canonical point"):
+        sing_locus.ci_singular_points(parse_poly("x^2 + y*z", 4, F), parse_poly("x*y", 4, F))
+
+
 def test_ci_singular_points_recheck(monkeypatch):
     monkeypatch.setattr(sing_locus, "projective_zeros", _bogus_scan)
     F = GF(11)
@@ -132,7 +171,10 @@ sys.exit(cli.main(["sing", sys.argv[1]]))
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]])
-@pytest.mark.parametrize("body", ["x^2 + y^2 + z^2 + w^2", "x^2 + y*z\nx*w + y^2"])
+# (1:0:0:0) lies on none of these but the third, x*y + y^2 + z^2 + w^2, where
+# it is a smooth point: there only the gradient check can refuse it
+@pytest.mark.parametrize("body", ["x^2 + y^2 + z^2 + w^2", "x^2 + y*z\nx*w + y^2",
+                                  "x*y + y^2 + z^2 + w^2"])
 def test_recheck_exit_5(tmp_path, optimize, body):
     poly = tmp_path / "f.poly"
     poly.write_text(f"F 4 Fp:11\n{body}\n")

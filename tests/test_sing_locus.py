@@ -1,13 +1,29 @@
+import random
+import sys
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from factlab.errors import CharDividesDegree
-from factlab.fields import GF
-from factlab.poly import eval_poly, gradient, linear_change, parse_poly, random_homo
-from factlab.projgeom import enumerate_projective
+from factlab.errors import CharDividesDegree, NotSingular
+from factlab.fields import GF, QQ
+from factlab.linalg import nullspace, rank
+from factlab.poly import (
+    eval_poly,
+    gradient,
+    hessian,
+    hessian_block,
+    hessian_rank_at,
+    linear_change,
+    parse_poly,
+    random_homo,
+)
+from factlab.projgeom import ProjPoint, enumerate_projective, point_set
 from factlab.rng import SplitMix64
 from factlab.sing_locus import (
     NodalInstance,
     ci_singular_points,
+    ranks_mod_p,
     singular_points,
     verify_nodal,
 )
@@ -114,3 +130,175 @@ def test_verify_nodal_builds_each_hessian_once(monkeypatch, double_solid_r2, ci_
     built.clear()
     inst = verify_nodal(NodalInstance(ci_22.defining, ci_22.ambient_dim, ci_22.sing))
     assert len(inst.sing) > 1 and inst.clean and len(built) == 2
+
+
+# --- the batched node checks against per-point oracles ---------------------------
+
+
+def _invertible(rng, k, field):
+    while True:
+        M = [[rng.randrange(field.p) for _ in range(k)] for _ in range(k)]
+        if rank(M, field) == k:
+            return M
+
+
+def _moved(forms, rng):
+    """forms and their image under one seeded invertible change of
+    coordinates, which moves the singular points into other charts."""
+    M = _invertible(rng, forms[0].nvars, forms[0].field)
+    return [forms, [linear_change(f, M) for f in forms]]
+
+
+def _charts(sing):
+    return {next(i for i, c in enumerate(pt.coords) if c) for pt in sing}
+
+
+def test_node_flags_match_hessian_rank_at():
+    """q^2, x^2 w^2, a cone and the Cayley cubic in P^3; in P^4 a q^2 and
+    forms with a corank-1 and a corank-2 point; each also after a change of
+    coordinates."""
+    rng = random.Random(5)
+    F5, F7, F13, F31 = GF(5), GF(7), GF(13), GF(31)
+    q = parse_poly("x*y - z*w", 4, F13)
+    q4 = parse_poly("x*y - z*t + u^2", 5, F5)
+    cases = [
+        [q * q],
+        [q4 * q4],
+        [parse_poly("x^2*w^2", 4, F7)],
+        [parse_poly("x^2 + y*z", 4, F31)],
+        [parse_poly("x*y*z + y*z*w + z*w*x + w*x*y", 4, F31)],
+        [parse_poly("u*x^2 + u*y^2 + u*z^2 + t^3", 5, F13)],
+        [parse_poly("u*x^2 + u*y^2 + z^3 + t^3", 5, F13)],
+    ]
+    charts = {3: set(), 4: set()}
+    flags_seen = set()
+    for case in cases:
+        for (f,) in _moved(case, rng):
+            n = f.nvars - 1
+            sing = singular_points(f)
+            flags = verify_nodal(NodalInstance([f], n, sing)).node_flags
+            assert flags == [hessian_rank_at(f, pt) == n for pt in sing]
+            charts[n] |= _charts(sing)
+            flags_seen |= set(flags)
+    assert charts == {3: {0, 1, 2, 3}, 4: {0, 1, 2, 3, 4}}
+    assert flags_seen == {True, False}
+
+
+def _ci_node_reference(F, G, pt):
+    """The complete-intersection node test at one point, with list algebra:
+    the Hessian of the combination with vanishing differential, restricted
+    to the kernel of the transverse differential in the pivot chart."""
+    fld, coords = F.field, pt.coords
+    n = len(coords) - 1
+    gF = [eval_poly(g, coords) for g in gradient(F)]
+    gG = [eval_poly(g, coords) for g in gradient(G)]
+    if rank([gF, gG], fld) != 1:
+        return False
+    alpha, beta = nullspace([[a, b] for a, b in zip(gF, gG)], 2, fld)[0]
+    Hf, Hg = hessian_block(hessian(F), coords), hessian_block(hessian(G), coords)
+    H = [[(alpha * Hf[i][j] + beta * Hg[i][j]) % fld.p for j in range(n)] for i in range(n)]
+    pivot = next(i for i, c in enumerate(coords) if c)
+    row = gF if any(gF) else gG
+    tangent = nullspace([[c for j, c in enumerate(row) if j != pivot]], n, fld)
+    restricted = [[sum(u[i] * H[i][j] * v[j] for i in range(n) for j in range(n)) % fld.p
+                   for v in tangent] for u in tangent]
+    return rank(restricted, fld) == n - 1
+
+
+def test_ci_node_flags_match_reference(ci_22, ci_32):
+    rng = random.Random(6)
+    F7, F11 = GF(7), GF(11)
+    cases = [
+        ci_22.defining,
+        ci_32.defining,
+        [parse_poly("x^2", 4, F11), parse_poly("y", 4, F11)],
+        [parse_poly("x^2 + y*z", 5, F7), parse_poly("x*t + y^2 + z*u", 5, F7)],
+        # at (0:0:0:0:1) dF = dG, so F - G = z^2 + t^2 is the combination to
+        # test (rank 2 on the tangent plane x = 0: no node); F + G has rank 3
+        [parse_poly("u*x + y^2 + z^2 + t^2", 5, F7), parse_poly("u*x + y^2", 5, F7)],
+    ]
+    flags_seen = set()
+    for case in cases:
+        for F, G in _moved(case, rng):
+            n = F.nvars - 1
+            sing = ci_singular_points(F, G)
+            flags = verify_nodal(NodalInstance([F, G], n, sing)).node_flags
+            assert flags == [_ci_node_reference(F, G, pt) for pt in sing]
+            flags_seen |= set(flags)
+    assert flags_seen == {True, False}
+
+
+def test_verify_nodal_not_singular_like_node_rank():
+    F = GF(101)
+    f = parse_poly("x^2 + y^2 + z^2", 4, F)
+    vertex = ProjPoint((0, 0, 0, 1), F)
+    # on f = 0 (10^2 = -1 mod 101) with a nonzero gradient; the second such
+    # point is in an earlier chart, but the first in point order is reported
+    smooth = [ProjPoint((0, 1, 10, 0), F), ProjPoint((1, 10, 0, 0), F)]
+    with pytest.raises(NotSingular) as want:
+        hessian_rank_at(f, smooth[0])
+    with pytest.raises(NotSingular) as got:
+        verify_nodal(NodalInstance([f], 3, point_set([vertex] + smooth)))
+    assert str(got.value) == str(want.value) == "gradient nonzero at (0, 1, 10, 0)"
+
+
+def test_verify_nodal_refuses_rational_field():
+    f = parse_poly("x^2 + y^2 + z^2", 4, QQ)
+    vertex = ProjPoint(tuple(Fraction(c) for c in (0, 0, 0, 1)), QQ)
+    with pytest.raises(ValueError, match="prime field"):
+        verify_nodal(NodalInstance([f], 3, point_set([vertex])))
+
+
+def test_node_checks_evaluate_no_point_alone(monkeypatch, ci_22):
+    """The re-checks and node checks evaluate at all points at once: no
+    eval_poly or eval_poly_horner call, on q^2 over F_101 (10 404 singular
+    points) and on a complete intersection."""
+    import factlab.poly as poly
+
+    calls = []
+    for name in ("eval_poly", "eval_poly_horner"):
+        original = getattr(poly, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "factlab":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counting)
+    q = parse_poly("x*y - z*w", 4, GF(101))
+    sing = singular_points(q * q)
+    inst = verify_nodal(NodalInstance([q * q], 3, sing))
+    assert len(sing) == 102**2 and not any(inst.node_flags)
+    F, G = ci_22.defining
+    sing = ci_singular_points(F, G)
+    inst = verify_nodal(NodalInstance([F, G], ci_22.ambient_dim, sing))
+    assert len(sing) == len(ci_22.sing) and inst.clean
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [3, 101, 65521, 2**31 - 1])
+def test_ranks_mod_p_matches_rank(p):
+    """Low-rank k x k matrices, k <= 5, built as products B C with B k x r and
+    C r x k, some with a zero row or column, and the identity, in one stack
+    per k."""
+    rng = SplitMix64(p)
+    F = GF(p)
+    for k in range(1, 6):
+        mats = [[[int(i == j) for j in range(k)] for i in range(k)]]
+        for trial in range(40):
+            r = trial % (k + 1)
+            B = [[rng.below(p) for _ in range(r)] for _ in range(k)]
+            C = [[rng.below(p) for _ in range(k)] for _ in range(r)]
+            m = [[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(k)] for i in range(k)]
+            if trial % 7 == 0:
+                m[rng.below(k)] = [0] * k
+            if trial % 5 == 0:
+                col = rng.below(k)
+                for row in m:
+                    row[col] = 0
+            mats.append(m)
+        want = [rank(m, F) for m in mats]
+        assert ranks_mod_p(np.array(mats, dtype=np.int64), p).tolist() == want
