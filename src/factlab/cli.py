@@ -31,28 +31,24 @@ from .errors import (
     DegenerateDraw,
     FactlabError,
     LocusMismatch,
-    NotHomogeneous,
-    NotInSet,
     PolySyntaxError,
     TooLarge,
-    UnknownVariable,
     VerificationFailure,
-    XiTooSmall,
 )
 from .fields import parse_field_spec
 from .lincond import SeparatorFailure, bese_check, defect, separator
 from .poly import HomoPoly, parse_poly
-from .projgeom import DEFAULT_SCAN_CAP, dump_point_set, load_point_set, point_set
-from .sing_locus import NodalInstance, singular_points, verify_nodal
+from .projgeom import DEFAULT_SCAN_CAP, dump_point_set, load_point_set
+from .sing_locus import NodalInstance, ci_singular_points, singular_points, verify_nodal
 
-_PARSE_ERRORS = (
-    PolySyntaxError,
-    NotHomogeneous,
-    UnknownVariable,
-    BadParams,
-    XiTooSmall,
-    NotInSet,
-    ValueError,
+# exit code of each error, first match wins (see the module docstring); any
+# other exception is an internal error and propagates (exit 1)
+_HANDLED = (FactlabError, ValueError, OSError)
+_EXIT_CODES = (
+    (TooLarge, 3),
+    (DegenerateDraw, 4),
+    ((LocusMismatch, VerificationFailure), 5),
+    (_HANDLED, 2),  # every type above is a FactlabError
 )
 
 
@@ -104,10 +100,8 @@ def cmd_sing(args) -> int:
     if len(polys) == 1:
         sing = singular_points(polys[0], scan_cap=args.scan_cap)
     else:
-        from .sing_locus import ci_singular_points
-
         sing = ci_singular_points(polys[0], polys[1], scan_cap=args.scan_cap)
-    inst = verify_nodal(NodalInstance(polys, polys[0].nvars - 1, sing))
+    inst = verify_nodal(NodalInstance(polys, sing))
     report = {
         "count": len(sing),
         "nodes": [_point_json(pt) for pt in sing],
@@ -325,24 +319,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TooLarge as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegenerateDraw as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (LocusMismatch, VerificationFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FactlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -17,17 +17,19 @@ from math import ceil, floor
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadParams, VerificationFailure
-from .lincond import defect
+from .linalg import nullspace
+from .lincond import defect, secant_lines
 from .poly import (
     HomoPoly,
     divide_by_linear,
     embed_poly,
     eval_poly,
     make_poly,
+    monomial_basis,
     poly_sqrt,
     restrict_to_plane,
 )
-from .projgeom import DEFAULT_SCAN_CAP, PointSet, enumerate_projective
+from .projgeom import DEFAULT_SCAN_CAP, PointSet, canonicalize
 from .sing_locus import NodalInstance, singular_points, verify_nodal
 
 
@@ -207,6 +209,9 @@ def app_double_hypersurface(d: int, r: int, nsing: int) -> CriterionVerdict:
 # --- structural detector -------------------------------------------------------
 
 
+_PLANE_BASIS = monomial_basis(4, 1)  # x, y, z, w: coefficient i belongs to coordinate i
+
+
 @dataclass
 class StructureWitness:
     ell: HomoPoly      # the plane g_1
@@ -218,43 +223,42 @@ class StructureWitness:
         return diff.is_zero()
 
 
-def _candidate_planes(
-    f: HomoPoly, sing: PointSet, exhaustive_cap: int = 31
-) -> List[HomoPoly]:
-    """Planes through node triples carrying more than 2r nodes; for small
-    fields fall back to every plane of P^3(F_p)."""
-    from .linalg import nullspace
-    from .poly import monomial_basis
+def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
+    """Every plane carrying more than 2r nodes, when it can be found exactly.
 
+    First the planes spanned by node triples, in triple order.  If none
+    carries more than 2r nodes, then every plane that does has all its
+    nodes on one line L (three of them off a line would span it), L carries
+    more than 2r nodes, and every plane through L qualifies.  So over a
+    prime field the fallback is the p+1 planes through each such secant
+    line, in enumerate_projective order of their coefficient vectors.
+    """
     field = f.field
     r2 = f.degree  # 2r
-    basis1 = monomial_basis(4, 1)
     planes: Dict[Tuple, HomoPoly] = {}
-
-    def add_plane(coeffs):
-        form = make_poly(4, 1, {m: c for m, c in zip(basis1, coeffs) if c}, field)
-        key = tuple(sorted(form.terms.items()))
-        if key not in planes:
-            count = sum(1 for pt in sing if not eval_poly(form, pt.coords))
-            if count > r2:
-                planes[key] = form
-
-    pts = sing.points
-    for triple in itertools.combinations(pts, 3):
-        rows = [list(p.coords) for p in triple]
-        sols = nullspace(rows, 4, field)
+    for triple in itertools.combinations(sing.points, 3):
+        sols = nullspace([p.coords for p in triple], 4, field)
         if len(sols) == 1:
-            add_plane(sols[0])
-    if not planes and field.is_prime_field and field.p <= exhaustive_cap:
-        for q in enumerate_projective(3, field.p):
-            form = make_poly(
-                4, 1, {m: c for m, c in zip(basis1, q.coords) if c}, field
-            )
-            count = sum(1 for pt in sing if not eval_poly(form, pt.coords))
-            if count > r2:
-                key = tuple(sorted(form.terms.items()))
-                planes.setdefault(key, form)
-    return list(planes.values())
+            form = _plane(sols[0], field)
+            key = tuple(sorted(form.terms.items()))
+            if key not in planes and sum(1 for pt in sing if not eval_poly(form, pt.coords)) > r2:
+                planes[key] = form
+    if planes or not field.is_prime_field:
+        return list(planes.values())
+    through_lines = set()
+    for key, (_, mask) in secant_lines(sing.points, field).items():
+        if mask.bit_count() > r2:
+            u, v = nullspace(key, 4, field)
+            pencil = [v] + [[field.add(a, field.mul(t, b)) for a, b in zip(u, v)]
+                            for t in range(field.p)]
+            through_lines.update(canonicalize(c, field).coords for c in pencil)
+    # enumerate_projective order: pivot position first, then lex
+    order = sorted(through_lines, key=lambda c: (next(i for i, x in enumerate(c) if x), c))
+    return [_plane(c, field) for c in order]
+
+
+def _plane(coeffs, field) -> HomoPoly:
+    return make_poly(4, 1, {m: c for m, c in zip(_PLANE_BASIS, coeffs) if c}, field)
 
 
 def detect_nodal_surface_form(
@@ -339,7 +343,7 @@ def hong_park_classify(
     if f.degree != 2 * r:
         raise BadParams(f"degree {f.degree} != 2r = {2 * r}")
     sing = singular_points(f, scan_cap=scan_cap)
-    inst = verify_nodal(NodalInstance([f], 3, sing))
+    inst = verify_nodal(NodalInstance([f], sing))
     cap = (2 * r - 1) * r + 1
     if len(sing) > cap:
         return HongParkVerdict(

@@ -77,15 +77,13 @@ class FamilySpec:
 
 # --- shared helpers ------------------------------------------------------
 
+_LINE_SECTION_ATTEMPTS = 500  # random secants tried per _line_section_nodes call
+
 
 def _curve_smooth_points(f: HomoPoly, p: int) -> List[ProjPoint]:
     """Smooth F_p-points of a plane curve, in enumeration order."""
-    grads = gradient(f)
-
-    def smooth(rows: np.ndarray) -> np.ndarray:
-        return np.any([eval_on_points(g, rows, p) != 0 for g in grads], axis=0)
-
-    rows = projective_zeros([f], f.nvars - 1, p, extra_predicate=smooth)
+    rows = projective_zeros([f], f.nvars - 1, p)
+    rows = rows[np.any([eval_on_points(g, rows, p) != 0 for g in gradient(f)], axis=0)]
     return [ProjPoint(tuple(int(v) for v in row), f.field) for row in rows]
 
 
@@ -112,7 +110,6 @@ def _line_section_nodes(
     per_line: int,
     rng: SplitMix64,
     p: int,
-    max_attempts: int = 500,
 ) -> Optional[List[ProjPoint]]:
     """Union of `nlines` disjoint complete line sections of the curve, each
     consisting of exactly `per_line` distinct smooth rational points.
@@ -126,7 +123,7 @@ def _line_section_nodes(
     smooth_set = {q.coords for q in smooth_pts}
     chosen: List[List[ProjPoint]] = []
     used = set()
-    for _ in range(max_attempts):
+    for _ in range(_LINE_SECTION_ATTEMPTS):
         if len(chosen) == nlines:
             break
         a, b = rng.sample(smooth_pts, 2)
@@ -171,6 +168,32 @@ def _random_form_through(
         # last resort inside the draw: take the first kernel vector
         coeffs = kernel[0]
     return make_poly(nvars, degree, {m: c for m, c in zip(basis, coeffs) if c}, field)
+
+
+def _plane_pair(
+    curve_degree: int,
+    nlines: int,
+    per_line: int,
+    residual_degree: int,
+    field: FieldSpec,
+    rng: SplitMix64,
+) -> Optional[Tuple[HomoPoly, HomoPoly]]:
+    """A seeded plane curve and a residual form through nlines * per_line of
+    its smooth rational points, taken as complete line sections; None when
+    a draw fails."""
+    curve = random_homo(3, curve_degree, field, rng.next_u64())
+    if curve.is_zero():
+        return None
+    rational = _curve_smooth_points(curve, field.p)
+    if len(rational) < nlines * per_line:
+        return None
+    nodes = _line_section_nodes(curve, rational, nlines, per_line, rng, field.p)
+    if nodes is None:
+        return None
+    residual = _random_form_through(3, residual_degree, nodes, field, rng)
+    if residual is None or residual.is_zero():
+        return None
+    return curve, residual
 
 
 def _mix_in(plane_form: HomoPoly, nvars: int, positions: Tuple[int, ...],
@@ -243,25 +266,17 @@ def gen_double_solid_nonfactorial(
     def build(seed):
         rng = SplitMix64(seed)
         # plane curve of degree r in the plane {x = 0}, coordinates (y, z, w)
-        c_r = random_homo(3, r, field, rng.next_u64())
-        if c_r.is_zero():
+        pair = _plane_pair(r, 2 * r - 1, r, 2 * r - 1, field, rng)
+        if pair is None:
             return None
-        rational = _curve_smooth_points(c_r, p)
-        if len(rational) < expected:
-            return None
-        nodes = _line_section_nodes(c_r, rational, 2 * r - 1, r, rng, p)
-        if nodes is None:
-            return None
-        c_2r1 = _random_form_through(3, 2 * r - 1, nodes, field, rng)
-        if c_2r1 is None or c_2r1.is_zero():
-            return None
+        c_r, c_2r1 = pair
         # lift to P^3 (positions 1,2,3 = y,z,w), mixing in x-multiples
         g_r = _mix_in(c_r, 4, (1, 2, 3), (0,), field, rng)
         g_2r1 = _mix_in(c_2r1, 4, (1, 2, 3), (0,), field, rng)
         g_1 = make_poly(4, 1, {(1, 0, 0, 0): field.one}, field)
         f = g_r * g_r - g_1 * g_2r1
         sing = singular_points(f, scan_cap=scan_cap)
-        inst = verify_nodal(NodalInstance([f], 3, sing))
+        inst = verify_nodal(NodalInstance([f], sing))
         inst.generators = {"g_1": g_1, "g_r": g_r, "g_2r_minus_1": g_2r1}
         return inst
 
@@ -289,25 +304,17 @@ def gen_hypersurface_nonfactorial(
     def build(seed):
         rng = SplitMix64(seed)
         # plane {x = y = 0} has coordinates (z, w, t) = positions 2, 3, 4
-        g_plane = random_homo(3, d - 1, field, rng.next_u64())
-        if g_plane.is_zero():
+        pair = _plane_pair(d - 1, d - 1, d - 1, d - 1, field, rng)
+        if pair is None:
             return None
-        rational = _curve_smooth_points(g_plane, p)
-        if len(rational) < expected:
-            return None
-        nodes = _line_section_nodes(g_plane, rational, d - 1, d - 1, rng, p)
-        if nodes is None:
-            return None
-        f_plane = _random_form_through(3, d - 1, nodes, field, rng)
-        if f_plane is None or f_plane.is_zero():
-            return None
+        g_plane, f_plane = pair
         g = _mix_in(g_plane, 5, (2, 3, 4), (0, 1), field, rng)
         f = _mix_in(f_plane, 5, (2, 3, 4), (0, 1), field, rng)
         x = make_poly(5, 1, {(1, 0, 0, 0, 0): field.one}, field)
         y = make_poly(5, 1, {(0, 1, 0, 0, 0): field.one}, field)
         V = x * g + y * f
         sing = singular_points(V, scan_cap=scan_cap)
-        inst = verify_nodal(NodalInstance([V], 4, sing))
+        inst = verify_nodal(NodalInstance([V], sing))
         inst.generators = {"g": g, "f": f}
         return inst
 
@@ -414,7 +421,7 @@ def gen_ci_nonfactorial(
         F = x * A + y * B + z * C
         G = x * D + y * E + z * H
         sing = ci_singular_points(F, G, scan_cap=scan_cap)
-        inst = verify_nodal(NodalInstance([F, G], 5, sing))
+        inst = verify_nodal(NodalInstance([F, G], sing))
         inst.generators = {"F": F, "G": G}
         return inst
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 from .errors import CharTwo, NotPrime, PolySyntaxError
@@ -189,8 +190,6 @@ def _tonelli_shanks(a: int, p: int) -> int:
 
 
 def _isqrt_exact(n: int):
-    from math import isqrt
-
     r = isqrt(n)
     return r if r * r == n else None
 

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import (
     DegreeMismatch,
     GVanishesOnDelta,
+    LocusMismatch,
     NotInSet,
     Overlap,
     TooFew,
@@ -257,30 +258,36 @@ def swap_combine(
 
 # --- incidence counts -------------------------------------------------------
 
+_CONIC_CAP = 40  # max_on_conics refuses larger sets (TooLarge)
+
+
+def secant_lines(pts: Sequence[ProjPoint], field: FieldSpec) -> Dict[Tuple, Tuple[Tuple[int, int], int]]:
+    """Every line through two of pts, in order of its first pair: the
+    reduced row echelon form of the pair (the same for every pair on the
+    line) -> (first pair, bitmask of the indices of the points on it).
+
+    The line's equations are nullspace of its key's rows, which is
+    nullspace of any pair on it.
+    """
+    lines: Dict[Tuple, Tuple[Tuple[int, int], int]] = {}
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        key = tuple(map(tuple, rref([pts[i].coords, pts[j].coords], field)[0]))
+        pair, mask = lines.get(key, ((i, j), 0))
+        lines[key] = (pair, mask | (1 << i) | (1 << j))
+    return lines
+
 
 def max_on_lines(sigma: PointSet) -> Tuple[int, Tuple[ProjPoint, ProjPoint]]:
     """Exact max of |line ∩ sigma| over all lines, with the first pair (in
-    pair order) spanning a line that attains it.
-
-    Each pair's line is keyed by the reduced row echelon form of the pair,
-    which is the same for every pair on that line; the points on a line are
-    the union of the pairs with its key.
-    """
+    pair order) spanning a line that attains it."""
     pts = sigma.points
     if len(pts) < 2:
         raise TooFew("need at least 2 points")
-    lines: Dict[Tuple, Tuple[Tuple[int, int], set]] = {}  # key -> (first pair, indices)
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        key = tuple(map(tuple, rref([pts[i].coords, pts[j].coords], sigma.field)[0]))
-        lines.setdefault(key, ((i, j), set()))[1].update((i, j))
-    best, witness = 0, None
-    for (i, j), on_line in lines.values():
-        if len(on_line) > best:
-            best, witness = len(on_line), (pts[i], pts[j])
-    return best, witness
+    (i, j), mask = max(secant_lines(pts, sigma.field).values(), key=lambda v: v[1].bit_count())
+    return mask.bit_count(), (pts[i], pts[j])
 
 
-def max_on_conics(sigma: PointSet, cap: int = 40) -> Tuple[int, Optional[HomoPoly]]:
+def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     """Exact max of |conic ∩ sigma| over all conics of P^2, with a witness.
 
     Candidates, each replacing the witness only when it holds strictly more
@@ -300,8 +307,8 @@ def max_on_conics(sigma: PointSet, cap: int = 40) -> Tuple[int, Optional[HomoPol
     """
     if sigma.ambient_dim != 2:
         raise WrongAmbient("conic counting lives in P^2")
-    if len(sigma) > cap:
-        raise TooLarge(f"|sigma| = {len(sigma)} > conic cap {cap}")
+    if len(sigma) > _CONIC_CAP:
+        raise TooLarge(f"|sigma| = {len(sigma)} > conic cap {_CONIC_CAP}")
     field = sigma.field
     pts = sigma.points
     n = len(pts)
@@ -344,21 +351,18 @@ def max_on_conics(sigma: PointSet, cap: int = 40) -> Tuple[int, Optional[HomoPol
                 if count > best:
                     best, witness_subset = count, T + (e,)
 
-    # line pairs: the points on each secant line as a bitmask, lines keyed
-    # by their (canonical) equation in order of first pair
-    lines: Dict[Tuple, int] = {}
-    for i, j in itertools.combinations(range(n), 2):
-        key = tuple(nullspace([pts[i].coords, pts[j].coords], 3, field)[0])
-        lines[key] = lines.get(key, 0) | (1 << i) | (1 << j)
+    # line pairs: the points on each secant line as a bitmask
+    lines = [(key, mask) for key, (_, mask) in secant_lines(pts, field).items()]
     witness_lines = None
-    for (l1, m1), (l2, m2) in itertools.combinations_with_replacement(lines.items(), 2):
+    for (l1, m1), (l2, m2) in itertools.combinations_with_replacement(lines, 2):
         count = (m1 | m2).bit_count()
         if count > best:
             best, witness_lines = count, (l1, l2)
     if witness_lines is None:
         return best, conic_through(witness_subset)[0]
     basis1 = monomial_basis(3, 1)
-    l1, l2 = (_form_from_coeffs(c, basis1, 3, 1, field) for c in witness_lines)
+    l1, l2 = (_form_from_coeffs(nullspace(key, 3, field)[0], basis1, 3, 1, field)
+              for key in witness_lines)
     return best, l1 * l2
 
 
@@ -381,8 +385,6 @@ def incidence_bound_from_intersection(
 ) -> IncidenceCertificate:
     """Verify by full scan that the common zero locus of the generators is
     exactly sigma; then Bezout bounds incidences by deg * k."""
-    from .errors import LocusMismatch
-
     degrees = {g.degree for g in generators}
     if len(degrees) != 1:
         raise DegreeMismatch("generators must share a degree")

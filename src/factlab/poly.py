@@ -26,6 +26,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import FieldSpec, Scalar
+from .linalg import rank as matrix_rank
 from .rng import SplitMix64
 
 Monomial = Tuple[int, ...]
@@ -117,10 +118,10 @@ class HomoPoly:
 
     # --- text -----------------------------------------------------------
 
-    def to_text(self, names: Optional[Sequence[str]] = None) -> str:
+    def to_text(self) -> str:
         if self.is_zero():
             return "0"
-        names = names or var_names(self.nvars)
+        names = var_names(self.nvars)
         parts: List[str] = []
         for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
@@ -189,18 +190,13 @@ _TOKEN_COEFF = re.compile(r"^[+-]?\d+(/\d+)?$")
 _TOKEN_VAR = re.compile(r"^([A-Za-z]\w*)(\^(\d+))?$")
 
 
-def parse_poly(
-    text: str,
-    nvars: int,
-    field: FieldSpec,
-    names: Optional[Sequence[str]] = None,
-) -> HomoPoly:
+def parse_poly(text: str, nvars: int, field: FieldSpec) -> HomoPoly:
     """Parse the bit-exact grammar: term (('+'|'-') term)*.
 
     term ::= [coeff '*'] var ('^' exp)? ('*' var ('^' exp)?)* ; a bare
     coefficient is accepted as a degree-0 term.
     """
-    names = list(names or var_names(nvars))
+    names = list(var_names(nvars))
     index = {n: i for i, n in enumerate(names)}
     stripped = text.replace(" ", "").replace("\t", "")
     if not stripped:
@@ -375,8 +371,6 @@ def node_rank(grads: Sequence[HomoPoly], H: List[List[HomoPoly]], coords: Sequen
     in characteristic 2.  sing_locus.verify_nodal takes the same test on
     blocks of points at once; this per-point form is its oracle in tests.
     """
-    from .linalg import rank as matrix_rank  # local import; no cycle at module level
-
     fld = grads[0].field
     if fld.is_prime_field and fld.p == 2:
         raise CharTooSmall("Hessian rank test unreliable in characteristic 2")

@@ -12,7 +12,9 @@ coordinate; slabs bound memory and are scanned in order.
 
 coords_table, eval_on_points and common_zeros are the term-by-term path on
 explicit rows: common_zeros filters each slab's survivors in one pass, and
-the full table serves tests as an oracle.
+the full table serves tests as an oracle.  A scan takes forms only; callers
+that need a further condition (a Jacobian rank, smoothness) filter the
+returned rows themselves.
 
 horner_on_rows is the re-check path: recursive Horner in the first variable
 on explicit rows, the batched form of poly.eval_poly_horner.  It shares no
@@ -23,7 +25,7 @@ path independent of the one that found them.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -100,13 +102,8 @@ def _horner_rows(terms, rows, var, p):
     return acc
 
 
-def common_zeros(
-    polys: Sequence[HomoPoly],
-    pts: np.ndarray,
-    p: int,
-    extra_predicate: Callable[[np.ndarray], np.ndarray] = None,
-) -> np.ndarray:
-    """Rows of pts where every poly vanishes (and extra_predicate holds).
+def common_zeros(polys: Sequence[HomoPoly], pts: np.ndarray, p: int) -> np.ndarray:
+    """Rows of pts where every poly vanishes.
 
     Polys are applied as successive filters so later ones only evaluate on
     survivors.  Returns the surviving rows in their original order.
@@ -116,8 +113,6 @@ def common_zeros(
         if alive.shape[0] == 0:
             return alive
         alive = alive[eval_on_points(f, alive, p) == 0]
-    if extra_predicate is not None and alive.shape[0]:
-        alive = alive[extra_predicate(alive)]
     return alive
 
 
@@ -164,13 +159,12 @@ def projective_zeros(
     n: int,
     p: int,
     scan_cap: int = DEFAULT_SCAN_CAP,
-    extra_predicate: Callable[[np.ndarray], np.ndarray] = None,
 ) -> np.ndarray:
-    """Rows of P^n(F_p) where every poly vanishes (and extra_predicate
-    holds), as canonical int64 coordinates in enumerate_projective's order.
+    """Rows of P^n(F_p) where every poly vanishes, as canonical int64
+    coordinates in enumerate_projective's order.
 
     polys[0] is evaluated on each chart's whole grid by the Horner kernel;
-    the other polys and extra_predicate only on its zeros, by common_zeros.
+    the other polys only on its zeros, by common_zeros.
     """
     check_scan_cap(n, p, scan_cap)
 
@@ -181,7 +175,7 @@ def projective_zeros(
         rows = np.zeros((flat.size, n + 1), dtype=np.int64)
         rows[:, pivot] = 1
         rows[:, pivot + 1:] = np.column_stack(np.unravel_index(flat, (p,) * (n - pivot)))
-        return common_zeros(polys[1:], rows, p, extra_predicate=extra_predicate)
+        return common_zeros(polys[1:], rows, p)
 
     results = []
     for pivot in range(n):
@@ -191,5 +185,5 @@ def projective_zeros(
     # the last chart is the single point (0:...:0:1)
     last = np.zeros((1, n + 1), dtype=np.int64)
     last[0, n] = 1
-    results.append(common_zeros(polys, last, p, extra_predicate=extra_predicate))
+    results.append(common_zeros(polys, last, p))
     return np.concatenate(results, axis=0)

@@ -24,17 +24,21 @@ from .projgeom import DEFAULT_SCAN_CAP, PointSet, ProjPoint
 from .scan import eval_on_points, horner_on_rows, projective_zeros
 
 _BLOCK = 1 << 10  # points per block of the node checks
+_ISOLATION_FACTOR = 5  # more than this * degree * n singular points: not isolated
 
 
 @dataclass
 class NodalInstance:
     defining: List[HomoPoly]
-    ambient_dim: int
     sing: PointSet
     node_flags: List[bool] = dc_field(default_factory=list)
     clean: bool = False
     isolated_warning: Optional[str] = None
     generators: Optional[dict] = None  # named building blocks, when generated
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.defining[0].nvars - 1
 
     @property
     def field(self) -> FieldSpec:
@@ -109,7 +113,7 @@ def singular_points(
     return result
 
 
-def verify_nodal(inst: NodalInstance, isolation_factor: int = 5) -> NodalInstance:
+def verify_nodal(inst: NodalInstance) -> NodalInstance:
     """Fill node_flags (full Hessian rank at each singular point) and clean.
 
     The instance must be over a prime field (ValueError otherwise): its
@@ -119,7 +123,7 @@ def verify_nodal(inst: NodalInstance, isolation_factor: int = 5) -> NodalInstanc
 
     Isolation over F_p is heuristic: a positive-dimensional component shows
     up as a large scan count, flagged when |sing| exceeds
-    isolation_factor * degree * n.
+    _ISOLATION_FACTOR * degree * n.
     """
     if not inst.field.is_prime_field:
         raise ValueError("node checks require a prime field")
@@ -155,7 +159,7 @@ def verify_nodal(inst: NodalInstance, isolation_factor: int = 5) -> NodalInstanc
         flags = node.tolist()
     inst.node_flags = flags
     inst.clean = all(flags) if flags else True
-    threshold = isolation_factor * degree * n
+    threshold = _ISOLATION_FACTOR * degree * n
     if len(inst.sing) > threshold:
         inst.isolated_warning = (
             f"NotIsolated: {len(inst.sing)} singular points exceed the "
@@ -250,9 +254,10 @@ def ci_singular_points(
 ) -> PointSet:
     """Points with F = G = 0 where the 2 x (n+1) Jacobian has rank <= 1.
 
-    Every hit is re-verified: F, G and the Jacobian's 2 x 2 minors are
-    evaluated at all hits by scan.horner_on_rows, independently of the
-    scan's evaluators.
+    The scan finds the common zeros of F and G, and the Jacobian filter
+    (eval_on_points) runs once on all of them.  Every hit is re-verified:
+    F, G and the Jacobian's 2 x 2 minors are evaluated at all hits by
+    scan.horner_on_rows, independently of the scan's evaluators.
     """
     if F.field != G.field or F.nvars != G.nvars:
         raise ValueError("F and G must share field and variables")
@@ -262,13 +267,9 @@ def ci_singular_points(
     n = F.nvars - 1
     pF = [partial(F, v) for v in range(n + 1)]
     pG = [partial(G, v) for v in range(n + 1)]
-
-    def jacobian_rank_le_1(alive: np.ndarray) -> np.ndarray:
-        valsF = [eval_on_points(g, alive, p) for g in pF]
-        valsG = [eval_on_points(g, alive, p) for g in pG]
-        return _rank_le_1(valsF, valsG, p)
-
-    rows = projective_zeros([F, G], n, p, scan_cap, extra_predicate=jacobian_rank_le_1)
+    rows = projective_zeros([F, G], n, p, scan_cap)
+    rows = rows[_rank_le_1([eval_on_points(g, rows, p) for g in pF],
+                           [eval_on_points(g, rows, p) for g in pG], p)]
     result = _rows_to_pointset(rows, n, F.field)
     bad = _values([F, G], rows, p).any(axis=1)
     bad |= ~_rank_le_1([horner_on_rows(g, rows, p) for g in pF],

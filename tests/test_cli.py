@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from factlab import cli
+from factlab import cli, errors
 from factlab.cli import main
 from factlab.fields import GF
 from factlab.poly import parse_poly
@@ -100,6 +100,37 @@ def test_classify_refuses_a_second_form(tmp_path, capsys):
     poly.write_text("F 4 Fp:101\nx^4 + y^4 + z^4 + w^4\nx^4 - y^4\n")
     code, out, err = run_cli(["classify", str(poly), "--r", "2"], capsys)
     assert code == 2 and "not 2" in err and not out
+
+
+@pytest.mark.parametrize("exc,code", [
+    (errors.TooLarge("too large"), 3),
+    (errors.DegenerateDraw("no draw"), 4),
+    (errors.LocusMismatch("mismatch"), 5),
+    (errors.VerificationFailure("refused"), 5),
+    (errors.BadParams("bad"), 2),
+    (errors.NotInSet("absent"), 2),
+    (ValueError("value"), 2),
+    (FileNotFoundError("missing"), 2),
+])
+def test_exit_code_of_each_error(fixture_files, monkeypatch, exc, code, capsys):
+    base, prefix = fixture_files
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "defect", fail)
+    assert run_cli(["defect", prefix + ".points", "--xi", "2"], capsys) == (code, "", f"error: {exc}\n")
+
+
+def test_unexpected_error_propagates(fixture_files, monkeypatch):
+    base, prefix = fixture_files
+
+    def fail(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "defect", fail)
+    with pytest.raises(KeyError):
+        main(["defect", prefix + ".points", "--xi", "2"])
 
 
 def test_defect_subcommand(fixture_files, capsys):

@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 from math import ceil, floor, lcm
 
 import pytest
 
 from factlab.criteria import (
+    _candidate_planes,
     app_ci1,
     app_ci2,
     app_double_hypersurface,
@@ -17,7 +19,9 @@ from factlab.criteria import (
 )
 from factlab.errors import BadParams, VerificationFailure
 from factlab.fields import GF
-from factlab.poly import parse_poly, random_homo
+from factlab.linalg import rank
+from factlab.poly import make_poly, parse_poly, random_homo
+from factlab.projgeom import canonicalize, point_set
 from factlab.sing_locus import singular_points
 
 
@@ -187,6 +191,82 @@ def test_detector_on_constructed_instance():
     assert witness is not None
     assert witness.verify(f)
     assert witness.ell.to_text() == "x"
+
+
+# --- candidate planes through a heavy line -------------------------------------
+
+_UNITS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+
+
+def _coeffs(plane):
+    return tuple(plane.coeff(e) for e in _UNITS)
+
+
+def _collinear_nodes(p, k, rng):
+    """k seeded points of a seeded line of P^3(F_p), in random order."""
+    F = GF(p)
+    while True:
+        a, b = ([rng.randrange(p) for _ in range(4)] for _ in range(2))
+        if rank([a, b], F) == 2:
+            break
+    line = [canonicalize(b, F)]
+    line += [canonicalize([(x + t * y) % p for x, y in zip(a, b)], F) for t in range(p)]
+    return point_set(rng.sample(line, k))
+
+
+def _brute_force_planes(sing, r2, p):
+    """Coefficient vectors of every plane of P^3(F_p) holding more than r2
+    of the points: pivot position ascending, then lex on the rest."""
+    out = []
+    for pivot in range(4):
+        for tail in itertools.product(range(p), repeat=3 - pivot):
+            c = (0,) * pivot + (1,) + tail
+            held = sum(1 for pt in sing if sum(a * x for a, x in zip(c, pt.coords)) % p == 0)
+            if held > r2:
+                out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_candidate_planes_through_a_heavy_line_match_brute_force(p):
+    # collinear nodes span no plane, so only the line step can find planes:
+    # with more than 2r nodes on the line they are the p+1 planes through it
+    rng = random.Random(p)
+    F = GF(p)
+    for r in (2, 3):
+        f = make_poly(4, 2 * r, {(2 * r, 0, 0, 0): 1}, F)
+        for k in sorted({2 * r, 2 * r + 1, p + 1}):
+            if k > p + 1:
+                continue
+            for _ in range(2):
+                sing = _collinear_nodes(p, k, rng)
+                want = _brute_force_planes(sing, 2 * r, p)
+                assert [_coeffs(ell) for ell in _candidate_planes(f, sing)] == want
+                assert len(want) == (p + 1 if k > 2 * r else 0)
+
+
+def test_candidate_planes_beyond_p_31():
+    p = 101
+    sing = _collinear_nodes(p, 5, random.Random(3))
+    f = make_poly(4, 4, {(4, 0, 0, 0): 1}, GF(p))
+    coeffs = [_coeffs(ell) for ell in _candidate_planes(f, sing)]
+    assert len(set(coeffs)) == p + 1
+    for c in coeffs:
+        pivot = next(i for i, a in enumerate(c) if a)
+        assert c[pivot] == 1 and all(sum(a * x for a, x in zip(c, pt.coords)) % p == 0 for pt in sing)
+    assert coeffs == sorted(coeffs, key=lambda c: (next(i for i, a in enumerate(c) if a), c))
+
+
+def test_classify_finds_the_witness_on_a_singular_line_beyond_p_31():
+    # f = g_5^2 - x * g_9 with g_5, g_9 in (x, y) is singular exactly along
+    # the line x = y = 0 for this seed: 38 collinear nodes, no triple plane
+    F = GF(37)
+    x, y = parse_poly("x", 4, F), parse_poly("y", 4, F)
+    a, b, c, d = (random_homo(4, deg, F, 35014 + i) for i, deg in enumerate((4, 4, 8, 8)))
+    f = (x * a + y * b) * (x * a + y * b) - x * (x * c + y * d)
+    verdict = hong_park_classify(f, 5)
+    assert (verdict.status, verdict.nsing) == ("nonfactorial_structured", 38)
+    assert verdict.witness.ell.to_text() == "x" and verdict.witness.verify(f)
 
 
 def test_detector_none_on_smooth():

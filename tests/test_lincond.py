@@ -216,6 +216,26 @@ def test_incidence_certificate():
         incidence_bound_from_intersection(wrong, [g1, g2])
 
 
+def test_bese_hypothesis_lines_from_an_incidence_certificate():
+    # the 4 x 4 grid cut out by x(x-z)(x-2z)(x-3z) and y(y-z)(y-2z)(y-3z):
+    # at xi = 5 its 16 points exceed the k = 3 and k = 4 bounds 13 and 14, so
+    # those lines read the certified bound 4k: 12 <= 13 holds, 16 <= 14 not
+    F = GF(11)
+    gx = parse_poly("x^4 - 6*x^3*z + 11*x^2*z^2 - 6*x*z^3", 3, F)
+    gy = parse_poly("y^4 - 6*y^3*z + 11*y^2*z^2 - 6*y*z^3", 3, F)
+    sigma = point_set([canonicalize([a, b, 1], F) for a in range(4) for b in range(4)])
+    cert = incidence_bound_from_intersection(sigma, [gx, gy])
+    rep = bese_check(sigma, 5, incidence_cert=cert, scan=False)
+    assert rep.hypothesis_detail[-2:] == [
+        ("k=3: certified nu_3 <= 12, need <= 13", "yes"),
+        ("k=4: certified nu_4 <= 16, need <= 14", "unknown"),
+    ]
+    assert rep.hypotheses_hold == "unknown"
+    # without the certificate neither line is decided
+    plain = bese_check(sigma, 5, scan=False)
+    assert [v for _, v in plain.hypothesis_detail[-2:]] == ["unknown", "unknown"]
+
+
 def test_bese_xi_too_small():
     with pytest.raises(XiTooSmall):
         bese_check(conic_points(11, 4), 2)

@@ -29,6 +29,12 @@ from factlab.sing_locus import (
 )
 
 
+def test_nodal_instance_dimension_from_its_forms(ci_22):
+    f = parse_poly("x^2 + y*z", 4, GF(7))
+    assert NodalInstance([f], singular_points(f)).ambient_dim == 3
+    assert ci_22.ambient_dim == 5
+
+
 def test_fermat_quartic_smooth():
     f = parse_poly("x^4 + y^4 + z^4 + w^4", 4, GF(101))
     assert len(singular_points(f)) == 0
@@ -38,7 +44,7 @@ def test_quadric_cone_vertex():
     f = parse_poly("x^2 + y^2 + z^2", 4, GF(101))
     sing = singular_points(f)
     assert [q.coords for q in sing] == [(0, 0, 0, 1)]
-    inst = verify_nodal(NodalInstance([f], 3, sing))
+    inst = verify_nodal(NodalInstance([f], sing))
     assert inst.node_flags == [True] and inst.clean
 
 
@@ -72,7 +78,7 @@ def test_positive_dimensional_locus_flagged():
     f = parse_poly("x^2*w^2", 4, F)  # singular along two planes
     sing = singular_points(f)
     assert len(sing) >= 101
-    inst = verify_nodal(NodalInstance([f], 3, sing))
+    inst = verify_nodal(NodalInstance([f], sing))
     assert not inst.clean
     assert inst.isolated_warning is not None
 
@@ -81,11 +87,11 @@ def test_node_flags_invariant_under_linear_change():
     F = GF(101)
     f = parse_poly("x^2 + y*z", 4, F)  # cone over a smooth quadric
     sing = singular_points(f)
-    flags = verify_nodal(NodalInstance([f], 3, sing)).node_flags
+    flags = verify_nodal(NodalInstance([f], sing)).node_flags
     M = [[1, 0, 2, 0], [3, 1, 0, 0], [0, 0, 1, 1], [0, 5, 0, 1]]
     g = linear_change(f, M)
     sing_g = singular_points(g)
-    flags_g = verify_nodal(NodalInstance([g], 3, sing_g)).node_flags
+    flags_g = verify_nodal(NodalInstance([g], sing_g)).node_flags
     assert sorted(flags) == sorted(flags_g)
     assert len(sing) == len(sing_g) == 1
 
@@ -125,10 +131,10 @@ def test_verify_nodal_builds_each_hessian_once(monkeypatch, double_solid_r2, ci_
         return original(f)
 
     monkeypatch.setattr(sl, "hessian", counting)
-    inst = verify_nodal(NodalInstance(double_solid_r2.defining, 3, double_solid_r2.sing))
+    inst = verify_nodal(NodalInstance(double_solid_r2.defining, double_solid_r2.sing))
     assert len(inst.sing) == 6 and inst.clean and len(built) == 1
     built.clear()
-    inst = verify_nodal(NodalInstance(ci_22.defining, ci_22.ambient_dim, ci_22.sing))
+    inst = verify_nodal(NodalInstance(ci_22.defining, ci_22.sing))
     assert len(inst.sing) > 1 and inst.clean and len(built) == 2
 
 
@@ -176,7 +182,7 @@ def test_node_flags_match_hessian_rank_at():
         for (f,) in _moved(case, rng):
             n = f.nvars - 1
             sing = singular_points(f)
-            flags = verify_nodal(NodalInstance([f], n, sing)).node_flags
+            flags = verify_nodal(NodalInstance([f], sing)).node_flags
             assert flags == [hessian_rank_at(f, pt) == n for pt in sing]
             charts[n] |= _charts(sing)
             flags_seen |= set(flags)
@@ -220,9 +226,8 @@ def test_ci_node_flags_match_reference(ci_22, ci_32):
     flags_seen = set()
     for case in cases:
         for F, G in _moved(case, rng):
-            n = F.nvars - 1
             sing = ci_singular_points(F, G)
-            flags = verify_nodal(NodalInstance([F, G], n, sing)).node_flags
+            flags = verify_nodal(NodalInstance([F, G], sing)).node_flags
             assert flags == [_ci_node_reference(F, G, pt) for pt in sing]
             flags_seen |= set(flags)
     assert flags_seen == {True, False}
@@ -238,7 +243,7 @@ def test_verify_nodal_not_singular_like_node_rank():
     with pytest.raises(NotSingular) as want:
         hessian_rank_at(f, smooth[0])
     with pytest.raises(NotSingular) as got:
-        verify_nodal(NodalInstance([f], 3, point_set([vertex] + smooth)))
+        verify_nodal(NodalInstance([f], point_set([vertex] + smooth)))
     assert str(got.value) == str(want.value) == "gradient nonzero at (0, 1, 10, 0)"
 
 
@@ -246,7 +251,7 @@ def test_verify_nodal_refuses_rational_field():
     f = parse_poly("x^2 + y^2 + z^2", 4, QQ)
     vertex = ProjPoint(tuple(Fraction(c) for c in (0, 0, 0, 1)), QQ)
     with pytest.raises(ValueError, match="prime field"):
-        verify_nodal(NodalInstance([f], 3, point_set([vertex])))
+        verify_nodal(NodalInstance([f], point_set([vertex])))
 
 
 def test_node_checks_evaluate_no_point_alone(monkeypatch, ci_22):
@@ -270,11 +275,11 @@ def test_node_checks_evaluate_no_point_alone(monkeypatch, ci_22):
                         monkeypatch.setattr(mod, key, counting)
     q = parse_poly("x*y - z*w", 4, GF(101))
     sing = singular_points(q * q)
-    inst = verify_nodal(NodalInstance([q * q], 3, sing))
+    inst = verify_nodal(NodalInstance([q * q], sing))
     assert len(sing) == 102**2 and not any(inst.node_flags)
     F, G = ci_22.defining
     sing = ci_singular_points(F, G)
-    inst = verify_nodal(NodalInstance([F, G], ci_22.ambient_dim, sing))
+    inst = verify_nodal(NodalInstance([F, G], sing))
     assert len(sing) == len(ci_22.sing) and inst.clean
     assert calls == []
 

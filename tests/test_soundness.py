@@ -1,5 +1,6 @@
 """Soundness checks must hold under python -O, so the package uses no
-assert statement: every check raises a FactlabError instead."""
+assert statement: every check raises a FactlabError instead.  Every import
+sits at module level, where a cycle or a missing module shows at once."""
 
 import ast
 import os
@@ -19,6 +20,17 @@ def test_no_assert_statement_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements: {found}"
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"imports inside functions: {found}"
 
 
 def test_failed_certificate_refused_under_optimize():
