@@ -339,34 +339,44 @@ def hong_park_classify(
 ) -> HongParkVerdict:
     """Classify a nodal surface of degree 2r in P^3: defect 0 at 3r-4 means
     factorial (mod-p evidence); positive defect triggers the structural
-    detector for the equation g_r^2 = g_1 * g_{2r-1}."""
+    detector for the equation g_r^2 = g_1 * g_{2r-1}.
+
+    The status assumes the singular points are nodes.  When some are not,
+    the note says how many, followed by the isolation warning if any.
+    """
     if f.degree != 2 * r:
         raise BadParams(f"degree {f.degree} != 2r = {2 * r}")
     sing = singular_points(f, scan_cap=scan_cap)
     inst = verify_nodal(NodalInstance([f], sing))
+    caveat = ""
+    if not inst.clean:
+        nonnodes = inst.node_flags.count(False)
+        caveat = f"; {nonnodes} of {len(sing)} singular points are not ordinary double points"
+        if inst.isolated_warning:
+            caveat += f"; {inst.isolated_warning}"
     cap = (2 * r - 1) * r + 1
     if len(sing) > cap:
         return HongParkVerdict(
             "out_of_range", r, len(sing), None, None,
-            note=f"|Sing| = {len(sing)} > (2r-1)r+1 = {cap}",
+            note=f"|Sing| = {len(sing)} > (2r-1)r+1 = {cap}" + caveat,
         )
     if not sing.points:
         return HongParkVerdict("factorial", r, 0, 0, None, note="smooth (mod-p evidence)")
     rep = defect(sing, 3 * r - 4)
     if rep.defect == 0:
         return HongParkVerdict(
-            "factorial", r, len(sing), 0, None, note="defect 0 (mod-p evidence)"
+            "factorial", r, len(sing), 0, None, note="defect 0 (mod-p evidence)" + caveat
         )
     witness = detect_nodal_surface_form(f, sing)
     if witness is not None:
         return HongParkVerdict(
             "nonfactorial_structured", r, len(sing), rep.defect, witness,
-            note="defect >= 1 with structural witness (mod-p evidence)",
+            note="defect >= 1 with structural witness (mod-p evidence)" + caveat,
         )
     return HongParkVerdict(
         "nonfactorial_unstructured", r, len(sing), rep.defect, None,
         note=(
             "defect >= 1 but no witness found among candidate planes; "
-            "either a detector miss or a mod-p artifact (mod-p evidence)"
+            "either a detector miss or a mod-p artifact (mod-p evidence)" + caveat
         ),
     )

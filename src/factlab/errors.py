@@ -45,14 +45,6 @@ class NotSingular(FactlabError):
     """Gradient does not vanish at the given point."""
 
 
-class CharTooSmall(FactlabError):
-    """Field characteristic too small for the requested computation."""
-
-
-class CharTwo(FactlabError):
-    """Square roots are not supported in characteristic 2."""
-
-
 class OddDegree(FactlabError):
     """Square root of an odd-degree form requested."""
 

@@ -144,6 +144,17 @@ def _line_section_nodes(
     return [pt for grp in chosen for pt in grp]
 
 
+def _random_combination(kernel: Sequence[Sequence], ncols: int, field: FieldSpec, rng: SplitMix64) -> List:
+    """Seeded combination of the kernel vectors: one rng.below(p) per vector."""
+    coeffs = [field.zero] * ncols
+    for vec in kernel:
+        c = field.of_int(rng.below(field.p))
+        for j, v in enumerate(vec):
+            if v:
+                coeffs[j] = field.add(coeffs[j], field.mul(c, v))
+    return coeffs
+
+
 def _random_form_through(
     nvars: int,
     degree: int,
@@ -158,12 +169,7 @@ def _random_form_through(
     kernel = nullspace(rows, len(basis), field)
     if not kernel:
         return None
-    coeffs = [field.zero] * len(basis)
-    for vec in kernel:
-        c = field.of_int(rng.below(field.p))
-        for j, v in enumerate(vec):
-            if v:
-                coeffs[j] = field.add(coeffs[j], field.mul(c, v))
+    coeffs = _random_combination(kernel, len(basis), field, rng)
     if not any(coeffs):
         # last resort inside the draw: take the first kernel vector
         coeffs = kernel[0]
@@ -362,13 +368,8 @@ def gen_ci_nonfactorial(
         return nullspace(mat, 3 * len(basis_t), field), basis_t
 
     def _random_syzygy_row(kernel, basis_t, deg, rng):
-        coeffs = [field.zero] * (3 * len(basis_t))
-        for vec in kernel:
-            c = field.of_int(rng.below(p))
-            for j, v in enumerate(vec):
-                if v:
-                    coeffs[j] = field.add(coeffs[j], field.mul(c, v))
         nt = len(basis_t)
+        coeffs = _random_combination(kernel, 3 * nt, field, rng)
         return [
             make_poly(3, deg, {mo: c for mo, c in zip(basis_t, coeffs[i * nt:(i + 1) * nt]) if c}, field)
             for i in range(3)

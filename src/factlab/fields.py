@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Union
 
-from .errors import CharTwo, NotPrime, PolySyntaxError
+from .errors import NotPrime, PolySyntaxError
 
 Scalar = Union[int, Fraction]
 
@@ -113,8 +113,6 @@ class FieldSpec:
         Rational case: exact integer square roots of numerator/denominator.
         """
         if self.is_prime_field:
-            if self.p == 2:
-                raise CharTwo("no square-root oracle in characteristic 2")
             a %= self.p
             if a == 0:
                 return 0

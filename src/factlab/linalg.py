@@ -1,14 +1,16 @@
-"""Exact linear algebra: modular elimination over F_p, fraction-free
-(Bareiss-style cross-multiplication) elimination over QQ.
+"""Exact linear algebra over F_p and QQ: one incremental elimination.
 
-Matrices are lists of lists of field elements.  The incremental RowSpace
-is the workhorse: rows are fed in order, each either extends the echelon
+Matrices are lists of lists of field elements.  RowSpace is the package's
+only row reduction: rows are fed in order, each either extends the echelon
 basis or is reported dependent, which is exactly what defect reports and
-base-point scans need.
+base-point scans need.  rref, nullspace, solve and rank all read it.
+bareiss_rank is an independent fraction-free elimination over QQ, kept as
+the oracle tests compare against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -17,11 +19,10 @@ from .fields import FieldSpec, Scalar
 
 
 class RowSpace:
-    """Incremental echelon basis over a field.
+    """Incremental echelon basis over a field, pivots scaled to 1.
 
-    Prime fields: rows are reduced mod p with pivots normalized to 1.
-    Rationals: rows are kept as integer vectors and eliminated by
-    cross-multiplication (fraction-free), with a gcd squeeze per row.
+    Each input row is reduced on entry: int(x) % p over F_p, Fraction(x)
+    over QQ.  Basis rows are kept sorted by pivot column.
     """
 
     def __init__(self, ncols: int, field: FieldSpec):
@@ -34,56 +35,44 @@ class RowSpace:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, row: List) -> List:
-        f = self.field
-        if f.is_prime_field:
-            p = f.p
+    def _reduce(self, row: Sequence, first: int = 0) -> List:
+        """A new list: row reduced against the basis rows from index first on.
+
+        The two fields keep separate loops: a per-entry test of the field
+        would slow the mod-p loop, which every workload runs.
+        """
+        ncols = self.ncols
+        basis = zip(self.pivots[first:], self.rows[first:])
+        p = self.field.p
+        if p:
             row = [int(x) % p for x in row]
-            for piv, basis in zip(self.pivots, self.rows):
+            for piv, brow in basis:
                 c = row[piv]
                 if c:
-                    for j in range(piv, self.ncols):
-                        row[j] = (row[j] - c * basis[j]) % p
+                    for j in range(piv, ncols):
+                        row[j] = (row[j] - c * brow[j]) % p
             return row
-        # rational path: clear denominators, then cross-multiply
-        den = 1
-        for x in row:
-            fx = Fraction(x)
-            den = den * fx.denominator // gcd(den, fx.denominator)
-        irow = [int(Fraction(x) * den) for x in row]
-        for piv, basis in zip(self.pivots, self.rows):
-            c = irow[piv]
+        row = [Fraction(x) for x in row]
+        for piv, brow in basis:
+            c = row[piv]
             if c:
-                b = basis[piv]
-                irow = [b * r - c * s for r, s in zip(irow, basis)]
-        g = 0
-        for x in irow:
-            g = gcd(g, x)
-        if g > 1:
-            irow = [x // g for x in irow]
-        return irow
-
-    def residual(self, row: Sequence) -> List:
-        """Row reduced against the current basis (zero iff dependent)."""
-        return self._reduce(list(row))
+                for j in range(piv, ncols):
+                    row[j] -= c * brow[j]
+        return row
 
     def contains(self, row: Sequence) -> bool:
-        return not any(self.residual(row))
+        return not any(self._reduce(row))
 
     def add(self, row: Sequence) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        red = self._reduce(list(row))
+        red = self._reduce(row)
         piv = next((j for j, x in enumerate(red) if x), None)
         if piv is None:
             return False
-        f = self.field
-        if f.is_prime_field:
-            inv = f.inv(red[piv])
-            red = [(x * inv) % f.p for x in red]
-        elif red[piv] < 0:
-            red = [-x for x in red]
-        # keep basis rows sorted by pivot for deterministic reduction
-        idx = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        inv = self.field.inv(red[piv])
+        p = self.field.p
+        red = [x * inv % p for x in red] if p else [x * inv for x in red]
+        idx = bisect(self.pivots, piv)
         self.pivots.insert(idx, piv)
         self.rows.insert(idx, red)
         return True
@@ -108,30 +97,21 @@ def rank(matrix: Sequence[Sequence], field: FieldSpec) -> int:
 
 
 def rref(matrix: Sequence[Sequence], field: FieldSpec) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form with field arithmetic (Fractions over QQ)."""
-    rows = [[x for x in row] for row in matrix]
-    if not rows:
+    """Reduced row echelon form: the rank nonzero rows (pivots 1), then
+    len(matrix) - rank zero rows, and the pivot columns."""
+    if not matrix:
         return [], []
-    ncols = len(rows[0])
-    f = field
-    pivots: List[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = f.inv(rows[r][col])
-        rows[r] = [f.mul(x, inv) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    ncols = len(matrix[0])
+    space = RowSpace(ncols, field)
+    for row in matrix:
+        space.add(row)
+    rows = space.rows
+    # clear each pivot column upward, last pivot first: the rows below row k
+    # are already reduced, so one pass against them reduces row k
+    for k in range(len(rows) - 2, -1, -1):
+        rows[k] = space._reduce(rows[k], k + 1)
+    rows += [[field.zero] * ncols for _ in range(len(matrix) - len(rows))]
+    return rows, space.pivots
 
 
 def nullspace(matrix: Sequence[Sequence], ncols: int, field: FieldSpec) -> List[List[Scalar]]:

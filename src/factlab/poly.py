@@ -16,8 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     BadChart,
-    CharTooSmall,
-    CharTwo,
     FieldMismatch,
     NotHomogeneous,
     NotSingular,
@@ -367,13 +365,11 @@ def node_rank(grads: Sequence[HomoPoly], H: List[List[HomoPoly]], coords: Sequen
     """Rank of hessian_block(H, coords) at a point where every form in grads
     (the gradient whose Jacobian is H) vanishes.
 
-    Raises NotSingular when the gradient does not vanish there, CharTooSmall
-    in characteristic 2.  sing_locus.verify_nodal takes the same test on
-    blocks of points at once; this per-point form is its oracle in tests.
+    Raises NotSingular when the gradient does not vanish there.
+    sing_locus.verify_nodal takes the same test on blocks of points at once;
+    this per-point form is its oracle in tests.
     """
     fld = grads[0].field
-    if fld.is_prime_field and fld.p == 2:
-        raise CharTooSmall("Hessian rank test unreliable in characteristic 2")
     for g in grads:
         if eval_poly(g, coords):
             raise NotSingular(f"gradient nonzero at {tuple(coords)}")
@@ -385,7 +381,7 @@ def hessian_rank_at(f: HomoPoly, point) -> int:
     pivot coordinate.
 
     point is a ProjPoint (anything with .coords).  Raises NotSingular when the
-    gradient does not vanish there, CharTooSmall in characteristic 2.
+    gradient does not vanish there.
     """
     return node_rank(gradient(f), hessian(f), tuple(point.coords))
 
@@ -473,8 +469,6 @@ def poly_sqrt(f: HomoPoly):
     fld = f.field
     if f.degree % 2:
         raise OddDegree(f"degree {f.degree} is odd")
-    if fld.is_prime_field and fld.p == 2:
-        raise CharTwo("no square roots in characteristic 2")
     if f.is_zero():
         return zero_poly(f.nvars, f.degree // 2, fld)
     lead_f = f.leading_monomial()

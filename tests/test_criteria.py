@@ -269,6 +269,23 @@ def test_classify_finds_the_witness_on_a_singular_line_beyond_p_31():
     assert verdict.witness.ell.to_text() == "x" and verdict.witness.verify(f)
 
 
+def test_classify_names_singular_points_that_are_not_nodes():
+    # x^2*a + x*y*b + y^2*c is singular along the line x = y = 0: 6 points
+    # over F_5, none an ordinary double point
+    F = GF(5)
+    x, y = parse_poly("x", 4, F), parse_poly("y", 4, F)
+    for s in range(3):
+        a, b, c = (random_homo(4, 2, F, 100 * s + i) for i in range(3))
+        verdict = hong_park_classify(x * x * a + x * y * b + y * y * c, 2)
+        assert (verdict.status, verdict.nsing) == ("nonfactorial_unstructured", 6)
+        assert verdict.note.endswith("; 6 of 6 singular points are not ordinary double points")
+    # a double quadric: 64 singular points over F_7 set off the isolation warning
+    q = parse_poly("x*y - z*w", 4, GF(7))
+    verdict = hong_park_classify(q * q, 2)
+    assert verdict.status == "out_of_range"
+    assert "; 64 of 64 singular points are not ordinary double points; NotIsolated: 64" in verdict.note
+
+
 def test_detector_none_on_smooth():
     F = GF(101)
     f = parse_poly("x^4 + y^4 + z^4 + w^4", 4, F)
@@ -281,6 +298,7 @@ def test_hong_park_fixture(double_solid_r2):
     v = hong_park_classify(f, 2)
     assert v.status == "nonfactorial_structured"
     assert v.defect == 1 and v.nsing == 6
+    assert v.note == "defect >= 1 with structural witness (mod-p evidence)"
     w = v.witness
     assert (w.g_r * w.g_r - w.ell * w.g_2r1 - f).is_zero()
 

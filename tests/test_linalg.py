@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from factlab.fields import GF, QQ
 from factlab.linalg import (
     RowSpace,
@@ -95,3 +97,84 @@ def test_solve():
 def test_solve_rational():
     x = solve([[Fraction(1, 2), 1]], [Fraction(5, 2)], QQ)
     assert Fraction(1, 2) * x[0] + x[1] == Fraction(5, 2)
+
+
+def _gauss_jordan(matrix, p):
+    """Textbook reduced row echelon form, written apart from factlab.linalg;
+    p = 0 means QQ."""
+    norm = (lambda x: int(x) % p) if p else Fraction
+    rows = [[norm(x) for x in row] for row in matrix]
+    ncols = len(rows[0])
+    pivots, r = [], 0
+    for col in range(ncols):
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][col], -1, p) if p else 1 / rows[r][col]
+        rows[r] = [norm(x * inv) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [norm(x - c * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows, pivots
+
+
+def _dot(row, vec, p):
+    s = sum(Fraction(a) * Fraction(b) for a, b in zip(row, vec))
+    return s % p if p else s
+
+
+def _seeded_matrix(rng, p):
+    """Random rows, an all-zero row in a seeded place, and last the sum of
+    two earlier rows (unreduced mod p)."""
+    nrows, ncols = 2 + rng.below(5), 1 + rng.below(7)
+    m = _random_matrix(rng, nrows, ncols, p)
+    m.insert(rng.below(nrows + 1), [0] * ncols)
+    i, j = rng.below(nrows + 1), rng.below(nrows + 1)
+    m.append([a + b for a, b in zip(m[i], m[j])])
+    return m
+
+
+@pytest.mark.parametrize("p", [5, 101, 2**31 - 1, 0])
+def test_rref_nullspace_solve_match_gauss_jordan_oracle(p):
+    F = GF(p) if p else QQ
+    rng = SplitMix64(40 + p % 97)
+    for trial in range(40):
+        m = _seeded_matrix(rng, p)
+        ncols = len(m[0])
+        R, pivots = rref(m, F)
+        assert (R, pivots) == _gauss_jordan(m, p)
+        r = rank(m, F)
+        assert r == len(pivots) < len(m)
+        ns = nullspace(m, ncols, F)
+        assert len(ns) == ncols - r
+        assert all(_dot(row, v, p) == 0 for row in m for v in ns)
+        x_true = _random_matrix(rng, 1, ncols, p)[0]
+        rhs = [_dot(row, x_true, p) for row in m]
+        x = solve(m, rhs, F)
+        assert [_dot(row, x, p) for row in m] == rhs
+        # the last row is the sum of two others: break its equation
+        bad = rhs[:-1] + [rhs[-1] + 1]
+        assert solve(m, bad, F) is None
+
+
+def test_unreduced_entries_give_the_answers_of_the_reduced_rows():
+    F = GF(101)
+    assert rref([[101, 1], [0, 0]], F) == ([[0, 1], [0, 0]], [1])
+    assert nullspace([[101, 1]], 2, F) == [[1, 0]]
+    assert solve([[-101, 2]], [1], F) == [0, 51]
+    rng = SplitMix64(9)
+    for trial in range(30):
+        m = _random_matrix(rng, 1 + rng.below(4), 1 + rng.below(5), p=101)
+        rhs = [rng.below(101) for _ in m]
+        # entries shifted by -101, 0 or 101, so some are negative or ≡ 0 but not 0
+        shifted = [[x + 101 * (rng.below(3) - 1) for x in row] for row in m]
+        shifted_rhs = [b - 101 * rng.below(2) for b in rhs]
+        assert rref(shifted, F) == rref(m, F)
+        ns = nullspace(shifted, len(m[0]), F)
+        assert ns == nullspace(m, len(m[0]), F)
+        assert all(_dot(row, v, 101) == 0 for row in shifted for v in ns)
+        assert solve(shifted, shifted_rhs, F) == solve(m, rhs, F)
