@@ -203,7 +203,6 @@ def cmd_gen(args) -> int:
         d=args.d,
         m=args.m,
         k=args.k,
-        max_retries=args.max_retries,
     )
     inst = fam.generate(spec, scan_cap=args.scan_cap)
     prefix = args.prefix
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", default="Fp:101")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--prefix", default="family")
-    sp.add_argument("--max-retries", type=int, default=5, dest="max_retries")
     common(sp)
     scanning(sp)
     sp.set_defaults(func=cmd_gen)

@@ -17,14 +17,14 @@ from math import ceil, floor
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadParams, VerificationFailure
-from .linalg import nullspace
+from .linalg import combine, nullspace
 from .lincond import defect, secant_lines
 from .poly import (
     HomoPoly,
     divide_by_linear,
     embed_poly,
     eval_poly,
-    make_poly,
+    form_from_coeffs,
     monomial_basis,
     poly_sqrt,
     restrict_to_plane,
@@ -239,7 +239,7 @@ def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
     for triple in itertools.combinations(sing.points, 3):
         sols = nullspace([p.coords for p in triple], 4, field)
         if len(sols) == 1:
-            form = _plane(sols[0], field)
+            form = form_from_coeffs(_PLANE_BASIS, sols[0], field)
             key = tuple(sorted(form.terms.items()))
             if key not in planes and sum(1 for pt in sing if not eval_poly(form, pt.coords)) > r2:
                 planes[key] = form
@@ -249,16 +249,11 @@ def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
     for key, (_, mask) in secant_lines(sing.points, field).items():
         if mask.bit_count() > r2:
             u, v = nullspace(key, 4, field)
-            pencil = [v] + [[field.add(a, field.mul(t, b)) for a, b in zip(u, v)]
-                            for t in range(field.p)]
+            pencil = [v] + [combine([field.one, t], (u, v), field) for t in range(field.p)]
             through_lines.update(canonicalize(c, field).coords for c in pencil)
     # enumerate_projective order: pivot position first, then lex
     order = sorted(through_lines, key=lambda c: (next(i for i, x in enumerate(c) if x), c))
-    return [_plane(c, field) for c in order]
-
-
-def _plane(coeffs, field) -> HomoPoly:
-    return make_poly(4, 1, {m: c for m, c in zip(_PLANE_BASIS, coeffs) if c}, field)
+    return [form_from_coeffs(_PLANE_BASIS, c, field) for c in order]
 
 
 def detect_nodal_surface_form(
@@ -344,6 +339,8 @@ def hong_park_classify(
     The status assumes the singular points are nodes.  When some are not,
     the note says how many, followed by the isolation warning if any.
     """
+    if r < 2:
+        raise BadParams("need r >= 2")
     if f.degree != 2 * r:
         raise BadParams(f"degree {f.degree} != 2r = {2 * r}")
     sing = singular_points(f, scan_cap=scan_cap)

@@ -19,21 +19,20 @@ import numpy as np
 
 from .errors import BadParams, DegenerateDraw
 from .fields import FieldSpec
-from .lincond import point_row
-from .linalg import nullspace
+from .linalg import combine, nullspace
 from .poly import (
     HomoPoly,
     embed_poly,
     eval_poly,
+    form_from_coeffs,
     gradient,
     make_poly,
     monomial_basis,
+    point_row,
     random_homo,
-    zero_poly,
 )
 from .projgeom import (
     DEFAULT_SCAN_CAP,
-    PointSet,
     ProjPoint,
     canonicalize,
     enumerate_projective,
@@ -57,7 +56,6 @@ class FamilySpec:
     d: Optional[int] = None
     m: Optional[int] = None
     k: Optional[int] = None
-    max_retries: int = 5
 
     def __post_init__(self):
         if self.family == "double_solid_eq15":
@@ -77,6 +75,7 @@ class FamilySpec:
 
 # --- shared helpers ------------------------------------------------------
 
+_ATTEMPTS = 5  # seeds spec.seed, spec.seed + 1, ... tried per generate call
 _LINE_SECTION_ATTEMPTS = 500  # random secants tried per _line_section_nodes call
 
 
@@ -94,10 +93,7 @@ def _line_points_on_curve(curve: HomoPoly, a: ProjPoint, b: ProjPoint, p: int) -
     if not eval_poly(curve, b.coords):
         pts.append(b)
     for t in range(p):
-        q = canonicalize(
-            [field.add(x, field.mul(field.of_int(t), y)) for x, y in zip(a.coords, b.coords)],
-            field,
-        )
+        q = canonicalize(combine([field.one, t], [a.coords, b.coords], field), field)
         if not eval_poly(curve, q.coords):
             pts.append(q)
     return pts
@@ -144,15 +140,10 @@ def _line_section_nodes(
     return [pt for grp in chosen for pt in grp]
 
 
-def _random_combination(kernel: Sequence[Sequence], ncols: int, field: FieldSpec, rng: SplitMix64) -> List:
-    """Seeded combination of the kernel vectors: one rng.below(p) per vector."""
-    coeffs = [field.zero] * ncols
-    for vec in kernel:
-        c = field.of_int(rng.below(field.p))
-        for j, v in enumerate(vec):
-            if v:
-                coeffs[j] = field.add(coeffs[j], field.mul(c, v))
-    return coeffs
+def _random_combination(kernel: Sequence[Sequence], field: FieldSpec, rng: SplitMix64) -> List:
+    """Seeded combination of the kernel vectors: one rng.below(p) per vector,
+    drawn in kernel order."""
+    return combine([rng.below(field.p) for _ in kernel], kernel, field)
 
 
 def _random_form_through(
@@ -169,11 +160,11 @@ def _random_form_through(
     kernel = nullspace(rows, len(basis), field)
     if not kernel:
         return None
-    coeffs = _random_combination(kernel, len(basis), field, rng)
+    coeffs = _random_combination(kernel, field, rng)
     if not any(coeffs):
         # last resort inside the draw: take the first kernel vector
         coeffs = kernel[0]
-    return make_poly(nvars, degree, {m: c for m, c in zip(basis, coeffs) if c}, field)
+    return form_from_coeffs(basis, coeffs, field)
 
 
 def _plane_pair(
@@ -224,7 +215,7 @@ def _verified(spec: FamilySpec, build, expected: int) -> NodalInstance:
     each seed's reason: no draw, or its singular point count and how many
     of those points are not ordinary double points."""
     observed, reasons = [], []
-    for attempt in range(spec.max_retries):
+    for attempt in range(_ATTEMPTS):
         seed = (spec.seed + attempt) & (2**64 - 1)
         inst = build(seed)
         if inst is None:
@@ -364,16 +355,13 @@ def gen_ci_nonfactorial(
                 col = gi * len(basis_t) + bj
                 for gm, gc in g.terms.items():
                     row = idx[tuple(a + b for a, b in zip(gm, mo))]
-                    mat[row][col] = field.add(mat[row][col], gc)
+                    mat[row][col] = gc
         return nullspace(mat, 3 * len(basis_t), field), basis_t
 
-    def _random_syzygy_row(kernel, basis_t, deg, rng):
+    def _random_syzygy_row(kernel, basis_t, rng):
         nt = len(basis_t)
-        coeffs = _random_combination(kernel, 3 * nt, field, rng)
-        return [
-            make_poly(3, deg, {mo: c for mo, c in zip(basis_t, coeffs[i * nt:(i + 1) * nt]) if c}, field)
-            for i in range(3)
-        ]
+        coeffs = _random_combination(kernel, field, rng)
+        return [form_from_coeffs(basis_t, coeffs[i * nt:(i + 1) * nt], field) for i in range(3)]
 
     def _plane_degeneracy_count(row1, row2):
         (a_, b_, c_), (d_, e_, h_) = row1, row2
@@ -391,16 +379,13 @@ def gen_ci_nonfactorial(
         gen_vecs = nullspace(rows, len(basis_s), field)
         if len(gen_vecs) != 3:
             return None  # non-generic Hilbert function for this (m, k)
-        gens = [
-            make_poly(3, s, {mo: c for mo, c in zip(basis_s, v) if c}, field)
-            for v in gen_vecs
-        ]
+        gens = [form_from_coeffs(basis_s, v, field) for v in gen_vecs]
         ker2, basis2 = _syzygies(gens, k - 1)
         ker1, basis1 = _syzygies(gens, m - 1)
         if not ker1 or not ker2:
             return None
-        row2 = _random_syzygy_row(ker2, basis2, k - 1, rng)  # (D, E, H)
-        row1 = _random_syzygy_row(ker1, basis1, m - 1, rng)  # (A, B, C)
+        row2 = _random_syzygy_row(ker2, basis2, rng)  # (D, E, H)
+        row1 = _random_syzygy_row(ker1, basis1, rng)  # (A, B, C)
         if any(g.is_zero() for g in row1 + row2):
             return None
         if _plane_degeneracy_count(row1, row2) != expected:

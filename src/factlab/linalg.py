@@ -1,11 +1,13 @@
-"""Exact linear algebra over F_p and QQ: one incremental elimination.
+"""Exact linear algebra over F_p and QQ: one incremental elimination, one
+dot product.
 
 Matrices are lists of lists of field elements.  RowSpace is the package's
 only row reduction: rows are fed in order, each either extends the echelon
 basis or is reported dependent, which is exactly what defect reports and
 base-point scans need.  rref, nullspace, solve and rank all read it.
-bareiss_rank is an independent fraction-free elimination over QQ, kept as
-the oracle tests compare against.
+dot and combine are the package's dot product and linear combination of
+vectors.  bareiss_rank is an independent fraction-free elimination over
+QQ, kept as the oracle tests compare against.
 """
 
 from __future__ import annotations
@@ -13,9 +15,22 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
+
+
+def dot(u: Sequence, v: Sequence, field: FieldSpec) -> Scalar:
+    """Sum of u_i * v_i: reduced once mod p over F_p, exact over QQ."""
+    if field.p:
+        return sum(map(mul, u, v)) % field.p
+    return sum(map(mul, u, v), Fraction(0))
+
+
+def combine(coeffs: Sequence, vectors: Sequence[Sequence], field: FieldSpec) -> List[Scalar]:
+    """The entrywise sum of coeffs[k] * vectors[k]."""
+    return [dot(coeffs, column, field) for column in zip(*vectors)]
 
 
 class RowSpace:

@@ -15,7 +15,6 @@ which every kernel form's gradient vanishes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from collections import Counter
@@ -35,8 +34,8 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import RowSpace, nullspace, rank_and_dependents, rref, solve
-from .poly import HomoPoly, eval_poly, gradient, make_poly, monomial_basis
+from .linalg import RowSpace, combine, dot, nullspace, rank_and_dependents, rref, solve
+from .poly import HomoPoly, eval_poly, form_from_coeffs, gradient, monomial_basis, point_row
 from .projgeom import (
     DEFAULT_SCAN_CAP,
     PointSet,
@@ -48,17 +47,6 @@ from .scan import projective_zeros
 
 
 # --- evaluation matrices ------------------------------------------------------
-
-
-def point_row(coords: Sequence[Scalar], basis, field: FieldSpec) -> List[Scalar]:
-    row = []
-    for m in basis:
-        v = field.one
-        for x, e in zip(coords, m):
-            if e:
-                v = field.mul(v, field.power(x, e))
-        row.append(v)
-    return row
 
 
 @dataclass
@@ -154,10 +142,6 @@ class SeparatorFailure:
     combination: List[Tuple[ProjPoint, Scalar]]  # row_P = sum c_Q * row_Q
 
 
-def _form_from_coeffs(coeffs, basis, nvars, xi, field) -> HomoPoly:
-    return make_poly(nvars, xi, {m: c for m, c in zip(basis, coeffs) if c}, field)
-
-
 def separator(sigma: PointSet, P: ProjPoint, xi: int):
     """Degree-xi certificate separating P from the rest of sigma, or the
     linear combination proving P's row is spanned by the others."""
@@ -169,11 +153,8 @@ def separator(sigma: PointSet, P: ProjPoint, xi: int):
     kernel = nullspace(mat.rows, mat.ncols, field)
     prow = point_row(P.coords, mat.basis, field)
     for vec in kernel:
-        val = field.zero
-        for c, r in zip(vec, prow):
-            val = field.add(val, field.mul(c, r))
-        if val:
-            form = _form_from_coeffs(vec, mat.basis, sigma.ambient_dim + 1, xi, field)
+        if dot(vec, prow, field):
+            form = form_from_coeffs(mat.basis, vec, field)
             cert = SeparatorCertificate(P, form)
             if not cert.verify(sigma):
                 raise VerificationFailure(f"separator for {P} failed its defining evaluations")
@@ -316,17 +297,12 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     rows = [point_row(pt.coords, basis2, field) for pt in pts]
 
     def conic_through(subset) -> List[HomoPoly]:
-        return [
-            _form_from_coeffs(v, basis2, 3, 2, field)
-            for v in nullspace([rows[i] for i in subset], 6, field)
-        ]
+        return [form_from_coeffs(basis2, v, field)
+                for v in nullspace([rows[i] for i in subset], 6, field)]
 
     if n <= 5:
         sols = conic_through(range(n))
         return n, (sols[0] if sols else None)
-
-    def value(c, row):
-        return functools.reduce(field.add, map(field.mul, c, row))
 
     best, witness_subset = 5, tuple(range(5))
     # a 4-subset ending at the last point extends to no 5-subset
@@ -339,7 +315,7 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
         for q in range(n):
             if q in T:
                 continue
-            a, b = value(c1, rows[q]), value(c2, rows[q])
+            a, b = dot(c1, rows[q], field), dot(c2, rows[q], field)
             if not a and not b:
                 base += 1
                 continue
@@ -361,8 +337,7 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     if witness_lines is None:
         return best, conic_through(witness_subset)[0]
     basis1 = monomial_basis(3, 1)
-    l1, l2 = (_form_from_coeffs(nullspace(key, 3, field)[0], basis1, 3, 1, field)
-              for key in witness_lines)
+    l1, l2 = (form_from_coeffs(basis1, nullspace(key, 3, field)[0], field) for key in witness_lines)
     return best, l1 * l2
 
 
@@ -451,11 +426,7 @@ def _tangent_directions(pt: ProjPoint, p: int, field: FieldSpec):
             units.append(tuple(unit))
         if len(units) == 2:
             break
-    u1, u2 = units
-    dirs = [u2]
-    for a in range(p):
-        dirs.append(tuple(field.add(x, field.mul(field.of_int(a), y)) for x, y in zip(u1, u2)))
-    return dirs
+    return [units[1]] + [tuple(combine([field.one, a], units, field)) for a in range(p)]
 
 
 def _first_base_point(sigma: PointSet, xi: int, scan_cap: int):
@@ -467,10 +438,7 @@ def _first_base_point(sigma: PointSet, xi: int, scan_cap: int):
     field = sigma.field
     p = field.p
     mat = evaluation_matrix(sigma, xi)
-    kernel = [
-        _form_from_coeffs(vec, mat.basis, 3, xi, field)
-        for vec in nullspace(mat.rows, mat.ncols, field)
-    ]
+    kernel = [form_from_coeffs(mat.basis, v, field) for v in nullspace(mat.rows, mat.ncols, field)]
     if kernel:
         zeros = projective_zeros(kernel, 2, p, scan_cap)
     else:  # no degree-xi form passes through sigma: every point is a base point
@@ -484,7 +452,7 @@ def _first_base_point(sigma: PointSet, xi: int, scan_cap: int):
             return "base_point", Q
         grad_rows = [[eval_poly(d, Q.coords) for d in grad] for grad in grads]
         for v in _tangent_directions(Q, p, field):
-            if not any(sum(a * b for a, b in zip(r, v)) % p for r in grad_rows):
+            if not any(dot(r, v, field) for r in grad_rows):
                 return "base_point", (Q, v)
     return "free", None
 

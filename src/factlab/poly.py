@@ -5,6 +5,13 @@ nonzero coefficient together with an explicit degree so the zero polynomial
 keeps its degree.  The canonical term order everywhere is graded lex with
 earlier variables larger (for a fixed degree this is plain descending
 tuple order).
+
+Each exact operation on forms is written once: _acc adds a coefficient
+into a term dict, point_row evaluates monomials (eval_poly is its dot
+product with the coefficients), _substitute replaces variables by linear
+forms (restrict_to_plane, linear_change), and form_from_coeffs reads a
+coefficient vector over a monomial basis as a form.  eval_poly_horner is
+the independent evaluation oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .errors import (
     UnknownVariable,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import rank as matrix_rank
+from .linalg import dot, rank as matrix_rank
 from .rng import SplitMix64
 
 Monomial = Tuple[int, ...]
@@ -111,7 +118,7 @@ class HomoPoly:
 
     def scale(self, c: Scalar) -> "HomoPoly":
         f = self.field
-        terms = {m: f.mul(c, v) for m, v in self.terms.items() if f.mul(c, v)}
+        terms = {m: f.mul(c, v) for m, v in self.terms.items()}
         return make_poly(self.nvars, self.degree, terms, f)
 
     # --- text -----------------------------------------------------------
@@ -158,14 +165,25 @@ def zero_poly(nvars: int, degree: int, field: FieldSpec) -> HomoPoly:
     return HomoPoly(nvars, degree, {}, field)
 
 
+def form_from_coeffs(basis: Sequence[Monomial], coeffs: Sequence[Scalar],
+                     field: FieldSpec) -> HomoPoly:
+    """The form sum coeffs[i] * basis[i]; nvars and degree are read from basis[0]."""
+    return make_poly(len(basis[0]), sum(basis[0]), dict(zip(basis, coeffs)), field)
+
+
+def _acc(out: Dict[Monomial, Scalar], m: Monomial, c: Scalar, f: FieldSpec) -> None:
+    """out[m] += c, dropping the entry when it cancels."""
+    s = f.add(out.get(m, f.zero), c)
+    if s:
+        out[m] = s
+    else:
+        out.pop(m, None)
+
+
 def _add_dicts(a, b, f: FieldSpec):
     out = dict(a)
     for m, c in b.items():
-        s = f.add(out.get(m, f.zero), c)
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
+        _acc(out, m, c, f)
     return out
 
 
@@ -173,12 +191,7 @@ def _mul_dicts(a, b, f: FieldSpec):
     out: Dict[Monomial, Scalar] = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            s = f.add(out.get(m, f.zero), f.mul(ca, cb))
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            _acc(out, tuple(x + y for x, y in zip(ma, mb)), f.mul(ca, cb), f)
     return out
 
 
@@ -240,12 +253,7 @@ def parse_poly(text: str, nvars: int, field: FieldSpec) -> HomoPoly:
             degree = d
         elif degree != d:
             raise NotHomogeneous(f"term degrees {degree} and {d} in {text!r}")
-        key = tuple(expo)
-        s = field.add(terms.get(key, field.zero), coeff)
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
+        _acc(terms, tuple(expo), coeff, field)
     return HomoPoly(nvars, degree, terms, field)
 
 
@@ -272,18 +280,23 @@ def monomial_basis(nvars: int, degree: int) -> List[Monomial]:
 # --- evaluation and calculus -------------------------------------------
 
 
+def point_row(coords: Sequence[Scalar], basis, field: FieldSpec) -> List[Scalar]:
+    """The value at coords of each monomial of basis, in basis order."""
+    mul, power = field.mul, field.power
+    row = []
+    for m in basis:
+        v = field.one
+        for x, e in zip(coords, m):
+            if e:
+                v = mul(v, power(x, e))
+        row.append(v)
+    return row
+
+
 def eval_poly(f: HomoPoly, coords: Sequence[Scalar]) -> Scalar:
     if len(coords) != f.nvars:
         raise FieldMismatch(f"expected {f.nvars} coordinates, got {len(coords)}")
-    fld = f.field
-    total = fld.zero
-    for m, c in f.terms.items():
-        v = c
-        for x, e in zip(coords, m):
-            if e:
-                v = fld.mul(v, fld.power(x, e))
-        total = fld.add(total, v)
-    return total
+    return dot(f.terms.values(), point_row(coords, f.terms, f.field), f.field)
 
 
 def eval_poly_horner(f: HomoPoly, coords: Sequence[Scalar]) -> Scalar:
@@ -319,13 +332,8 @@ def partial(f: HomoPoly, var: int) -> HomoPoly:
     terms: Dict[Monomial, Scalar] = {}
     for m, c in f.terms.items():
         e = m[var]
-        if e == 0:
-            continue
-        nc = fld.mul(c, fld.of_int(e))
-        if not nc:
-            continue
-        nm = m[:var] + (e - 1,) + m[var + 1:]
-        terms[nm] = fld.add(terms.get(nm, fld.zero), nc)
+        if e:
+            _acc(terms, m[:var] + (e - 1,) + m[var + 1:], fld.mul(c, fld.of_int(e)), fld)
     return make_poly(f.nvars, max(f.degree - 1, 0), terms, fld)
 
 
@@ -389,43 +397,47 @@ def hessian_rank_at(f: HomoPoly, point) -> int:
 # --- restriction, division, roots ----------------------------------------
 
 
+def _unit(i: int, nvars: int) -> Monomial:
+    return tuple(1 if j == i else 0 for j in range(nvars))
+
+
+def _substitute(f: HomoPoly, images: Sequence[Dict[Monomial, Scalar]], nvars: int) -> HomoPoly:
+    """f with each x_i replaced by the linear form images[i], a term dict in
+    nvars variables; the powers of each image are built once."""
+    fld = f.field
+    powers = [[{(0,) * nvars: fld.one}] for _ in images]
+    out: Dict[Monomial, Scalar] = {}
+    for m, c in f.terms.items():
+        acc = {(0,) * nvars: c}
+        for pw, image, e in zip(powers, images, m):
+            if e:
+                while len(pw) <= e:
+                    pw.append(_mul_dicts(pw[-1], image, fld))
+                acc = _mul_dicts(acc, pw[e], fld)
+        for k, v in acc.items():
+            _acc(out, k, v, fld)
+    return make_poly(nvars, f.degree, out, fld)
+
+
 def restrict_to_plane(f: HomoPoly, ell: HomoPoly, chart: int) -> HomoPoly:
     """Eliminate the chart variable via ell = 0; result lives in nvars-1 vars."""
     if ell.degree != 1:
         raise ValueError("ell must be linear")
     fld = f.field
-    unit = tuple(1 if i == chart else 0 for i in range(f.nvars))
-    c = ell.coeff(unit)
+    n = f.nvars
+    c = ell.coeff(_unit(chart, n))
     if not c:
         raise BadChart(f"zero coefficient at chart variable {chart}")
     inv_neg = fld.neg(fld.inv(c))
-    # linear substitute L in the reduced variables: x_chart -> L
-    L: Dict[Monomial, Scalar] = {}
-    for m, cc in ell.terms.items():
-        if m == unit:
-            continue
-        j = next(i for i, e in enumerate(m) if e)
-        rj = j if j < chart else j - 1
-        key = tuple(1 if i == rj else 0 for i in range(f.nvars - 1))
-        L[key] = fld.mul(cc, inv_neg)
-    out: Dict[Monomial, Scalar] = {}
-    pow_cache: Dict[int, Dict[Monomial, Scalar]] = {0: {(0,) * (f.nvars - 1): fld.one}}
-    for m, cc in f.terms.items():
-        e = m[chart]
-        if e not in pow_cache:
-            k = max(pow_cache)
-            while k < e:
-                pow_cache[k + 1] = _mul_dicts(pow_cache[k], L, fld)
-                k += 1
-        rest = m[:chart] + m[chart + 1:]
-        for lm, lc in pow_cache[e].items():
-            key = tuple(a + b for a, b in zip(rest, lm))
-            s = fld.add(out.get(key, fld.zero), fld.mul(cc, lc))
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return make_poly(f.nvars - 1, f.degree, out, fld)
+
+    def var(j):  # x_j as one of the n - 1 remaining variables
+        return _unit(j - (j > chart), n - 1)
+
+    # x_chart -> -(ell - c * x_chart) / c, every other x_j -> itself
+    images = [{var(j): fld.one} for j in range(n)]
+    images[chart] = {var(m.index(1)): fld.mul(cc, inv_neg)
+                     for m, cc in ell.terms.items() if not m[chart]}
+    return _substitute(f, images, n - 1)
 
 
 def divide_by_linear(f: HomoPoly, ell: HomoPoly) -> Optional[HomoPoly]:
@@ -435,10 +447,9 @@ def divide_by_linear(f: HomoPoly, ell: HomoPoly) -> Optional[HomoPoly]:
     fld = f.field
     if f.is_zero():
         return zero_poly(f.nvars, max(f.degree - 1, 0), fld)
-    pivot = next(i for i, e in enumerate(ell.leading_monomial()) if e)
-    unit = tuple(1 if i == pivot else 0 for i in range(f.nvars))
-    c = ell.coeff(unit)
-    cinv = fld.inv(c)
+    lead_ell = ell.leading_monomial()
+    pivot = lead_ell.index(1)
+    cinv = fld.inv(ell.terms[lead_ell])
     # univariate synthetic division in the pivot variable
     h = dict(f.terms)
     q: Dict[Monomial, Scalar] = {}
@@ -449,14 +460,9 @@ def divide_by_linear(f: HomoPoly, ell: HomoPoly) -> Optional[HomoPoly]:
             return None
         qm = lead[:pivot] + (lead[pivot] - 1,) + lead[pivot + 1:]
         qc = fld.mul(h[lead], cinv)
-        q[qm] = fld.add(q.get(qm, fld.zero), qc)
+        _acc(q, qm, qc, fld)
         for em, ec in ell.terms.items():
-            m = tuple(a + b for a, b in zip(qm, em))
-            s = fld.sub(h.get(m, fld.zero), fld.mul(qc, ec))
-            if s:
-                h[m] = s
-            else:
-                h.pop(m, None)
+            _acc(h, tuple(a + b for a, b in zip(qm, em)), fld.neg(fld.mul(qc, ec)), fld)
     return make_poly(f.nvars, f.degree - 1, q, fld)
 
 
@@ -534,25 +540,6 @@ def embed_poly(f: HomoPoly, nvars: int, positions: Sequence[int]) -> HomoPoly:
 
 def linear_change(f: HomoPoly, matrix) -> HomoPoly:
     """Substitute x_i -> sum_j matrix[i][j] * x_j (rows give the images)."""
-    fld = f.field
-    images = []
-    for i in range(f.nvars):
-        terms = {}
-        for j, c in enumerate(matrix[i]):
-            if c:
-                key = tuple(1 if k == j else 0 for k in range(f.nvars))
-                terms[key] = c
-        images.append(terms)
-    out: Dict[Monomial, Scalar] = {}
-    for m, c in f.terms.items():
-        acc = {(0,) * f.nvars: c}
-        for var, e in enumerate(m):
-            for _ in range(e):
-                acc = _mul_dicts(acc, images[var], fld)
-        for k, v in acc.items():
-            s = fld.add(out.get(k, fld.zero), v)
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return make_poly(f.nvars, f.degree, out, fld)
+    n = f.nvars
+    images = [{_unit(j, n): c for j, c in enumerate(matrix[i]) if c} for i in range(n)]
+    return _substitute(f, images, n)

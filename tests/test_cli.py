@@ -171,6 +171,34 @@ def test_classify_subcommand(fixture_files, capsys):
     assert json.loads(out)["status"] == "nonfactorial_structured"
 
 
+@pytest.mark.parametrize("form", ["x^2 + y^2 + z^2", "x*y + z*w"])  # a cone, a smooth quadric
+def test_classify_refuses_r_below_2_before_scanning(tmp_path, monkeypatch, form, capsys):
+    monkeypatch.setattr(cli.crit, "singular_points", lambda *a, **k: pytest.fail("scanned"))
+    poly = tmp_path / "quadric.poly"
+    poly.write_text(f"F 4 Fp:101\n{form}\n")
+    code, out, err = run_cli(["classify", str(poly), "--r", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: need r >= 2\n")
+
+
+def test_sing_points_out_is_the_generated_point_file(fixture_files, tmp_path, capsys):
+    base, prefix = fixture_files
+    points = tmp_path / "sing.points"
+    code, _, _ = run_cli(["sing", prefix + ".poly", "--points-out", str(points)], capsys)
+    assert code == 0
+    assert points.read_bytes() == Path(prefix + ".points").read_bytes()
+    code, out, _ = run_cli(["defect", str(points), "--xi", "2"], capsys)
+    assert code == 0 and json.loads(out)["defect"] == 1
+
+
+def test_gen_rejects_max_retries(tmp_path, capsys):
+    prefix = str(tmp_path / "fam")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--family", "double_solid_eq15", "--r", "2", "--prefix", prefix,
+              "--max-retries", "3"])
+    assert exc.value.code == 2 and "--max-retries" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_classify_degree_mismatch(fixture_files, capsys):
     base, prefix = fixture_files
     code, _, err = run_cli(["classify", prefix + ".poly", "--r", "3"], capsys)

@@ -76,16 +76,21 @@ def test_degenerate_draw_names_each_seeds_reason():
         8: None,
         9: SimpleNamespace(sing=[None] * 14, node_flags=[True] * 14, clean=True,
                            isolated_warning=None),
+        10: None,
+        11: SimpleNamespace(sing=[None] * 15, node_flags=[True] * 15, clean=False,
+                            isolated_warning="positive-dimensional"),
     }
-    spec = FamilySpec("double_solid_eq15", GF(101), seed=7, r=3, max_retries=3)
+    spec = FamilySpec("double_solid_eq15", GF(101), seed=7, r=3)
     with pytest.raises(DegenerateDraw) as info:
         _verified(spec, lambda seed: draws[seed], 15)
-    assert info.value.observed_counts == [15, None, 14]
+    assert info.value.observed_counts == [15, None, 14, None, 15]
     assert str(info.value) == (
         "double_solid_eq15: expected 15 nodes; "
         "seed 7: 15 singular points, 1 not ordinary double points; "
         "seed 8: no draw; "
-        "seed 9: 14 singular points, all ordinary double points"
+        "seed 9: 14 singular points, all ordinary double points; "
+        "seed 10: no draw; "
+        "seed 11: 15 singular points, all ordinary double points, not isolated"
     )
 
 

@@ -6,6 +6,8 @@ from factlab.fields import GF, QQ
 from factlab.linalg import (
     RowSpace,
     bareiss_rank,
+    combine,
+    dot,
     nullspace,
     rank,
     rank_and_dependents,
@@ -178,3 +180,27 @@ def test_unreduced_entries_give_the_answers_of_the_reduced_rows():
         assert ns == nullspace(m, len(m[0]), F)
         assert all(_dot(row, v, 101) == 0 for row in shifted for v in ns)
         assert solve(shifted, shifted_rhs, F) == solve(m, rhs, F)
+
+
+def test_dot_and_combine_reduce_unreduced_and_negative_entries():
+    F = GF(5)
+    # 7*(-1) + (-3)*4 + 12*10 = 101
+    assert dot([7, -3, 12], [-1, 4, 10], F) == 1
+    assert combine([3, -2], [[7, -1, 0], [-4, 6, 5]], F) == [4, 0, 0]
+    assert dot([], [], F) == 0 and combine([], [], F) == []
+
+
+def test_dot_and_combine_past_two_to_the_63():
+    p = 2**31 - 1
+    F = GF(p)
+    big = [p - 1] * 8  # each product is (p-1)^2 = 1 mod p; the sum exceeds 2^63
+    assert sum(x * x for x in big) > 2**63
+    assert dot(big, big, F) == 8
+    assert combine(big, [[p - 1, 2]] * 8, F) == [8, (-16) % p]
+
+
+def test_dot_and_combine_over_rationals():
+    u = [Fraction(1, 2), 3]
+    assert dot(u, [Fraction(2, 3), Fraction(-1, 4)], QQ) == Fraction(-5, 12)
+    assert isinstance(dot([], [], QQ), Fraction)
+    assert combine(u, [[2, Fraction(1, 3)], [0, -1]], QQ) == [1, Fraction(-17, 6)]

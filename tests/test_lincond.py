@@ -21,7 +21,6 @@ from factlab.fields import GF, QQ
 from factlab.lincond import (
     SeparatorCertificate,
     SeparatorFailure,
-    _form_from_coeffs,
     _tangent_directions,
     all_separators,
     bese_check,
@@ -36,7 +35,7 @@ from factlab.lincond import (
     swap_combine,
 )
 from factlab.linalg import nullspace, rank
-from factlab.poly import eval_poly, make_poly, monomial_basis, parse_poly
+from factlab.poly import eval_poly, form_from_coeffs, make_poly, monomial_basis, parse_poly
 from factlab.projgeom import canonicalize, dump_point_set, enumerate_projective, point_set
 from factlab.rng import SplitMix64
 
@@ -431,10 +430,10 @@ def _conics_oracle(sigma):
 
     def conic_through(subset):
         rows = [point_row(pt.coords, basis2, field) for pt in subset]
-        return [_form_from_coeffs(v, basis2, 3, 2, field) for v in nullspace(rows, 6, field)]
+        return [form_from_coeffs(basis2, v, field) for v in nullspace(rows, 6, field)]
 
     def line_form(p, q):
-        return _form_from_coeffs(nullspace([p.coords, q.coords], 3, field)[0], basis1, 3, 1, field)
+        return form_from_coeffs(basis1, nullspace([p.coords, q.coords], 3, field)[0], field)
 
     def count_on(form):
         return sum(1 for pt in pts if not eval_poly(form, pt.coords))

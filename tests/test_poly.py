@@ -17,6 +17,7 @@ from factlab.poly import (
     embed_poly,
     eval_poly,
     eval_poly_horner,
+    form_from_coeffs,
     gradient,
     hessian,
     hessian_block,
@@ -26,6 +27,7 @@ from factlab.poly import (
     monomial_basis,
     parse_poly,
     partial,
+    point_row,
     poly_sqrt,
     random_homo,
     restrict_to_plane,
@@ -226,3 +228,40 @@ def test_zero_poly_and_arithmetic():
     f = parse_poly("x^2", 3, F)
     assert (f + z) == f and (f - f).is_zero()
     assert (f.scale(0)).is_zero()
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ])
+def test_restriction_and_linear_change_agree_with_point_evaluation(field):
+    """f at the lifted point equals restrict_to_plane(f, ell, chart) at the
+    point; f at M y equals linear_change(f, M) at y."""
+    rng = SplitMix64(11)
+    elt = (lambda a: a % field.p) if field.p else Fraction
+
+    def vector(n):
+        return [elt(rng.below(19) - 9) for _ in range(n)]
+
+    for seed in range(4):
+        f = random_homo(4, 3, field, seed)
+        ell = form_from_coeffs(monomial_basis(4, 1), [1] + vector(3), field)
+        for chart in range(4):
+            c = ell.coeff(tuple(int(j == chart) for j in range(4)))
+            if not c:
+                continue
+            g = restrict_to_plane(f, ell, chart)
+            for _ in range(3):
+                y = vector(3)
+                x = y[:chart] + [elt(0)] + y[chart:]
+                x[chart] = field.neg(field.div(eval_poly(ell, x), c))
+                assert eval_poly(ell, x) == 0
+                assert eval_poly(f, x) == eval_poly(g, y)
+        M = [vector(4) for _ in range(4)]
+        h = linear_change(f, M)
+        for _ in range(3):
+            y = vector(4)
+            x = [elt(sum(a * b for a, b in zip(row, y))) for row in M]
+            assert eval_poly(h, y) == eval_poly(f, x)
+
+
+def test_point_row_is_the_monomial_values():
+    F = GF(7)
+    assert point_row((2, 3, 5), monomial_basis(3, 2), F) == [4, 6, 10 % 7, 9 % 7, 15 % 7, 25 % 7]

@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import factlab
@@ -31,6 +32,37 @@ def test_no_import_inside_a_function():
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, f"imports inside functions: {found}"
+
+
+def test_no_unused_import_or_private_function():
+    """Every name a module imports is used in that module (__init__.py
+    re-exports, so it is exempt), and every module-level private function
+    is referenced somewhere in the package outside its own body."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+
+    def names(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    used = {mod: names(tree) for mod, tree in trees.items()}
+    everywhere = sum(used.values(), Counter())
+    found = []
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if mod != "__init__.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if not used[mod][name]:
+                        found.append(f"{mod}: unused import {name}")
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                    and not node.name.startswith("__")
+                    and everywhere[node.name] == names(node)[node.name]):
+                found.append(f"{mod}: unreferenced private function {node.name}")
+    assert not found, found
 
 
 def test_failed_certificate_refused_under_optimize():
