@@ -5,16 +5,18 @@ enumerate_projective's order (pivot ascending, then lex on the free
 coordinates) without building a coordinate table: in the chart with pivot
 coordinate 1 and earlier coordinates 0, the k free coordinates run over a
 full p^k grid, on which the first form is evaluated by nested Horner, one
-variable at a time (about deg * p^k operations, not terms * p^k).  Only the
-rows where it vanishes are built, and the remaining forms are evaluated on
-those rows alone.  Each chart's grid is cut into slabs along its first free
-coordinate; slabs bound memory and are scanned in order.
+variable at a time (about deg * p^k operations, not terms * p^k).  Each
+chart's grid is cut into slabs along its first free coordinate; slabs bound
+memory and are scanned in order.  The first form's zeros are kept as flat
+grid indices, and every further form filters them in turn on its own chart
+table, by Horner in the first free coordinate at each surviving index.  Rows
+are built only for the points that survive every form.
 
 coords_table, eval_on_points and common_zeros are the term-by-term path on
-explicit rows: common_zeros filters each slab's survivors in one pass, and
-the full table serves tests as an oracle.  A scan takes forms only; callers
+explicit rows: the full table and common_zeros serve tests as an oracle,
+common_zeros also filters the single point of the last chart, and callers
 that need a further condition (a Jacobian rank, smoothness) filter the
-returned rows themselves.
+returned rows themselves with eval_on_points.  A scan takes forms only.
 
 horner_on_rows is the re-check path: recursive Horner in the first variable
 on explicit rows, the batched form of poly.eval_poly_horner.  It shares no
@@ -32,7 +34,8 @@ import numpy as np
 from .poly import HomoPoly
 from .projgeom import DEFAULT_SCAN_CAP, check_scan_cap
 
-_CHUNK = 1 << 16  # rows per slab (at least one value of the first free coordinate)
+_CHUNK = 1 << 15  # grid points per slab (at least one value of the first free coordinate)
+_STEP = 4096  # surviving grid indices per Horner step of a further form
 
 
 def coords_table(n: int, p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> np.ndarray:
@@ -138,13 +141,23 @@ def _horner(coeffs: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
 
 def _chart_table(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
     """f on the chart x_pivot = 1 (earlier coordinates 0) with k >= 1 free
-    coordinates t_1..t_k, as a (deg+1, p^(k-1)) array: row j holds the
-    coefficient of t_1^j on the grid of t_2..t_k in lex order."""
+    coordinates t_1..t_k, as a (D, p^(k-1)) array: row j holds the
+    coefficient of t_1^j on the grid of t_2..t_k in lex order.
+
+    On F_p, t^e = t^(1 + (e-1) mod (p-1)) for e >= 1, so exponents are
+    reduced below p and the coefficients that meet are summed mod p.  Each
+    axis of the coefficient tensor ends at the largest reduced exponent on
+    it, so D <= min(deg, p-1) + 1, and a form constant on the chart gives a
+    single row."""
     k = f.nvars - 1 - pivot
-    dense = np.zeros((f.degree + 1,) * k, dtype=np.int64)
+    terms = {}
     for mono, c in f.terms.items():
         if not any(mono[:pivot]):
-            dense[mono[pivot + 1:]] = int(c) % p
+            e = tuple(1 + (x - 1) % (p - 1) if x else 0 for x in mono[pivot + 1:])
+            terms[e] = (terms.get(e, 0) + int(c)) % p
+    dense = np.zeros(tuple(max(col) + 1 for col in zip(*terms)) or (1,) * k, dtype=np.int64)
+    for e, c in terms.items():
+        dense[e] = c
     # Horner in t_k first: each new grid axis lands in front of the later ones
     table = dense.reshape(dense.shape + (1,))
     t = np.arange(p, dtype=np.int64)
@@ -152,6 +165,42 @@ def _chart_table(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
         table = _horner(table, t, p)
         table = table.reshape(table.shape[:-2] + (-1,))
     return table
+
+
+def _horner_at(table: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
+    """A (D, G) chart table at flat grid indices idx = t_1 * G + column:
+    sum_j table[j, column] * t_1**j mod p for each index (entries and t_1 in
+    [0, p), p < 2**31, so acc * t_1 + c stays inside int64)."""
+    t, col = np.divmod(idx, table.shape[1])
+    coeffs = table[:, col]
+    acc = coeffs[-1].copy()
+    for c in coeffs[-2::-1]:
+        acc *= t
+        acc += c
+        acc %= p
+    return acc
+
+
+def _grid_zeros(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
+    """Flat grid indices t_1 * p^(k-1) + column, ascending, where f vanishes
+    on the chart x_pivot = 1, found slab by slab over the whole grid."""
+    table = _chart_table(f, pivot, p)
+    step = max(1, _CHUNK // table.shape[1])
+
+    # a function, so that one slab's temporaries are freed before the next
+    def slab(lo, hi):
+        vals = _horner(table, np.arange(lo, hi, dtype=np.int64), p)
+        return np.flatnonzero(vals == 0) + lo * table.shape[1]
+
+    return np.concatenate([slab(lo, min(lo + step, p)) for lo in range(0, p, step)])
+
+
+def _zeros_at(f: HomoPoly, pivot: int, idx: np.ndarray, p: int) -> np.ndarray:
+    """The flat grid indices of idx where f vanishes on the chart x_pivot = 1,
+    in their order, evaluated _STEP indices at a time."""
+    table = _chart_table(f, pivot, p)
+    parts = (idx[i:i + _STEP] for i in range(0, idx.size, _STEP))
+    return np.concatenate([part[_horner_at(table, part, p) == 0] for part in parts])
 
 
 def projective_zeros(
@@ -163,25 +212,26 @@ def projective_zeros(
     """Rows of P^n(F_p) where every poly vanishes, as canonical int64
     coordinates in enumerate_projective's order.
 
-    polys[0] is evaluated on each chart's whole grid by the Horner kernel;
-    the other polys only on its zeros, by common_zeros.
+    In each chart, the first poly (zero forms are taken last) is evaluated
+    on the whole grid by the Horner kernel and the others on its zeros only,
+    each on its own chart table; rows are built for the final survivors.
+    The single point of the last chart goes through common_zeros.
     """
     check_scan_cap(n, p, scan_cap)
-
-    # a function, so that one slab's temporaries are freed before the next
-    def slab(pivot, table, lo, hi) -> np.ndarray:
-        vals = _horner(table, np.arange(lo, hi, dtype=np.int64), p)
-        flat = np.flatnonzero(vals == 0) + lo * table.shape[1]
-        rows = np.zeros((flat.size, n + 1), dtype=np.int64)
-        rows[:, pivot] = 1
-        rows[:, pivot + 1:] = np.column_stack(np.unravel_index(flat, (p,) * (n - pivot)))
-        return common_zeros(polys[1:], rows, p)
-
+    # a zero form filters nothing; kept first, it would keep a whole chart's indices
+    polys = sorted(polys, key=HomoPoly.is_zero)
     results = []
     for pivot in range(n):
-        table = _chart_table(polys[0], pivot, p)
-        step = max(1, _CHUNK // table.shape[1])
-        results += [slab(pivot, table, lo, min(lo + step, p)) for lo in range(0, p, step)]
+        # each chart table lives inside one call, so only one is held at a time
+        idx = _grid_zeros(polys[0], pivot, p)
+        for f in polys[1:]:
+            if not idx.size:
+                break
+            idx = _zeros_at(f, pivot, idx, p)
+        rows = np.zeros((idx.size, n + 1), dtype=np.int64)
+        rows[:, pivot] = 1
+        rows[:, pivot + 1:] = np.column_stack(np.unravel_index(idx, (p,) * (n - pivot)))
+        results.append(rows)
     # the last chart is the single point (0:...:0:1)
     last = np.zeros((1, n + 1), dtype=np.int64)
     last[0, n] = 1

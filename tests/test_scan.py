@@ -11,9 +11,10 @@ import factlab.sing_locus as sing_locus
 from factlab import cli
 from factlab.errors import TooLarge, VerificationFailure
 from factlab.fields import GF
-from factlab.poly import eval_poly_horner, make_poly, monomial_basis, parse_poly
+from factlab.poly import eval_poly_horner, gradient, make_poly, monomial_basis, parse_poly
 from factlab.projgeom import enumerate_projective, projective_count
-from factlab.scan import _horner, common_zeros, coords_table, horner_on_rows, projective_zeros
+from factlab.scan import (_CHUNK, _STEP, _chart_table, _grid_zeros, _horner, _horner_at,
+                          common_zeros, coords_table, horner_on_rows, projective_zeros)
 
 
 def _form(nvars, degree, field, rng, density):
@@ -46,7 +47,40 @@ def _cases():
                 yield pytest.param(n, p, [first] + rest, id=f"n{n}-p{p}-d{degree}")
 
 
-@pytest.mark.parametrize("n,p,polys", _cases())
+def _slabs_and_survivors():
+    """n = 4, p = 17 with a first form x0 * g: the first chart's grid of 17^4
+    points spans more than one slab, and every point of the second chart (17^3 points)
+    survives the first form, more than one step of the filter."""
+    rng = random.Random(17)
+    field = GF(17)
+    first = _times_x0(_form(5, 2, field, rng, 1.0))
+    return 4, 17, [first, _form(5, 3, field, rng, 1.0), _form(5, 1, field, rng, 1.0)]
+
+
+def _boundary_cases():
+    yield pytest.param(*_slabs_and_survivors(), id="slabs-and-steps")
+    rng = random.Random(3)
+    field = GF(13)
+    yield pytest.param(3, 13, [_form(4, d, field, rng, 1.0) for d in (4, 2, 5, 1)],
+                       id="mixed-degrees")
+    field = GF(5)
+    zero = make_poly(4, 2, {}, field)
+    constant = make_poly(4, 0, {(0, 0, 0, 0): 3}, field)
+    high = _form(4, 7, field, rng, 0.5)  # degree >= p
+    first = _form(4, 3, field, rng, 1.0)
+    yield pytest.param(3, 5, [first, zero, high], id="zero-and-high-degree")
+    yield pytest.param(3, 5, [zero, high, first], id="zero-first")
+    yield pytest.param(3, 5, [first, constant, high], id="constant")
+
+
+def test_boundary_case_crosses_slab_and_step():
+    # keeps the slabs-and-steps case meaningful if the module's constants change
+    n, p, polys = _slabs_and_survivors()
+    assert -(-p // max(1, _CHUNK // p ** (n - 1))) >= 2  # slabs of the first chart
+    assert _grid_zeros(polys[0], 1, p).size == p ** (n - 1) > _STEP
+
+
+@pytest.mark.parametrize("n,p,polys", [*_cases(), *_boundary_cases()])
 def test_projective_zeros_matches_table_scan(n, p, polys):
     want = common_zeros(polys, coords_table(n, p), p)
     got = projective_zeros(polys, n, p)
@@ -68,6 +102,32 @@ def test_horner_reduces_before_int64_overflow(p):
     want = [[sum(int(coeffs[j, g]) * int(x) ** j for j in range(10)) % p for g in range(3)]
             for x in t]
     assert _horner(coeffs, t, p).tolist() == want
+
+
+@pytest.mark.parametrize("p", [101, 65521, 2**31 - 1])
+def test_horner_at_matches_python_integers(p):
+    """The per-survivor step of the filter: a chart table at flat grid
+    indices t_1 * G + column, with t_1 = p - 1 and the last column among them."""
+    rng = random.Random(p)
+    cols = 7
+    table = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(12)], dtype=np.int64)
+    pairs = [(t, c) for t in (0, 1, p - 1, rng.randrange(p)) for c in (0, cols - 1, rng.randrange(cols))]
+    idx = np.array([t * cols + c for t, c in pairs], dtype=np.int64)
+    want = [sum(int(table[j, c]) * t**j for j in range(12)) % p for t, c in pairs]
+    assert _horner_at(table, idx, p).tolist() == want
+
+
+def test_chart_table_reduces_exponents_below_p():
+    # degree 32 over F_7: each axis of a chart table has at most
+    # min(32, 6) + 1 = 7 entries, so no table is larger than the chart's grid
+    f = parse_poly("x^31*y + z^32 + w^31*t + v^32 + y^16*z^16", 6, GF(7))
+    polys = [f] + gradient(f)
+    for g in polys:
+        for pivot in range(5):
+            assert _chart_table(g, pivot, 7).size <= 7 ** (5 - pivot)
+    want = common_zeros(polys, coords_table(5, 7), 7)
+    assert want.shape[0] > 0
+    assert np.array_equal(projective_zeros(polys, 5, 7), want)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 101, 65521, 2**31 - 1])
