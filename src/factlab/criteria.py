@@ -17,7 +17,7 @@ from math import ceil, floor
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadParams, VerificationFailure
-from .linalg import combine, nullspace
+from .linalg import combine, kernel_of_rref, nullspace, rref_subsets
 from .lincond import defect, secant_lines
 from .poly import (
     HomoPoly,
@@ -236,10 +236,10 @@ def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
     field = f.field
     r2 = f.degree  # 2r
     planes: Dict[Tuple, HomoPoly] = {}
-    for triple in itertools.combinations(sing.points, 3):
-        sols = nullspace([p.coords for p in triple], 4, field)
-        if len(sols) == 1:
-            form = form_from_coeffs(_PLANE_BASIS, sols[0], field)
+    triples = list(itertools.combinations(range(len(sing)), 3))  # one stack
+    for R, pivots in rref_subsets([pt.coords for pt in sing], triples, field):
+        if len(pivots) == 3:
+            form = form_from_coeffs(_PLANE_BASIS, kernel_of_rref(R, pivots, 4, field)[0], field)
             key = tuple(sorted(form.terms.items()))
             if key not in planes and sum(1 for pt in sing if not eval_poly(form, pt.coords)) > r2:
                 planes[key] = form

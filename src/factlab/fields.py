@@ -67,42 +67,42 @@ class FieldSpec:
     # --- element arithmetic ---------------------------------------------
 
     @property
-    def is_prime_field(self) -> bool:
+    def is_prime_field(self) -> bool:  # the operations test self.p: 0 exactly for QQ
         return self.kind == "prime"
 
     @property
     def zero(self) -> Scalar:
-        return 0 if self.is_prime_field else Fraction(0)
+        return 0 if self.p else Fraction(0)
 
     @property
     def one(self) -> Scalar:
-        return 1 if self.is_prime_field else Fraction(1)
+        return 1 if self.p else Fraction(1)
 
     def of_int(self, n: int) -> Scalar:
-        return n % self.p if self.is_prime_field else Fraction(n)
+        return n % self.p if self.p else Fraction(n)
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a + b) % self.p if self.is_prime_field else a + b
+        return (a + b) % self.p if self.p else a + b
 
     def sub(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a - b) % self.p if self.is_prime_field else a - b
+        return (a - b) % self.p if self.p else a - b
 
     def neg(self, a: Scalar) -> Scalar:
-        return (-a) % self.p if self.is_prime_field else -a
+        return (-a) % self.p if self.p else -a
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return (a * b) % self.p if self.is_prime_field else a * b
+        return (a * b) % self.p if self.p else a * b
 
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p) if self.is_prime_field else 1 / Fraction(a)
+        return pow(a, self.p - 2, self.p) if self.p else 1 / Fraction(a)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
     def power(self, a: Scalar, e: int) -> Scalar:
-        if self.is_prime_field:
+        if self.p:
             return pow(a, e, self.p)
         return Fraction(a) ** e
 
@@ -112,7 +112,7 @@ class FieldSpec:
         Prime case: Tonelli-Shanks, canonicalized to min(r, p-r).
         Rational case: exact integer square roots of numerator/denominator.
         """
-        if self.is_prime_field:
+        if self.p:
             a %= self.p
             if a == 0:
                 return 0
@@ -137,7 +137,7 @@ class FieldSpec:
         try:
             if "/" in text:
                 num, den = text.split("/")
-                if self.is_prime_field:
+                if self.p:
                     return self.div(int(num) % self.p, int(den) % self.p)
                 return Fraction(int(num), int(den))
             return self.of_int(int(text))
@@ -148,7 +148,7 @@ class FieldSpec:
         return str(a)
 
     def spec_string(self) -> str:
-        return f"Fp:{self.p}" if self.is_prime_field else "QQ"
+        return f"Fp:{self.p}" if self.p else "QQ"
 
 
 def parse_field_spec(text: str) -> FieldSpec:

@@ -1,13 +1,13 @@
-"""Exact linear algebra over F_p and QQ: one incremental elimination, one
+"""Exact linear algebra over F_p and QQ: one elimination per field, one
 dot product.
 
-Matrices are lists of lists of field elements.  RowSpace is the package's
-only row reduction: rows are fed in order, each either extends the echelon
-basis or is reported dependent, which is exactly what defect reports and
-base-point scans need.  rref, nullspace, solve and rank all read it.
-dot and combine are the package's dot product and linear combination of
-vectors.  bareiss_rank is an independent fraction-free elimination over
-QQ, kept as the oracle tests compare against.
+Matrices are lists of lists of field elements.  Every rank, RREF,
+nullspace, solve and dependents list runs on rref_mod_p over F_p, one
+numpy elimination of an int64 stack of matrices (rref_subsets passes many
+small eliminations to it as one stack), and on RowSpace over QQ.  dot and
+combine are the package's dot product and linear combination of vectors.
+bareiss_rank is an independent fraction-free elimination over QQ, kept as
+the oracle tests compare against.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from bisect import bisect
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .fields import FieldSpec, Scalar
 
@@ -34,41 +36,26 @@ def combine(coeffs: Sequence, vectors: Sequence[Sequence], field: FieldSpec) -> 
 
 
 class RowSpace:
-    """Incremental echelon basis over a field, pivots scaled to 1.
-
-    Each input row is reduced on entry: int(x) % p over F_p, Fraction(x)
-    over QQ.  Basis rows are kept sorted by pivot column.
-    """
+    """Incremental echelon basis over QQ, pivots scaled to 1, rows reduced on
+    entry by Fraction(x) and kept sorted by pivot column.  A prime field is
+    refused: over F_p every elimination runs on rref_mod_p."""
 
     def __init__(self, ncols: int, field: FieldSpec):
+        if field.p:
+            raise ValueError("RowSpace works over QQ; use rref_mod_p over F_p")
         self.ncols = ncols
-        self.field = field
         self.pivots: List[int] = []
-        self.rows: List[List] = []
+        self.rows: List[List[Fraction]] = []
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, row: Sequence, first: int = 0) -> List:
-        """A new list: row reduced against the basis rows from index first on.
-
-        The two fields keep separate loops: a per-entry test of the field
-        would slow the mod-p loop, which every workload runs.
-        """
+    def _reduce(self, row: Sequence, first: int = 0) -> List[Fraction]:
+        """A new list: row reduced against the basis rows from index first on."""
         ncols = self.ncols
-        basis = zip(self.pivots[first:], self.rows[first:])
-        p = self.field.p
-        if p:
-            row = [int(x) % p for x in row]
-            for piv, brow in basis:
-                c = row[piv]
-                if c:
-                    for j in range(piv, ncols):
-                        row[j] = (row[j] - c * brow[j]) % p
-            return row
         row = [Fraction(x) for x in row]
-        for piv, brow in basis:
+        for piv, brow in zip(self.pivots[first:], self.rows[first:]):
             c = row[piv]
             if c:
                 for j in range(piv, ncols):
@@ -84,38 +71,99 @@ class RowSpace:
         piv = next((j for j, x in enumerate(red) if x), None)
         if piv is None:
             return False
-        inv = self.field.inv(red[piv])
-        p = self.field.p
-        red = [x * inv % p for x in red] if p else [x * inv for x in red]
+        inv = 1 / red[piv]
         idx = bisect(self.pivots, piv)
         self.pivots.insert(idx, piv)
-        self.rows.insert(idx, red)
+        self.rows.insert(idx, [x * inv for x in red])
         return True
 
 
+def echelon_mod_p(stack: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """rref_mod_p before it scales and sorts the rows: every matrix of a (B,
+    m, n) int64 stack reduced mod p at once, and each row's pivot column (n
+    for a zero row); a matrix's pivot count is its rank.  Each column's
+    pivot is the first row not yet a pivot row that is nonzero there; every
+    other row loses that column by cross-multiplication (row * pivot -
+    pivot_row * entry), and p < 2**31 keeps each product inside int64."""
+    a = stack % p
+    nmat, _, ncols = a.shape
+    piv = np.full(a.shape[:2], ncols, dtype=np.int64)
+    every = np.arange(nmat)
+    for col in range(ncols):
+        free = piv == ncols
+        if not free.any():
+            break
+        entry = a[:, :, col]
+        candidate = (entry != 0) & free
+        found = candidate.any(axis=1)
+        if not found.any():
+            continue
+        r = candidate.argmax(axis=1)
+        pivot_row = a[every, r]
+        factor = entry * found[:, None]
+        factor[every, r] = 0
+        piv[every[found], r[found]] = col
+        # without a pivot the matrix keeps its rows: scale 1 and factor 0
+        a *= np.where(found, pivot_row[:, col], 1)[:, None, None]
+        a -= factor[:, :, None] * pivot_row[:, None, :]
+        a %= p
+    return a, piv
+
+
+def rref_mod_p(stack: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The package's one elimination over F_p: the reduced row echelon form
+    of each matrix of a (B, m, n) int64 stack, the nonzero rows with pivots
+    1 in pivot order, then the zero rows, and each row's pivot column (n for
+    a zero row).  It is echelon_mod_p, each row scaled once by the inverse
+    of its pivot, and the rows sorted by pivot."""
+    a, piv = echelon_mod_p(stack, p)
+    # a zero row's lead is 0, whose power is 0, so it stays zero
+    lead = (a * (np.arange(a.shape[2]) == piv[:, :, None])).sum(axis=2, keepdims=True)
+    inv, e = np.ones_like(lead), p - 2
+    while e:  # inv = lead ** (p - 2) mod p, by squaring
+        if e & 1:
+            inv = inv * lead % p
+        lead = lead * lead % p
+        e >>= 1
+    a *= inv
+    a %= p
+    order = np.argsort(piv, axis=1, kind="stable")
+    return np.take_along_axis(a, order[:, :, None], axis=1), np.take_along_axis(piv, order, axis=1)
+
+
+def rref_subsets(rows: Sequence[Sequence], subsets: Sequence, field: FieldSpec) -> Iterator[Tuple]:
+    """rref([rows[i] for i in s]) for each s in subsets, all of one size.
+    Over F_p they are one rref_mod_p stack, indexed from one array of the
+    rows (reduced by int(x) % p), turned into lists one at a time."""
+    if not field.p or not len(subsets):
+        yield from (rref([rows[i] for i in s], field) for s in subsets)
+        return
+    table = np.array([[int(x) % field.p for x in row] for row in rows], dtype=np.int64)
+    R, piv = rref_mod_p(table[np.array(subsets, dtype=np.intp)], field.p)
+    for Rs, ps in zip(R, piv):
+        yield Rs.tolist(), ps[ps < R.shape[2]].tolist()
+
+
 def rank_and_dependents(rows: Sequence[Sequence], ncols: int, field: FieldSpec) -> Tuple[int, List[int]]:
-    """Feed rows in order; dependents[i] are indices whose row lies in the
-    span of the preceding ones."""
-    space = RowSpace(ncols, field)
-    dependents = []
-    for i, row in enumerate(rows):
-        if not space.add(row):
-            dependents.append(i)
-    return space.rank, dependents
+    """The rank of rows, and the indices of the rows that lie in the span of
+    the rows before them: row i is one exactly when column i of the
+    transpose is not a pivot column."""
+    _, pivots = rref([[row[j] for row in rows] for j in range(ncols)], field)
+    return len(pivots), sorted(set(range(len(rows))) - set(pivots))
 
 
 def rank(matrix: Sequence[Sequence], field: FieldSpec) -> int:
-    if not matrix:
-        return 0
-    r, _ = rank_and_dependents(matrix, len(matrix[0]), field)
-    return r
+    return len(rref(matrix, field)[1])
 
 
 def rref(matrix: Sequence[Sequence], field: FieldSpec) -> Tuple[List[List[Scalar]], List[int]]:
     """Reduced row echelon form: the rank nonzero rows (pivots 1), then
-    len(matrix) - rank zero rows, and the pivot columns."""
+    len(matrix) - rank zero rows, and the pivot columns.  Over F_p it is
+    rref_mod_p on a stack of one matrix; over QQ, RowSpace."""
     if not matrix:
         return [], []
+    if field.p:
+        return next(rref_subsets(matrix, [range(len(matrix))], field))
     ncols = len(matrix[0])
     space = RowSpace(ncols, field)
     for row in matrix:
@@ -129,21 +177,22 @@ def rref(matrix: Sequence[Sequence], field: FieldSpec) -> Tuple[List[List[Scalar
     return rows, space.pivots
 
 
-def nullspace(matrix: Sequence[Sequence], ncols: int, field: FieldSpec) -> List[List[Scalar]]:
-    """Basis of the right nullspace; deterministic (one vector per free column)."""
-    if not matrix:
-        return [[field.one if j == i else field.zero for j in range(ncols)] for i in range(ncols)]
-    R, pivots = rref(matrix, field)
-    pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
+def kernel_of_rref(R, pivots: Sequence[int], ncols: int, field: FieldSpec) -> List[List[Scalar]]:
+    """Basis of the right nullspace of a matrix whose reduced row echelon
+    form is R with these pivot columns: one vector per free column."""
     basis = []
-    for fcol in free:
+    for fcol in sorted(set(range(ncols)) - set(pivots)):
         v = [field.zero] * ncols
         v[fcol] = field.one
         for i, pcol in enumerate(pivots):
             v[pcol] = field.neg(R[i][fcol])
         basis.append(v)
     return basis
+
+
+def nullspace(matrix: Sequence[Sequence], ncols: int, field: FieldSpec) -> List[List[Scalar]]:
+    """Basis of the right nullspace; deterministic (one vector per free column)."""
+    return kernel_of_rref(*rref(matrix, field), ncols, field)
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence, field: FieldSpec) -> Optional[List[Scalar]]:
@@ -164,7 +213,7 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence, field: FieldSpec) -> Option
 def bareiss_rank(matrix: Sequence[Sequence]) -> int:
     """Classical fraction-free Bareiss elimination over the integers/rationals.
 
-    Independent of RowSpace; used as a cross-check oracle in tests.
+    Independent of RowSpace and rref_mod_p; used as a cross-check oracle in tests.
     """
     rows = []
     for row in matrix:

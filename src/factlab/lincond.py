@@ -34,7 +34,7 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import RowSpace, combine, dot, nullspace, rank_and_dependents, rref, solve
+from .linalg import combine, dot, kernel_of_rref, nullspace, rank_and_dependents, rref_subsets, solve
 from .poly import HomoPoly, eval_poly, form_from_coeffs, gradient, monomial_basis, point_row
 from .projgeom import (
     DEFAULT_SCAN_CAP,
@@ -251,8 +251,9 @@ def secant_lines(pts: Sequence[ProjPoint], field: FieldSpec) -> Dict[Tuple, Tupl
     nullspace of any pair on it.
     """
     lines: Dict[Tuple, Tuple[Tuple[int, int], int]] = {}
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        key = tuple(map(tuple, rref([pts[i].coords, pts[j].coords], field)[0]))
+    pairs = list(itertools.combinations(range(len(pts)), 2))  # one stack
+    for (i, j), (R, _) in zip(pairs, rref_subsets([pt.coords for pt in pts], pairs, field)):
+        key = tuple(map(tuple, R))
         pair, mask = lines.get(key, ((i, j), 0))
         lines[key] = (pair, mask | (1 << i) | (1 << j))
     return lines
@@ -283,8 +284,8 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     Every other point q has a parameter [c1(q) : c2(q)], or is a base point
     of the pencil when both vanish.  The conic through T and a non-base
     point e holds T, the base points and every point with e's parameter.
-    That is C(n, 4) eliminations of 4 x 6 matrices instead of C(n, 5) of
-    5 x 6 ones.
+    That is C(n, 4) eliminations of 4 x 6 matrices, run as one stack,
+    instead of C(n, 5) of 5 x 6 ones.
     """
     if sigma.ambient_dim != 2:
         raise WrongAmbient("conic counting lives in P^2")
@@ -306,11 +307,11 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
 
     best, witness_subset = 5, tuple(range(5))
     # a 4-subset ending at the last point extends to no 5-subset
-    for T in itertools.combinations(range(n - 1), 4):
-        pencil = nullspace([rows[i] for i in T], 6, field)
-        if len(pencil) != 2:  # the four points are collinear
+    subsets = list(itertools.combinations(range(n - 1), 4))
+    for T, (R, pivots) in zip(subsets, rref_subsets(rows, subsets, field)):
+        if len(pivots) != 4:  # the four points are collinear
             continue
-        c1, c2 = pencil
+        c1, c2 = kernel_of_rref(R, pivots, 6, field)
         base, params, bucket = 0, {}, Counter()
         for q in range(n):
             if q in T:
@@ -415,17 +416,11 @@ class BeseReport:
 
 def _tangent_directions(pt: ProjPoint, p: int, field: FieldSpec):
     """The p+1 first-order directions at pt: P(F_p^3 / <pt>)."""
-    # complete pt to a basis with two unit vectors
+    # complete pt to a basis with the first two unit vectors that extend it
     n = len(pt.coords)
-    space = RowSpace(n, field)
-    space.add(list(pt.coords))
-    units = []
-    for i in range(n):
-        unit = [field.one if j == i else field.zero for j in range(n)]
-        if space.add(unit):
-            units.append(tuple(unit))
-        if len(units) == 2:
-            break
+    rows = [list(pt.coords)] + [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+    _, dependents = rank_and_dependents(rows, n, field)
+    units = [tuple(rows[k]) for k in range(1, n + 1) if k not in dependents][:2]
     return [units[1]] + [tuple(combine([field.one, a], units, field)) for a in range(p)]
 
 

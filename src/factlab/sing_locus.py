@@ -7,7 +7,7 @@ top of it is mod-p evidence, not a characteristic-0 proof.
 Every scan hit is re-checked in bulk by scan.horner_on_rows, an evaluator
 independent of the scan's own, and the node checks evaluate gradients and
 Hessian entries at all points of one chart at once, in blocks of at most
-_BLOCK rows, then take every block's ranks at once by ranks_mod_p.
+_BLOCK rows, then take every block's ranks at once by linalg.echelon_mod_p.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import CharDividesDegree, NotSingular, VerificationFailure
 from .fields import FieldSpec
+from .linalg import echelon_mod_p
 from .poly import HomoPoly, gradient, hessian, partial
 from .projgeom import DEFAULT_SCAN_CAP, PointSet, ProjPoint
 from .scan import eval_on_points, horner_on_rows, projective_zeros
@@ -148,7 +149,7 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
                 HF = _hessian_blocks(hessians[0], pts, pivot, p)
                 if len(inst.defining) == 1:
                     nonsingular[block] = dF.any(axis=1)
-                    node[block] = ranks_mod_p(HF, p) == n
+                    node[block] = (echelon_mod_p(HF, p)[1] < n).all(axis=1)
                 else:
                     dG = _values(grads[1], pts, p)
                     HG = _hessian_blocks(hessians[1], pts, pivot, p)
@@ -189,31 +190,6 @@ def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def ranks_mod_p(mats: np.ndarray, p: int) -> np.ndarray:
-    """Rank mod p of each matrix in a (B, k, m) int64 stack, by one
-    elimination run on all of them at once (linalg.rank is its per-matrix
-    oracle in tests).
-
-    Each column takes as pivot the first row with a nonzero entry and clears
-    that column from every row by cross-multiplication (row * pivot -
-    pivot_row * entry), so no inverse is needed and the pivot row itself
-    becomes zero.  Entries stay in [0, p) between steps, and p < 2**31 keeps
-    each product inside int64.
-    """
-    mats = mats % p
-    ranks = np.zeros(mats.shape[0], dtype=np.int64)
-    every = np.arange(mats.shape[0])
-    for col in range(mats.shape[2]):
-        entry = mats[:, :, col]
-        found = (entry != 0).any(axis=1)
-        pivot_row = mats[every, (entry != 0).argmax(axis=1)]
-        # without a pivot the column is already zero, and scale 1 keeps it
-        scale = np.where(found, pivot_row[:, col], 1)
-        mats = (mats * scale[:, None, None] - entry[:, :, None] * pivot_row[:, None, :]) % p
-        ranks += found
-    return ranks
-
-
 def _ci_node_check(dF, dG, HF, HG, pivot: int, p: int) -> np.ndarray:
     """Ordinary double point test for a codimension-2 complete intersection
     F = G = 0 at a block of points of one pivot chart, given the gradients
@@ -244,7 +220,7 @@ def _ci_node_check(dF, dG, HF, HG, pivot: int, p: int) -> np.ndarray:
     T %= p
     # rank of H restricted to the tangent hyperplane
     restricted = _matmul_mod(_matmul_mod(T.transpose(0, 2, 1), H, p), T, p)
-    return jac_rank_1 & (ranks_mod_p(restricted, p) == n - 1)
+    return jac_rank_1 & ((echelon_mod_p(restricted, p)[1] < n).sum(axis=1) == n - 1)
 
 
 def ci_singular_points(

@@ -1,5 +1,6 @@
 import pytest
 
+from factlab import linalg
 from factlab.families import (
     FamilySpec,
     gen_ci_nonfactorial,
@@ -45,3 +46,18 @@ def ci_22():
 @pytest.fixture(scope="session")
 def ci_32():
     return gen_ci_nonfactorial(FamilySpec("ci_plane", GF(11), seed=1, m=3, k=2))
+
+
+@pytest.fixture
+def rref_stack_sizes(monkeypatch):
+    """The number of matrices in each stack that linalg.rref_mod_p reduces
+    during the test, one entry per call."""
+    sizes = []
+    reduce_stack = linalg.rref_mod_p
+
+    def counting(stack, p):
+        sizes.append(stack.shape[0])
+        return reduce_stack(stack, p)
+
+    monkeypatch.setattr(linalg, "rref_mod_p", counting)
+    return sizes

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, comb, floor, lcm
 
 import pytest
 
@@ -255,6 +255,18 @@ def test_candidate_planes_beyond_p_31():
         pivot = next(i for i, a in enumerate(c) if a)
         assert c[pivot] == 1 and all(sum(a * x for a, x in zip(c, pt.coords)) % p == 0 for pt in sing)
     assert coeffs == sorted(coeffs, key=lambda c: (next(i for i, a in enumerate(c) if a), c))
+
+
+def test_candidate_planes_reduce_all_triples_as_one_stack(double_solid_r3, rref_stack_sizes):
+    sing = double_solid_r3.sing
+    assert _candidate_planes(double_solid_r3.defining[0], sing)
+    assert rref_stack_sizes == [comb(len(sing), 3)]
+    # collinear nodes: the triples, then the secant lines, then one
+    # nullspace for the one heavy line
+    sing = _collinear_nodes(13, 6, random.Random(4))
+    rref_stack_sizes.clear()
+    assert len(_candidate_planes(make_poly(4, 4, {(4, 0, 0, 0): 1}, GF(13)), sing)) == 14
+    assert rref_stack_sizes == [comb(6, 3), comb(6, 2), 1]
 
 
 def test_classify_finds_the_witness_on_a_singular_line_beyond_p_31():

@@ -1,5 +1,7 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from factlab.fields import GF, QQ
@@ -12,6 +14,8 @@ from factlab.linalg import (
     rank,
     rank_and_dependents,
     rref,
+    rref_mod_p,
+    rref_subsets,
     solve,
 )
 from factlab.rng import SplitMix64
@@ -54,13 +58,19 @@ def test_dependents_in_feed_order():
 
 
 def test_rowspace_contains():
-    F = GF(11)
-    space = RowSpace(3, F)
+    space = RowSpace(3, QQ)
     space.add([1, 2, 3])
     space.add([0, 1, 1])
     assert space.contains([1, 3, 4])
     assert not space.contains([0, 0, 1])
     assert space.rank == 2
+
+
+def test_rowspace_refuses_a_prime_field():
+    # over F_p every elimination runs on rref_mod_p; a RowSpace there would
+    # silently compute over QQ
+    with pytest.raises(ValueError):
+        RowSpace(3, GF(11))
 
 
 def test_rowspace_rational_fraction_free():
@@ -168,6 +178,10 @@ def test_unreduced_entries_give_the_answers_of_the_reduced_rows():
     assert rref([[101, 1], [0, 0]], F) == ([[0, 1], [0, 0]], [1])
     assert nullspace([[101, 1]], 2, F) == [[1, 0]]
     assert solve([[-101, 2]], [1], F) == [0, 51]
+    # entries past int64 are reduced before they reach numpy
+    big = [[2**70 + 3, -1], [0, 2**64 * 101]]
+    assert rref(big, F) == _gauss_jordan(big, 101)
+    assert rank([[2**70 + 3, 2**80]], F) == 1
     rng = SplitMix64(9)
     for trial in range(30):
         m = _random_matrix(rng, 1 + rng.below(4), 1 + rng.below(5), p=101)
@@ -204,3 +218,95 @@ def test_dot_and_combine_over_rationals():
     assert dot(u, [Fraction(2, 3), Fraction(-1, 4)], QQ) == Fraction(-5, 12)
     assert isinstance(dot([], [], QQ), Fraction)
     assert combine(u, [[2, Fraction(1, 3)], [0, -1]], QQ) == [1, Fraction(-17, 6)]
+
+
+def _stack_cases(rng, p):
+    """Matrices of several shapes over F_p, each shape its own list: zero
+    matrices, all-zero and repeated rows, zero columns, low-rank products
+    B C, and 1 x n and m x 1 matrices."""
+    cases = {}
+    for m, n in [(1, 1), (1, 5), (5, 1), (3, 3), (4, 6), (6, 4), (5, 5)]:
+        mats = [[[0] * n for _ in range(m)], _random_matrix(rng, m, n, p)]
+        for trial in range(12):
+            r = trial % (min(m, n) + 1)
+            B = _random_matrix(rng, m, r, p)
+            C = _random_matrix(rng, r, n, p)
+            mat = [[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(n)] for i in range(m)]
+            if trial % 3 == 0:
+                mat[rng.below(m)] = [0] * n
+            if trial % 4 == 0:
+                col = rng.below(n)
+                for row in mat:
+                    row[col] = 0
+            if trial % 5 == 0 and m > 1:
+                mat[-1] = mat[0][:]
+            mats.append(mat)
+        cases[m, n] = mats
+    return cases
+
+
+@pytest.mark.parametrize("p", [5, 101, 2**31 - 1])
+def test_rref_mod_p_matches_gauss_jordan_oracle(p):
+    rng = SplitMix64(70 + p % 89)
+    for (m, n), mats in _stack_cases(rng, p).items():
+        R, piv = rref_mod_p(np.array(mats, dtype=np.int64), p)
+        assert R.shape == (len(mats), m, n) and piv.shape == (len(mats), m)
+        for mat, Rk, pk in zip(mats, R.tolist(), piv.tolist()):
+            rows, pivots = _gauss_jordan(mat, p)
+            assert Rk == rows
+            assert pk == pivots + [n] * (m - len(pivots))
+
+
+def test_rref_mod_p_empty_shapes():
+    for shape in [(0, 3, 4), (2, 0, 4), (2, 3, 0)]:
+        R, piv = rref_mod_p(np.zeros(shape, dtype=np.int64), 7)
+        assert R.shape == shape and piv.shape == shape[:2]
+        assert (piv == shape[2]).all()
+
+
+def test_rref_mod_p_reduces_its_input_and_leaves_it_alone():
+    stack = np.array([[[7, -1], [14, 5]]], dtype=np.int64)
+    R, piv = rref_mod_p(stack, 7)
+    assert R.tolist() == [[[0, 1], [0, 0]]] and piv.tolist() == [[1, 2]]
+    assert stack.tolist() == [[[7, -1], [14, 5]]]
+
+
+@pytest.mark.parametrize("p", [5, 101, 0])
+def test_rref_subsets_match_rref_of_each_subset(p):
+    F = GF(p) if p else QQ
+    rng = SplitMix64(3 + p)
+    rows = _random_matrix(rng, 7, 4, p)
+    rows[3] = rows[1][:]
+    rows[5] = [0] * 4
+    for size in (1, 2, 3, 5):
+        subsets = list(itertools.combinations(range(7), size))
+        got = list(rref_subsets(rows, subsets, F))
+        assert got == [rref([rows[i] for i in s], F) for s in subsets]
+    assert list(rref_subsets(rows, [], F)) == []
+
+
+@pytest.mark.parametrize("p", [3, 101, 65521, 2**31 - 1])
+def test_rref_mod_p_ranks_match_rank(p):
+    """Low-rank k x k matrices, k <= 5, built as products B C with B k x r and
+    C r x k, some with a zero row or column, and the identity, in one stack
+    per k."""
+    rng = SplitMix64(p)
+    F = GF(p)
+    for k in range(1, 6):
+        mats = [[[int(i == j) for j in range(k)] for i in range(k)]]
+        for trial in range(40):
+            r = trial % (k + 1)
+            B = [[rng.below(p) for _ in range(r)] for _ in range(k)]
+            C = [[rng.below(p) for _ in range(k)] for _ in range(r)]
+            m = [[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(k)] for i in range(k)]
+            if trial % 7 == 0:
+                m[rng.below(k)] = [0] * k
+            if trial % 5 == 0:
+                col = rng.below(k)
+                for row in m:
+                    row[col] = 0
+            mats.append(m)
+        want = [len(_gauss_jordan(m, p)[1]) for m in mats]
+        _, piv = rref_mod_p(np.array(mats, dtype=np.int64), p)
+        assert (piv < k).sum(axis=1).tolist() == want
+        assert [rank(m, F) for m in mats] == want

@@ -34,7 +34,7 @@ from factlab.lincond import (
     separator,
     swap_combine,
 )
-from factlab.linalg import nullspace, rank
+from factlab.linalg import kernel_of_rref, nullspace, rank, rref_subsets
 from factlab.poly import eval_poly, form_from_coeffs, make_poly, monomial_basis, parse_poly
 from factlab.projgeom import canonicalize, dump_point_set, enumerate_projective, point_set
 from factlab.rng import SplitMix64
@@ -309,23 +309,25 @@ def _gradient_row(coords, direction, basis, p):
 
 def _bese_oracle(sigma, xi):
     """First base point by row membership: rank of the evaluation rows of
-    sigma with the candidate row appended, point by point."""
+    sigma with the candidate row appended, candidate by candidate (all the
+    candidates reduced as one stack)."""
     p = sigma.field.p
     basis = monomial_basis(3, xi)
     rows = [point_row(q.coords, basis, sigma.field) for q in sigma]
     base = rank(rows, sigma.field) if rows else 0
-
-    def in_span(row):
-        return rank(rows + [row], sigma.field) == base
-
+    witnesses, candidates = [], []
     for Q in enumerate_projective(2, p):
         if Q not in sigma:
-            if in_span(point_row(Q.coords, basis, sigma.field)):
-                return "base_point", Q
+            witnesses.append(Q)
+            candidates.append(point_row(Q.coords, basis, sigma.field))
             continue
         for v in _tangent_directions(Q, p, sigma.field):
-            if in_span(_gradient_row(Q.coords, v, basis, p)):
-                return "base_point", (Q, v)
+            witnesses.append((Q, v))
+            candidates.append(_gradient_row(Q.coords, v, basis, p))
+    subsets = [tuple(range(len(rows))) + (len(rows) + k,) for k in range(len(candidates))]
+    for witness, (_, pivots) in zip(witnesses, rref_subsets(rows + candidates, subsets, sigma.field)):
+        if len(pivots) == base:
+            return "base_point", witness
     return "free", None
 
 
@@ -392,14 +394,16 @@ def test_bese_scan_cap_exit_3(tmp_path, capsys, empty_kernel):
 
 
 def _lines_oracle(sigma):
-    """max_on_lines by a rank computation for every triple."""
+    """max_on_lines by a rank computation for every triple (all triples
+    reduced as one stack)."""
     pts = sigma.points
+    n = len(pts)
+    pairs = list(itertools.combinations(range(n), 2))
+    triples = [(i, j, k) for i, j in pairs for k in range(n)]
+    ranks = [len(pivots) for _, pivots in rref_subsets([q.coords for q in pts], triples, sigma.field)]
     best, witness = 0, None
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        count = sum(
-            1 for q in pts
-            if rank([pts[i].coords, pts[j].coords, q.coords], sigma.field) == 2
-        )
+    for t, (i, j) in enumerate(pairs):
+        count = ranks[t * n:(t + 1) * n].count(2)
         if count > best:
             best, witness = count, (pts[i], pts[j])
     return best, witness
@@ -428,9 +432,14 @@ def _conics_oracle(sigma):
     pts = sigma.points
     basis1, basis2 = monomial_basis(3, 1), monomial_basis(3, 2)
 
-    def conic_through(subset):
-        rows = [point_row(pt.coords, basis2, field) for pt in subset]
-        return [form_from_coeffs(basis2, v, field) for v in nullspace(rows, 6, field)]
+    rows = [point_row(pt.coords, basis2, field) for pt in pts]
+    coords = [pt.coords for pt in pts]
+
+    def through(table, subsets, ncols, basis):
+        """The forms through each subset of the table's rows, one list per
+        subset; all subsets are reduced as one stack."""
+        return [[form_from_coeffs(basis, v, field) for v in kernel_of_rref(R, pivots, ncols, field)]
+                for R, pivots in rref_subsets(table, subsets, field)]
 
     def line_form(p, q):
         return form_from_coeffs(basis1, nullspace([p.coords, q.coords], 3, field)[0], field)
@@ -439,19 +448,17 @@ def _conics_oracle(sigma):
         return sum(1 for pt in pts if not eval_poly(form, pt.coords))
 
     if len(pts) <= 5:
-        sols = conic_through(pts)
+        sols = through(rows, [range(len(pts))], 6, basis2)[0]
         return len(pts), (sols[0] if sols else None)
-    best, witness = 5, conic_through(pts[:5])[0]
-    for subset in itertools.combinations(pts, 5):
-        sols = conic_through(subset)
+    best, witness = 5, through(rows, [range(5)], 6, basis2)[0][0]
+    for sols in through(rows, list(itertools.combinations(range(len(pts)), 5)), 6, basis2):
         if len(sols) == 1:
             count = count_on(sols[0])
             if count > best:
                 best, witness = count, sols[0]
     lines = {}
-    for p, q in itertools.combinations(pts, 2):
-        form = line_form(p, q)
-        lines.setdefault(tuple(sorted(form.terms.items())), form)
+    for sols in through(coords, list(itertools.combinations(range(len(pts)), 2)), 3, basis1):
+        lines.setdefault(tuple(sorted(sols[0].terms.items())), sols[0])
     for l1, l2 in itertools.combinations_with_replacement(list(lines.values()), 2):
         count = count_on(l1 * l2)
         if count > best:
@@ -506,17 +513,18 @@ def test_max_on_conics_matches_five_subset_oracle():
         assert got[0] == want[0] and repr(got[1]) == repr(want[1]), list(map(str, sigma))
 
 
-def test_max_on_conics_pencil_cost(monkeypatch):
-    """C(n, 4) pencils and C(n, 2) secant lines, not C(n, 5) nullspaces."""
-    import factlab.lincond as lincond
-
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return nullspace(*args)
-
-    monkeypatch.setattr(lincond, "nullspace", counting)
+def test_max_on_conics_pencil_cost(rref_stack_sizes):
+    """One stack of C(n-1, 4) pencils and one of C(n, 2) secant lines, not
+    one elimination per subset; the witness takes one more."""
+    sizes = rref_stack_sizes
     sigma = _seeded_plane_set(random.Random(15), 101, 15, "conic")
     max_on_conics(sigma)
-    assert len(calls) <= comb(15, 4) + comb(15, 2) + 2
+    assert sorted(sizes, reverse=True)[:2] == [comb(14, 4), comb(15, 2)]
+    assert len(sizes) <= 4
+
+
+def test_secant_lines_one_stack(rref_stack_sizes):
+    sizes = rref_stack_sizes
+    sigma = _seeded_plane_set(random.Random(16), 101, 12, "collinear")
+    max_on_lines(sigma)
+    assert sizes == [comb(12, 2)]

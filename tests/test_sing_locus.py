@@ -2,7 +2,6 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from factlab.errors import CharDividesDegree, NotSingular
@@ -23,7 +22,6 @@ from factlab.rng import SplitMix64
 from factlab.sing_locus import (
     NodalInstance,
     ci_singular_points,
-    ranks_mod_p,
     singular_points,
     verify_nodal,
 )
@@ -282,28 +280,3 @@ def test_node_checks_evaluate_no_point_alone(monkeypatch, ci_22):
     inst = verify_nodal(NodalInstance([F, G], sing))
     assert len(sing) == len(ci_22.sing) and inst.clean
     assert calls == []
-
-
-@pytest.mark.parametrize("p", [3, 101, 65521, 2**31 - 1])
-def test_ranks_mod_p_matches_rank(p):
-    """Low-rank k x k matrices, k <= 5, built as products B C with B k x r and
-    C r x k, some with a zero row or column, and the identity, in one stack
-    per k."""
-    rng = SplitMix64(p)
-    F = GF(p)
-    for k in range(1, 6):
-        mats = [[[int(i == j) for j in range(k)] for i in range(k)]]
-        for trial in range(40):
-            r = trial % (k + 1)
-            B = [[rng.below(p) for _ in range(r)] for _ in range(k)]
-            C = [[rng.below(p) for _ in range(k)] for _ in range(r)]
-            m = [[sum(B[i][t] * C[t][j] for t in range(r)) % p for j in range(k)] for i in range(k)]
-            if trial % 7 == 0:
-                m[rng.below(k)] = [0] * k
-            if trial % 5 == 0:
-                col = rng.below(k)
-                for row in m:
-                    row[col] = 0
-            mats.append(m)
-        want = [rank(m, F) for m in mats]
-        assert ranks_mod_p(np.array(mats, dtype=np.int64), p).tolist() == want
