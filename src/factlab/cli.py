@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands: sing, defect, separator, bese, classify, criteria, gen.
-Every subcommand takes --output; the four that scan (sing, bese, classify,
-gen) also take --scan-cap.  gen alone takes --field and --seed (the others
-read the field from their input file).  All reports are
+Every subcommand takes --output.  gen alone takes --field and --seed (the
+others read the field from their input file).  A scan of P^n(F_p) stops
+before any work when the space has more than projgeom.SCAN_CAP = 10^8
+points (exit 3); the cap is fixed, not an option.  All reports are
 exact-integer/rational JSON; identical command lines produce byte-identical
 output.
 
 Exit codes:
   0  success
   2  input error (syntax, bad parameters, degree/field mismatch)
-  3  scan too large for the cap
+  3  scan larger than the fixed cap of 10^8 points
   4  degenerate draw after retries
   5  verification failure (locus mismatch, failed re-check, missing separator)
   1  unexpected internal error
@@ -38,7 +39,7 @@ from .errors import (
 from .fields import parse_field_spec
 from .lincond import SeparatorFailure, bese_check, defect, separator
 from .poly import HomoPoly, parse_poly
-from .projgeom import DEFAULT_SCAN_CAP, dump_point_set, load_point_set
+from .projgeom import dump_point_set, load_point_set
 from .sing_locus import NodalInstance, ci_singular_points, singular_points, verify_nodal
 
 # exit code of each error, first match wins (see the module docstring); any
@@ -87,7 +88,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _point_json(pt):
-    return [pt.field.format_scalar(c) for c in pt.coords]
+    return [str(c) for c in pt.coords]
 
 
 # --- subcommand implementations --------------------------------------------
@@ -98,9 +99,9 @@ def cmd_sing(args) -> int:
     if len(polys) > 2:
         raise BadParams(f"sing takes 1 form (hypersurface) or 2 (CI), not {len(polys)}")
     if len(polys) == 1:
-        sing = singular_points(polys[0], scan_cap=args.scan_cap)
+        sing = singular_points(polys[0])
     else:
-        sing = ci_singular_points(polys[0], polys[1], scan_cap=args.scan_cap)
+        sing = ci_singular_points(polys[0], polys[1])
     inst = verify_nodal(NodalInstance(polys, sing))
     report = {
         "count": len(sing),
@@ -136,7 +137,7 @@ def cmd_separator(args) -> int:
             "separated": False,
             "point": _point_json(P),
             "combination": [
-                [_point_json(q), sigma.field.format_scalar(c)]
+                [_point_json(q), str(c)]
                 for q, c in result.combination
                 if c
             ],
@@ -155,7 +156,7 @@ def cmd_separator(args) -> int:
 def cmd_bese(args) -> int:
     with open(args.points_file) as fh:
         sigma = load_point_set(fh.read())
-    report = bese_check(sigma, args.xi, scan=not args.no_scan, scan_cap=args.scan_cap)
+    report = bese_check(sigma, args.xi, scan=not args.no_scan)
     _emit(report.to_json(), args.output)
     return 0
 
@@ -164,7 +165,7 @@ def cmd_classify(args) -> int:
     polys = load_poly_file(args.poly_file)
     if len(polys) > 1:
         raise BadParams(f"classify takes 1 form, not {len(polys)}")
-    verdict = crit.hong_park_classify(polys[0], args.r, scan_cap=args.scan_cap)
+    verdict = crit.hong_park_classify(polys[0], args.r)
     _emit(verdict.to_json(), args.output)
     return 0
 
@@ -204,7 +205,7 @@ def cmd_gen(args) -> int:
         m=args.m,
         k=args.k,
     )
-    inst = fam.generate(spec, scan_cap=args.scan_cap)
+    inst = fam.generate(spec)
     prefix = args.prefix
     poly_path = f"{prefix}.poly"
     points_path = f"{prefix}.points"
@@ -240,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None)
 
     def scanning(sp):
-        sp.add_argument("--scan-cap", type=int, default=DEFAULT_SCAN_CAP, dest="scan_cap")
         # inert: accepted and ignored until the benchmark jobs stop passing it (ROADMAP item 1)
         sp.add_argument("--threads", type=int, help=argparse.SUPPRESS)
 

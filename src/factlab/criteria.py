@@ -17,7 +17,7 @@ from math import ceil, floor
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadParams, VerificationFailure
-from .linalg import combine, kernel_of_rref, nullspace, rref_subsets
+from .linalg import kernel_of_rref, nullspace, rref_subsets
 from .lincond import defect, secant_lines
 from .poly import (
     HomoPoly,
@@ -29,7 +29,7 @@ from .poly import (
     poly_sqrt,
     restrict_to_plane,
 )
-from .projgeom import DEFAULT_SCAN_CAP, PointSet, canonicalize
+from .projgeom import PointSet, line_points
 from .sing_locus import NodalInstance, singular_points, verify_nodal
 
 
@@ -243,14 +243,13 @@ def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
             key = tuple(sorted(form.terms.items()))
             if key not in planes and sum(1 for pt in sing if not eval_poly(form, pt.coords)) > r2:
                 planes[key] = form
-    if planes or not field.is_prime_field:
+    if planes or not field.p:
         return list(planes.values())
     through_lines = set()
     for key, (_, mask) in secant_lines(sing.points, field).items():
         if mask.bit_count() > r2:
             u, v = nullspace(key, 4, field)
-            pencil = [v] + [combine([field.one, t], (u, v), field) for t in range(field.p)]
-            through_lines.update(canonicalize(c, field).coords for c in pencil)
+            through_lines.update(line_points(u, v, field))
     # enumerate_projective order: pivot position first, then lex
     order = sorted(through_lines, key=lambda c: (next(i for i, x in enumerate(c) if x), c))
     return [form_from_coeffs(_PLANE_BASIS, c, field) for c in order]
@@ -327,11 +326,7 @@ class HongParkVerdict:
         )
 
 
-def hong_park_classify(
-    f: HomoPoly,
-    r: int,
-    scan_cap: int = DEFAULT_SCAN_CAP,
-) -> HongParkVerdict:
+def hong_park_classify(f: HomoPoly, r: int) -> HongParkVerdict:
     """Classify a nodal surface of degree 2r in P^3: defect 0 at 3r-4 means
     factorial (mod-p evidence); positive defect triggers the structural
     detector for the equation g_r^2 = g_1 * g_{2r-1}.
@@ -343,7 +338,7 @@ def hong_park_classify(
         raise BadParams("need r >= 2")
     if f.degree != 2 * r:
         raise BadParams(f"degree {f.degree} != 2r = {2 * r}")
-    sing = singular_points(f, scan_cap=scan_cap)
+    sing = singular_points(f)
     inst = verify_nodal(NodalInstance([f], sing))
     caveat = ""
     if not inst.clean:

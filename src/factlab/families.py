@@ -31,12 +31,7 @@ from .poly import (
     point_row,
     random_homo,
 )
-from .projgeom import (
-    DEFAULT_SCAN_CAP,
-    ProjPoint,
-    canonicalize,
-    enumerate_projective,
-)
+from .projgeom import ProjPoint, enumerate_projective, line_points
 from .rng import SplitMix64
 from .scan import eval_on_points, projective_zeros
 from .sing_locus import (
@@ -69,7 +64,7 @@ class FamilySpec:
                 raise BadParams("ci_plane needs m >= k >= 2")
         else:
             raise BadParams(f"unknown family {self.family!r}")
-        if not self.field.is_prime_field:
+        if not self.field.p:
             raise BadParams("families are generated over prime fields")
 
 
@@ -86,17 +81,10 @@ def _curve_smooth_points(f: HomoPoly, p: int) -> List[ProjPoint]:
     return [ProjPoint(tuple(int(v) for v in row), f.field) for row in rows]
 
 
-def _line_points_on_curve(curve: HomoPoly, a: ProjPoint, b: ProjPoint, p: int) -> List[ProjPoint]:
+def _line_points_on_curve(curve: HomoPoly, a: ProjPoint, b: ProjPoint) -> List[ProjPoint]:
     """All F_p-points of the line through a, b lying on the plane curve."""
-    field = curve.field
-    pts = []
-    if not eval_poly(curve, b.coords):
-        pts.append(b)
-    for t in range(p):
-        q = canonicalize(combine([field.one, t], [a.coords, b.coords], field), field)
-        if not eval_poly(curve, q.coords):
-            pts.append(q)
-    return pts
+    return [ProjPoint(c, curve.field) for c in line_points(a.coords, b.coords, curve.field)
+            if not eval_poly(curve, c)]
 
 
 def _line_section_nodes(
@@ -105,7 +93,6 @@ def _line_section_nodes(
     nlines: int,
     per_line: int,
     rng: SplitMix64,
-    p: int,
 ) -> Optional[List[ProjPoint]]:
     """Union of `nlines` disjoint complete line sections of the curve, each
     consisting of exactly `per_line` distinct smooth rational points.
@@ -125,7 +112,7 @@ def _line_section_nodes(
         a, b = rng.sample(smooth_pts, 2)
         if a.coords == b.coords:
             continue
-        section = _line_points_on_curve(curve, a, b, p)
+        section = _line_points_on_curve(curve, a, b)
         coords = {q.coords for q in section}
         if len(coords) != per_line or len(section) != per_line:
             continue  # tangency, extra rational points, or missing ones
@@ -184,7 +171,7 @@ def _plane_pair(
     rational = _curve_smooth_points(curve, field.p)
     if len(rational) < nlines * per_line:
         return None
-    nodes = _line_section_nodes(curve, rational, nlines, per_line, rng, field.p)
+    nodes = _line_section_nodes(curve, rational, nlines, per_line, rng)
     if nodes is None:
         return None
     residual = _random_form_through(3, residual_degree, nodes, field, rng)
@@ -240,10 +227,7 @@ def _verified(spec: FamilySpec, build, expected: int) -> NodalInstance:
 # --- Family 1: double solid branch surface g_r^2 = g_1 * g_{2r-1} ----------------
 
 
-def gen_double_solid_nonfactorial(
-    spec: FamilySpec,
-    scan_cap: int = DEFAULT_SCAN_CAP,
-) -> NodalInstance:
+def gen_double_solid_nonfactorial(spec: FamilySpec) -> NodalInstance:
     """Degree-2r surface f = g_r^2 - g_1 * g_{2r-1} in P^3 with exactly
     (2r-1)r nodes, all at F_p-rational points of {g_1 = g_r = g_{2r-1} = 0}.
 
@@ -272,7 +256,7 @@ def gen_double_solid_nonfactorial(
         g_2r1 = _mix_in(c_2r1, 4, (1, 2, 3), (0,), field, rng)
         g_1 = make_poly(4, 1, {(1, 0, 0, 0): field.one}, field)
         f = g_r * g_r - g_1 * g_2r1
-        sing = singular_points(f, scan_cap=scan_cap)
+        sing = singular_points(f)
         inst = verify_nodal(NodalInstance([f], sing))
         inst.generators = {"g_1": g_1, "g_r": g_r, "g_2r_minus_1": g_2r1}
         return inst
@@ -283,10 +267,7 @@ def gen_double_solid_nonfactorial(
 # --- Family 2: hypersurface x*g + y*f in P^4 -------------------------------
 
 
-def gen_hypersurface_nonfactorial(
-    spec: FamilySpec,
-    scan_cap: int = DEFAULT_SCAN_CAP,
-) -> NodalInstance:
+def gen_hypersurface_nonfactorial(spec: FamilySpec) -> NodalInstance:
     """Degree-d hypersurface V = x*g + y*f in P^4 with exactly (d-1)^2 nodes,
     all on the plane {x = y = 0} at rational points of {f = g = 0}."""
     if spec.family != "hypersurface_xgyf":
@@ -310,7 +291,7 @@ def gen_hypersurface_nonfactorial(
         x = make_poly(5, 1, {(1, 0, 0, 0, 0): field.one}, field)
         y = make_poly(5, 1, {(0, 1, 0, 0, 0): field.one}, field)
         V = x * g + y * f
-        sing = singular_points(V, scan_cap=scan_cap)
+        sing = singular_points(V)
         inst = verify_nodal(NodalInstance([V], sing))
         inst.generators = {"g": g, "f": f}
         return inst
@@ -321,10 +302,7 @@ def gen_hypersurface_nonfactorial(
 # --- Family 3: complete intersection through a 2-plane in P^5 -----------------
 
 
-def gen_ci_nonfactorial(
-    spec: FamilySpec,
-    scan_cap: int = DEFAULT_SCAN_CAP,
-) -> NodalInstance:
+def gen_ci_nonfactorial(spec: FamilySpec) -> NodalInstance:
     """Complete intersection F = x*A + y*B + z*C (degree m), G = x*D + y*E + z*H
     (degree k) in P^5, both containing the 2-plane {x = y = z = 0}, with
     exactly (m+k-2)^2 - (m-1)(k-1) nodes on that plane.
@@ -406,7 +384,7 @@ def gen_ci_nonfactorial(
         x, y, z = coord(0), coord(1), coord(2)
         F = x * A + y * B + z * C
         G = x * D + y * E + z * H
-        sing = ci_singular_points(F, G, scan_cap=scan_cap)
+        sing = ci_singular_points(F, G)
         inst = verify_nodal(NodalInstance([F, G], sing))
         inst.generators = {"F": F, "G": G}
         return inst
@@ -414,9 +392,9 @@ def gen_ci_nonfactorial(
     return _verified(spec, build, expected)
 
 
-def generate(spec: FamilySpec, scan_cap: int = DEFAULT_SCAN_CAP) -> NodalInstance:
+def generate(spec: FamilySpec) -> NodalInstance:
     if spec.family == "double_solid_eq15":
-        return gen_double_solid_nonfactorial(spec, scan_cap)
+        return gen_double_solid_nonfactorial(spec)
     if spec.family == "hypersurface_xgyf":
-        return gen_hypersurface_nonfactorial(spec, scan_cap)
-    return gen_ci_nonfactorial(spec, scan_cap)
+        return gen_hypersurface_nonfactorial(spec)
+    return gen_ci_nonfactorial(spec)

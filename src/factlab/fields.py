@@ -67,10 +67,6 @@ class FieldSpec:
     # --- element arithmetic ---------------------------------------------
 
     @property
-    def is_prime_field(self) -> bool:  # the operations test self.p: 0 exactly for QQ
-        return self.kind == "prime"
-
-    @property
     def zero(self) -> Scalar:
         return 0 if self.p else Fraction(0)
 
@@ -143,9 +139,6 @@ class FieldSpec:
             return self.of_int(int(text))
         except (ValueError, ZeroDivisionError) as exc:
             raise PolySyntaxError(f"bad scalar literal {text!r}") from exc
-
-    def format_scalar(self, a: Scalar) -> str:
-        return str(a)
 
     def spec_string(self) -> str:
         return f"Fp:{self.p}" if self.p else "QQ"

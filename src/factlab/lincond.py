@@ -34,15 +34,9 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import combine, dot, kernel_of_rref, nullspace, rank_and_dependents, rref_subsets, solve
+from .linalg import dot, kernel_of_rref, nullspace, rank_and_dependents, rref_subsets, solve
 from .poly import HomoPoly, eval_poly, form_from_coeffs, gradient, monomial_basis, point_row
-from .projgeom import (
-    DEFAULT_SCAN_CAP,
-    PointSet,
-    ProjPoint,
-    check_scan_cap,
-    point_set,
-)
+from .projgeom import PointSet, ProjPoint, check_scan_cap, line_points, point_set
 from .scan import projective_zeros
 
 
@@ -92,7 +86,7 @@ class DefectReport:
                 "xi": self.xi,
                 "field": self.field.spec_string(),
                 "dependent_points": [
-                    [self.field.format_scalar(c) for c in pt.coords]
+                    [str(c) for c in pt.coords]
                     for pt in self.dependent_points
                 ],
             },
@@ -355,9 +349,7 @@ class IncidenceCertificate:
 
 
 def incidence_bound_from_intersection(
-    sigma: PointSet,
-    generators: Sequence[HomoPoly],
-    scan_cap: int = DEFAULT_SCAN_CAP,
+    sigma: PointSet, generators: Sequence[HomoPoly]
 ) -> IncidenceCertificate:
     """Verify by full scan that the common zero locus of the generators is
     exactly sigma; then Bezout bounds incidences by deg * k."""
@@ -366,10 +358,10 @@ def incidence_bound_from_intersection(
         raise DegreeMismatch("generators must share a degree")
     m = degrees.pop()
     field = sigma.field
-    if not field.is_prime_field:
+    if not field.p:
         raise ValueError("locus verification requires a prime field")
     p = field.p
-    rows = projective_zeros(list(generators), sigma.ambient_dim, p, scan_cap)
+    rows = projective_zeros(list(generators), sigma.ambient_dim, p)
     locus = {tuple(int(v) for v in row) for row in rows}
     sigma_keys = {pt.coords for pt in sigma}
     if locus != sigma_keys:
@@ -397,9 +389,12 @@ class BeseReport:
     scan_label: str = "F_p-rational scan"
 
     def to_json(self) -> str:
-        wit = None
-        if self.witness is not None:
-            wit = str(self.witness)
+        wit = self.witness
+        if isinstance(wit, tuple):  # (Q, v): a direction v at a point Q of sigma
+            Q, v = wit
+            wit = f"{Q} direction ({':'.join(map(str, v))})"
+        elif wit is not None:
+            wit = str(wit)
         return json.dumps(
             {
                 "xi": self.xi,
@@ -414,17 +409,17 @@ class BeseReport:
         )
 
 
-def _tangent_directions(pt: ProjPoint, p: int, field: FieldSpec):
+def _tangent_directions(pt: ProjPoint, field: FieldSpec):
     """The p+1 first-order directions at pt: P(F_p^3 / <pt>)."""
-    # complete pt to a basis with the first two unit vectors that extend it
-    n = len(pt.coords)
-    rows = [list(pt.coords)] + [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
-    _, dependents = rank_and_dependents(rows, n, field)
-    units = [tuple(rows[k]) for k in range(1, n + 1) if k not in dependents][:2]
-    return [units[1]] + [tuple(combine([field.one, a], units, field)) for a in range(p)]
+    # pt and the unit vectors e_i, i != last, are a basis, where last is the
+    # index of pt's last nonzero coordinate: e_last is the only unit vector
+    # in the span of pt and the unit vectors before it
+    last = max(i for i, c in enumerate(pt.coords) if c)
+    u, v = [tuple(int(i == j) for j in range(3)) for i in range(3) if i != last]
+    return line_points(u, v, field)
 
 
-def _first_base_point(sigma: PointSet, xi: int, scan_cap: int):
+def _first_base_point(sigma: PointSet, xi: int):
     """("base_point", witness) for the first F_p-rational base point of the
     degree-xi forms through sigma on the blow-up, in enumerate_projective
     order, or ("free", None).  The witness is a point Q outside sigma with
@@ -434,11 +429,8 @@ def _first_base_point(sigma: PointSet, xi: int, scan_cap: int):
     p = field.p
     mat = evaluation_matrix(sigma, xi)
     kernel = [form_from_coeffs(mat.basis, v, field) for v in nullspace(mat.rows, mat.ncols, field)]
-    if kernel:
-        zeros = projective_zeros(kernel, 2, p, scan_cap)
-    else:  # no degree-xi form passes through sigma: every point is a base point
-        check_scan_cap(2, p, scan_cap)
-        zeros = [(1, 0, 0)]
+    # with no degree-xi form through sigma every point is a base point
+    zeros = projective_zeros(kernel, 2, p) if kernel else [(1, 0, 0)]
     grads = [gradient(g) for g in kernel]
     sigma_keys = {pt.coords for pt in sigma}
     for row in zeros:
@@ -446,7 +438,7 @@ def _first_base_point(sigma: PointSet, xi: int, scan_cap: int):
         if Q.coords not in sigma_keys:
             return "base_point", Q
         grad_rows = [[eval_poly(d, Q.coords) for d in grad] for grad in grads]
-        for v in _tangent_directions(Q, p, field):
+        for v in _tangent_directions(Q, field):
             if not any(dot(r, v, field) for r in grad_rows):
                 return "base_point", (Q, v)
     return "free", None
@@ -457,7 +449,6 @@ def bese_check(
     xi: int,
     incidence_cert: Optional[IncidenceCertificate] = None,
     scan: bool = True,
-    scan_cap: int = DEFAULT_SCAN_CAP,
 ) -> BeseReport:
     """Check the blow-up base-point-freeness hypotheses for points of P^2 at
     degree xi, then exhaustively scan for F_p-rational base points including
@@ -467,6 +458,10 @@ def bese_check(
     if sigma.ambient_dim != 2:
         raise WrongAmbient("the checker lives in P^2")
     field = sigma.field
+    if scan:  # refuse a scan it cannot run before checking the hypotheses
+        if not field.p:
+            raise ValueError("the base-point scan requires a prime field")
+        check_scan_cap(2, field.p)
     delta = len(sigma)
     half = (xi + 3) // 2
     cap_bound = max(half * (xi + 3 - half) - 1, half * half)
@@ -513,9 +508,7 @@ def bese_check(
 
     scan_result, witness = "not_scanned", None
     if scan:
-        if not field.is_prime_field:
-            raise ValueError("the base-point scan requires a prime field")
-        scan_result, witness = _first_base_point(sigma, xi, scan_cap)
+        scan_result, witness = _first_base_point(sigma, xi)
     return BeseReport(
         xi=xi,
         delta=delta,

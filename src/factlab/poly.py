@@ -516,7 +516,7 @@ def random_homo(nvars: int, degree: int, field: FieldSpec, seed: int) -> HomoPol
     rng = SplitMix64(seed)
     terms: Dict[Monomial, Scalar] = {}
     for m in monomial_basis(nvars, degree):
-        if field.is_prime_field:
+        if field.p:
             c = rng.below(field.p)
         else:
             c = Fraction(rng.below(19) - 9)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DuplicatePoint, PolySyntaxError, TooLarge, ZeroVector
 from .fields import FieldSpec, Scalar, parse_field_spec
 from .linalg import rank as matrix_rank
 
-DEFAULT_SCAN_CAP = 10**8
+SCAN_CAP = 10**8  # points of P^n(F_p) a scan may visit
 
 
 @dataclass(frozen=True)
@@ -30,11 +30,11 @@ class ProjPoint:
         return len(self.coords) - 1
 
     def __str__(self):
-        return "(" + ":".join(self.field.format_scalar(c) for c in self.coords) + ")"
+        return "(" + ":".join(map(str, self.coords)) + ")"
 
 
 def canonicalize(coords: Sequence[Scalar], field: FieldSpec) -> ProjPoint:
-    coords = [field.of_int(c) if isinstance(c, int) and field.is_prime_field else c for c in coords]
+    coords = [field.of_int(c) if isinstance(c, int) and field.p else c for c in coords]
     pivot = next((i for i, c in enumerate(coords) if c), None)
     if pivot is None:
         raise ZeroVector("all coordinates are zero")
@@ -87,21 +87,33 @@ def projective_count(n: int, p: int) -> int:
     return (p ** (n + 1) - 1) // (p - 1)
 
 
-def check_scan_cap(n: int, p: int, scan_cap: int) -> None:
-    """Raise TooLarge when P^n(F_p) has more than scan_cap points."""
+def check_scan_cap(n: int, p: int) -> None:
+    """Raise TooLarge when P^n(F_p) has more than SCAN_CAP points."""
     total = projective_count(n, p)
-    if total > scan_cap:
-        raise TooLarge(f"P^{n}(F_{p}) has {total} points > cap {scan_cap}")
+    if total > SCAN_CAP:
+        raise TooLarge(f"P^{n}(F_{p}) has {total} points > cap {SCAN_CAP}")
 
 
-def enumerate_projective(n: int, p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> Iterator[ProjPoint]:
+def enumerate_projective(n: int, p: int) -> Iterator[ProjPoint]:
     """Each point of P^n(F_p) exactly once, canonical, deterministic order."""
-    check_scan_cap(n, p, scan_cap)
+    check_scan_cap(n, p)
     field = FieldSpec("prime", p)
     for pivot in range(n + 1):
         free = n - pivot
         for tail in itertools.product(range(p), repeat=free):
             yield ProjPoint((0,) * pivot + (1,) + tail, field)
+
+
+def line_points(u: Sequence[int], v: Sequence[int], field: FieldSpec) -> List[Tuple[int, ...]]:
+    """The p+1 points of the line through u and v over F_p, as canonical
+    coordinate tuples: v, then u + t*v for t = 0, ..., p-1.  On plain ints,
+    since canonicalize's field calls would double the cost of a pencil."""
+    p = field.p
+    points = []
+    for c in [v] + [[(a + t * b) % p for a, b in zip(u, v)] for t in range(p)]:
+        inv = pow(next(x for x in c if x % p), p - 2, p)
+        points.append(tuple(x * inv % p for x in c))
+    return points
 
 
 def span_dim(points: Sequence[ProjPoint]) -> int:
@@ -118,7 +130,7 @@ def span_dim(points: Sequence[ProjPoint]) -> int:
 def dump_point_set(ps: PointSet) -> str:
     lines = [f"P {ps.ambient_dim} {ps.field.spec_string()}"]
     for pt in ps:
-        lines.append(",".join(ps.field.format_scalar(c) for c in pt.coords))
+        lines.append(",".join(map(str, pt.coords)))
     return "\n".join(lines) + "\n"
 
 

@@ -10,7 +10,9 @@ chart's grid is cut into slabs along its first free coordinate; slabs bound
 memory and are scanned in order.  The first form's zeros are kept as flat
 grid indices, and every further form filters them in turn on its own chart
 table, by Horner in the first free coordinate at each surviving index.  Rows
-are built only for the points that survive every form.
+are built only for the points that survive every form.  projective_zeros
+and coords_table refuse, before any work, a P^n(F_p) of more than
+projgeom.SCAN_CAP points (TooLarge); the cap is a constant, not a setting.
 
 coords_table, eval_on_points and common_zeros are the term-by-term path on
 explicit rows: the full table and common_zeros serve tests as an oracle,
@@ -32,15 +34,15 @@ from typing import Sequence
 import numpy as np
 
 from .poly import HomoPoly
-from .projgeom import DEFAULT_SCAN_CAP, check_scan_cap
+from .projgeom import check_scan_cap
 
 _CHUNK = 1 << 15  # grid points per slab (at least one value of the first free coordinate)
 _STEP = 4096  # surviving grid indices per Horner step of a further form
 
 
-def coords_table(n: int, p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> np.ndarray:
+def coords_table(n: int, p: int) -> np.ndarray:
     """(N, n+1) int64 table of canonical representatives of P^n(F_p)."""
-    check_scan_cap(n, p, scan_cap)
+    check_scan_cap(n, p)
     blocks = []
     for pivot in range(n + 1):
         free = n - pivot
@@ -203,12 +205,7 @@ def _zeros_at(f: HomoPoly, pivot: int, idx: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate([part[_horner_at(table, part, p) == 0] for part in parts])
 
 
-def projective_zeros(
-    polys: Sequence[HomoPoly],
-    n: int,
-    p: int,
-    scan_cap: int = DEFAULT_SCAN_CAP,
-) -> np.ndarray:
+def projective_zeros(polys: Sequence[HomoPoly], n: int, p: int) -> np.ndarray:
     """Rows of P^n(F_p) where every poly vanishes, as canonical int64
     coordinates in enumerate_projective's order.
 
@@ -217,7 +214,7 @@ def projective_zeros(
     each on its own chart table; rows are built for the final survivors.
     The single point of the last chart goes through common_zeros.
     """
-    check_scan_cap(n, p, scan_cap)
+    check_scan_cap(n, p)
     # a zero form filters nothing; kept first, it would keep a whole chart's indices
     polys = sorted(polys, key=HomoPoly.is_zero)
     results = []

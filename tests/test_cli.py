@@ -270,13 +270,22 @@ def test_criteria_missing_argument_exit_2(argv, missing, capsys):
     "flag", [["--field", "Fp:7"], ["--seed", "3"], ["--scan-cap", "1000"], ["--threads", "2"]]
 )
 def test_field_and_seed_only_for_gen(fixture_files, flag, capsys):
-    """Subcommands that never read an option reject it (exit 2)."""
+    """Subcommands that never read an option reject it (exit 2); no
+    subcommand takes --scan-cap, since the scan cap is a constant."""
     base, prefix = fixture_files
-    for argv in (
+    commands = [
         ["defect", prefix + ".points", "--xi", "1"],
         ["separator", prefix + ".points", "--xi", "1", "--point", "0"],
         ["criteria", "--theorem", "double_solid", "--r", "2", "--nsing", "5"],
-    ):
+    ]
+    if flag[0] == "--scan-cap":
+        commands += [
+            ["sing", prefix + ".poly"],
+            ["bese", prefix + ".points", "--xi", "3"],
+            ["classify", prefix + ".poly", "--r", "2"],
+            ["gen", "--family", "double_solid_eq15", "--r", "2", "--prefix", str(base / "unused")],
+        ]
+    for argv in commands:
         with pytest.raises(SystemExit) as exc:
             main([*argv, *flag])
         assert exc.value.code == 2
@@ -320,10 +329,12 @@ def test_byte_identical_determinism(fixture_files, capsys):
 
 
 def test_scan_cap_exit_3(tmp_path, capsys):
+    """P^4(F_101) has 105 101 005 points, more than the fixed cap of 10^8."""
     poly = tmp_path / "big.poly"
-    poly.write_text("F 4 Fp:101\nx^4 + y^4 + z^4 + w^4\n")
-    code, _, err = run_cli(["sing", str(poly), "--scan-cap", "1000"], capsys)
-    assert code == 3
+    poly.write_text("F 5 Fp:101\nx^4 + y^4 + z^4 + t^4 + u^4\n")
+    code, out, err = run_cli(["sing", str(poly)], capsys)
+    assert code == 3 and not out
+    assert "P^4(F_101) has 105101005 points > cap 100000000" in err
 
 
 def test_hidden_threads_flag_changes_no_output(fixture_files, tmp_path, capsys):

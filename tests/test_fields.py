@@ -70,9 +70,9 @@ def test_parse_format_roundtrip():
     F = GF(10007)
     assert F.parse_scalar("15") == 15
     assert F.parse_scalar("1/2") == F.div(1, 2)
-    assert F.format_scalar(15) == "15"
+    assert F.parse_scalar(str(F.div(1, 2))) == F.div(1, 2)
     assert QQ.parse_scalar("-3/4") == Fraction(-3, 4)
-    assert QQ.format_scalar(Fraction(-3, 4)) == "-3/4"
+    assert QQ.parse_scalar(str(Fraction(-3, 4))) == Fraction(-3, 4)
 
 
 def test_parse_field_spec():

@@ -1,10 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import factlab.lincond as lincond
 from factlab.cli import main
 from factlab.errors import (
     DegreeMismatch,
@@ -321,7 +323,7 @@ def _bese_oracle(sigma, xi):
             witnesses.append(Q)
             candidates.append(point_row(Q.coords, basis, sigma.field))
             continue
-        for v in _tangent_directions(Q, p, sigma.field):
+        for v in _tangent_directions(Q, sigma.field):
             witnesses.append((Q, v))
             candidates.append(_gradient_row(Q.coords, v, basis, p))
     subsets = [tuple(range(len(rows))) + (len(rows) + k,) for k in range(len(candidates))]
@@ -374,23 +376,55 @@ def test_bese_empty_kernel_every_point_is_a_base_point(with_origin):
     rep = bese_check(sigma, 3)
     origin = canonicalize([1, 0, 0], GF(7))
     if with_origin:
-        assert rep.witness == (origin, _tangent_directions(origin, 7, GF(7))[0])
+        assert rep.witness == (origin, _tangent_directions(origin, GF(7))[0])
     else:
         assert rep.witness == origin
     assert (rep.scan_result, rep.witness) == _bese_oracle(sigma, 3)
 
 
+def test_tangent_directions_are_the_quotient_plane():
+    """At every point of P^2(F_5), p+1 canonical directions, none in the
+    span of the point and no two equal modulo it."""
+    F = GF(5)
+    for pt in enumerate_projective(2, 5):
+        dirs = _tangent_directions(pt, F)
+        assert len(dirs) == 6
+        assert all(canonicalize(v, F).coords == v for v in dirs)
+        assert all(rank([pt.coords, v, w], F) == 3 for v, w in itertools.combinations(dirs, 2))
+
+
 @pytest.mark.parametrize("empty_kernel", [False, True])
-def test_bese_scan_cap_exit_3(tmp_path, capsys, empty_kernel):
-    sigma = _empty_kernel_set(7, 3, False) if empty_kernel else conic_points(7, 4)
-    path = tmp_path / "sigma.points"
-    path.write_text(dump_point_set(sigma))
-    # P^2(F_7) has 57 points
-    with pytest.raises(TooLarge):
-        bese_check(sigma, 3, scan_cap=56)
-    assert main(["bese", str(path), "--xi", "3", "--scan-cap", "56"]) == 3
-    assert main(["bese", str(path), "--xi", "3", "--scan-cap", "57"]) == 0
+def test_bese_scan_cap_exit_3(tmp_path, capsys, monkeypatch, empty_kernel):
+    """P^2(F_10007) has 100 150 057 points, more than the fixed cap of 10^8:
+    refused before the hypotheses are checked.  The same kind of set over
+    F_7 is scanned."""
+    for p, code in ((7, 0), (10007, 3)):
+        sigma = _empty_kernel_set(p, 3, False) if empty_kernel else conic_points(p, 4)
+        path = tmp_path / f"sigma{p}.points"
+        path.write_text(dump_point_set(sigma))
+        assert main(["bese", str(path), "--xi", "3"]) == code
     capsys.readouterr()
+
+    def refused(*args):
+        raise AssertionError("hypotheses checked before the scan cap")
+
+    monkeypatch.setattr(lincond, "max_on_lines", refused)
+    monkeypatch.setattr(lincond, "evaluation_matrix", refused)
+    with pytest.raises(TooLarge):
+        bese_check(sigma, 3)
+
+
+def test_bese_witness_json():
+    """A plain base point prints as a point, a direction at a point of the
+    set as "<point> direction <direction>"."""
+    F = GF(7)
+    origin = canonicalize([1, 0, 0], F)
+    rep = bese_check(conic_points(7, 7), 3)  # the 7 points (1:t:t^2)
+    assert rep.witness == (origin, (0, 1, 0))
+    assert json.loads(rep.to_json())["witness"] == "(1:0:0) direction (0:1:0)"
+    rep = bese_check(_empty_kernel_set(7, 3, False), 3)
+    assert rep.witness == origin
+    assert json.loads(rep.to_json())["witness"] == "(1:0:0)"
 
 
 def _lines_oracle(sigma):

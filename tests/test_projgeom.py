@@ -2,11 +2,15 @@ import pytest
 
 from factlab.errors import DuplicatePoint, TooLarge, ZeroVector
 from factlab.fields import GF, QQ
+from factlab.linalg import rank
 from factlab.projgeom import (
+    SCAN_CAP,
     PointSet,
     canonicalize,
+    check_scan_cap,
     dump_point_set,
     enumerate_projective,
+    line_points,
     load_point_set,
     point_set,
     projective_count,
@@ -43,7 +47,28 @@ def test_enumeration_count_and_canonical():
 
 def test_enumeration_cap():
     with pytest.raises(TooLarge):
-        list(enumerate_projective(3, 101, scan_cap=10))
+        next(enumerate_projective(3, 467))
+
+
+def test_scan_cap_boundary():
+    """The cap is 10^8 points: P^3(F_463) fits, P^3(F_467) does not."""
+    assert SCAN_CAP == 10**8
+    assert projective_count(3, 463) == 99_467_680
+    check_scan_cap(3, 463)
+    with pytest.raises(TooLarge, match=r"P\^3\(F_467\) has 102066120 points > cap 100000000"):
+        check_scan_cap(3, 467)
+
+
+def test_line_points():
+    """v first, then u + t*v for t = 0..p-1, each canonical: the p+1 points
+    of P^2(F_5) on the line through u and v."""
+    F = GF(5)
+    u, v = (2, 1, 0), (0, 3, 1)
+    pts = line_points(u, v, F)
+    assert pts[:3] == [(0, 1, 2), (1, 3, 0), (1, 2, 3)]
+    assert all(canonicalize(q, F).coords == q for q in pts)
+    on_line = [q.coords for q in enumerate_projective(2, 5) if rank([u, v, q.coords], F) == 2]
+    assert sorted(pts) == sorted(on_line) and len(pts) == 6
 
 
 def test_coords_table_matches_enumeration():

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import factlab.scan as scan
 import factlab.sing_locus as sing_locus
 from factlab import cli
 from factlab.errors import TooLarge, VerificationFailure
@@ -155,12 +156,18 @@ def test_single_point_chart():
     assert rows[-1].tolist() == [0, 0, 0, 1]
 
 
-def test_projective_zeros_cap():
-    f = parse_poly("x^2 + y*z", 4, GF(5))
-    total = projective_count(3, 5)
-    assert projective_zeros([f], 3, 5, scan_cap=total).shape[0] > 0
+def test_projective_zeros_cap(monkeypatch):
+    """P^3(F_467) has more than 10^8 points: refused before any chart table."""
+    f = parse_poly("x^2 + y*z", 4, GF(467))
+
+    def refused(*args):
+        raise AssertionError("chart table built past the scan cap")
+
+    monkeypatch.setattr(scan, "_chart_table", refused)
     with pytest.raises(TooLarge):
-        projective_zeros([f], 3, 5, scan_cap=total - 1)
+        projective_zeros([f], 3, 467)
+    with pytest.raises(TooLarge):
+        coords_table(3, 467)
 
 
 # --- the independent re-check of every scan hit ------------------------------

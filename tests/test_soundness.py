@@ -3,6 +3,7 @@ assert statement: every check raises a FactlabError instead.  Every import
 sits at module level, where a cycle or a missing module shows at once."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -63,6 +64,26 @@ def test_no_unused_import_or_private_function():
                     and everywhere[node.name] == names(node)[node.name]):
                 found.append(f"{mod}: unreferenced private function {node.name}")
     assert not found, found
+
+
+def test_every_traced_target_resolves():
+    """Every (module, attribute) that the benchmark's traced run wraps exists
+    in the package, so a change that renames or deletes one shows here and
+    not only in a traced benchmark run.  tracing.py is parsed, not run."""
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"])
+    assert targets
+    missing = []
+    for module_name, attr, _ in targets:
+        module = importlib.import_module(module_name)
+        owner, _, name = attr.rpartition(".")
+        scope = vars(getattr(module, owner)) if owner else vars(module)
+        if not callable(scope.get(name)):
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, missing
 
 
 def test_failed_certificate_refused_under_optimize():
