@@ -4,14 +4,15 @@ Subcommands: sing, defect, separator, bese, classify, criteria, gen.
 Every subcommand takes --output.  gen alone takes --field and --seed (the
 others read the field from their input file).  A scan of P^n(F_p) stops
 before any work when the space has more than projgeom.SCAN_CAP = 10^8
-points (exit 3); the cap is fixed, not an option.  All reports are
-exact-integer/rational JSON; identical command lines produce byte-identical
-output.
+points, and an evaluation matrix when it has more than lincond.EVAL_CAP =
+10^7 entries, |sigma| * C(n + xi, n) (exit 3); the caps are fixed, not
+options.  All reports are exact-integer/rational JSON; identical command
+lines produce byte-identical output.
 
 Exit codes:
   0  success
   2  input error (syntax, bad parameters, degree/field mismatch)
-  3  scan larger than the fixed cap of 10^8 points
+  3  scan or evaluation matrix larger than its fixed cap (10^8 points, 10^7 entries)
   4  degenerate draw after retries
   5  verification failure (locus mismatch, failed re-check, missing separator)
   1  unexpected internal error

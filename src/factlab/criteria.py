@@ -95,9 +95,9 @@ def theorem_main_certify(n: int, lam: int, size: int, xi: int) -> CriterionVerdi
     # so the third reads mu <= min(lambda, xi + 1 - lambda); the second is
     # the lower bound |Sigma|/lambda.  The least admissible mu is the larger
     # lower bound, if it meets both upper bounds.
-    mu = max(Fraction(xi + 3, 3), Fraction(size, lam))
-    if mu < Fraction(xi + 4, 3) and mu <= min(lam, xi + 1 - lam):
-        params["mu"] = mu
+    mu2 = max(Fraction(xi + 3, 3), Fraction(size, lam))
+    if mu2 < Fraction(xi + 4, 3) and mu2 <= min(lam, xi + 1 - lam):
+        mu = params["mu"] = mu2
         ineqs2 = [
             (f"xi = floor(3*mu - 3) = {floor(3 * mu - 3)} with mu = {mu}", xi == floor(3 * mu - 3)),
             (f"|Sigma| = {size} <= lambda*mu = {lam * mu}", size <= lam * mu),
@@ -111,9 +111,9 @@ def theorem_main_certify(n: int, lam: int, size: int, xi: int) -> CriterionVerdi
     # bullet 3: xi = floor(n*mu), |Sigma| <= lambda*mu, (n-1)*mu >= lambda.
     # The first puts mu in [xi/n, (xi+1)/n); the others are the lower bounds
     # |Sigma|/lambda and lambda/(n-1).
-    mu = max(Fraction(xi, n), Fraction(size, lam), Fraction(lam, n - 1))
-    if mu < Fraction(xi + 1, n):
-        params["mu"] = mu
+    mu3 = max(Fraction(xi, n), Fraction(size, lam), Fraction(lam, n - 1))
+    if mu3 < Fraction(xi + 1, n):
+        mu = params["mu"] = mu3
         ineqs3 = [
             (f"xi = floor(n*mu) = {floor(n * mu)} with mu = {mu}", xi == floor(n * mu)),
             (f"|Sigma| = {size} <= lambda*mu = {lam * mu}", size <= lam * mu),
@@ -121,7 +121,13 @@ def theorem_main_certify(n: int, lam: int, size: int, xi: int) -> CriterionVerdi
         ]
         return _verdict("main_bullet3", True, ineqs3, xi, params)
 
-    return _verdict("main_bullet1", False, ineqs1, None, params)
+    # no bullet applies: bullet 1's inequalities, then the bound each other bullet's mu misses
+    missed = [(f"bullet 2: least mu = max((xi+3)/3, |Sigma|/lambda) = {mu2} < (xi+4)/3 = "
+               f"{Fraction(xi + 4, 3)} and <= min(lambda, xi+1-lambda) = {min(lam, xi + 1 - lam)}",
+               False),
+              (f"bullet 3: least mu = max(xi/n, |Sigma|/lambda, lambda/(n-1)) = {mu3} "
+               f"< (xi+1)/n = {Fraction(xi + 1, n)}", False)]
+    return _verdict("main_bullet1", False, ineqs1 + missed, None, params)
 
 
 # --- the 3r-4 propositions -----------------------------------------------------
@@ -255,11 +261,7 @@ def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
     return [form_from_coeffs(_PLANE_BASIS, c, field) for c in order]
 
 
-def detect_nodal_surface_form(
-    f: HomoPoly,
-    sing: PointSet,
-    extra_planes: Tuple[HomoPoly, ...] = (),
-) -> Optional[StructureWitness]:
+def detect_nodal_surface_form(f: HomoPoly, sing: PointSet) -> Optional[StructureWitness]:
     """Search for a plane ell with f = G_r^2 - ell * G_{2r-1}.
 
     On each candidate plane: restrict f, take an exact polynomial square
@@ -270,7 +272,7 @@ def detect_nodal_surface_form(
         raise BadParams("degree must be even")
     r = f.degree // 2
     field = f.field
-    for ell in list(_candidate_planes(f, sing)) + list(extra_planes):
+    for ell in _candidate_planes(f, sing):
         chart = next(
             i for i in range(4) if ell.coeff(tuple(1 if j == i else 0 for j in range(4)))
         )
@@ -298,7 +300,7 @@ def detect_nodal_surface_form(
 
 @dataclass
 class HongParkVerdict:
-    status: str  # factorial | nonfactorial_structured | nonfactorial_unstructured | out_of_range | unknown
+    status: str  # factorial | nonfactorial_structured | nonfactorial_unstructured | out_of_range
     r: int
     nsing: int
     defect: Optional[int]

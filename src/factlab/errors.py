@@ -60,7 +60,7 @@ class CharDividesDegree(FactlabError):
 # --- geometry / scans -------------------------------------------------------
 
 class TooLarge(FactlabError):
-    """Scan exceeds the configured cap."""
+    """Scan or evaluation matrix exceeds its fixed cap."""
 
 
 class TooFew(FactlabError):

@@ -4,10 +4,12 @@ a fully verified NodalInstance.
 "General" data are seed-derived but not left to luck: over a small prime
 field a blind random draw almost never places every geometric intersection
 point at an F_p-rational point, so each generator first picks rational
-points on a seeded curve and then randomizes the remaining forms inside the
-linear system of forms through those points.  Acceptance is always by scan
-verification (node count formula + all-ODP), with bounded retry and a loud
-DegenerateDraw carrying the per-seed observed counts and failure reasons.
+points (complete secant sections of a seeded plane curve, read off the rows
+of its one scan, or for ci_plane a sample of the plane) and then randomizes
+the remaining forms inside the linear system of forms through them.
+Acceptance is always by scan verification (node count formula + all-ODP),
+with bounded retry and a loud DegenerateDraw carrying the per-seed observed
+counts and failure reasons.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .linalg import combine, nullspace
 from .poly import (
     HomoPoly,
     embed_poly,
-    eval_poly,
     form_from_coeffs,
     gradient,
     make_poly,
@@ -31,7 +32,7 @@ from .poly import (
     point_row,
     random_homo,
 )
-from .projgeom import ProjPoint, enumerate_projective, line_points
+from .projgeom import enumerate_projective
 from .rng import SplitMix64
 from .scan import eval_on_points, projective_zeros
 from .sing_locus import (
@@ -74,57 +75,42 @@ _ATTEMPTS = 5  # seeds spec.seed, spec.seed + 1, ... tried per generate call
 _LINE_SECTION_ATTEMPTS = 500  # random secants tried per _line_section_nodes call
 
 
-def _curve_smooth_points(f: HomoPoly, p: int) -> List[ProjPoint]:
-    """Smooth F_p-points of a plane curve, in enumeration order."""
+def _curve_smooth_points(f: HomoPoly, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The F_p-points of a plane curve as the int64 rows of its one scan, in
+    enumeration order, and the mask of the smooth rows among them."""
     rows = projective_zeros([f], f.nvars - 1, p)
-    rows = rows[np.any([eval_on_points(g, rows, p) != 0 for g in gradient(f)], axis=0)]
-    return [ProjPoint(tuple(int(v) for v in row), f.field) for row in rows]
+    return rows, np.any([eval_on_points(g, rows, p) != 0 for g in gradient(f)], axis=0)
 
 
-def _line_points_on_curve(curve: HomoPoly, a: ProjPoint, b: ProjPoint) -> List[ProjPoint]:
-    """All F_p-points of the line through a, b lying on the plane curve."""
-    return [ProjPoint(c, curve.field) for c in line_points(a.coords, b.coords, curve.field)
-            if not eval_poly(curve, c)]
+def _line_section_nodes(rows: np.ndarray, smooth: np.ndarray, nlines: int, per_line: int,
+                        p: int, rng: SplitMix64) -> Optional[List[Tuple[int, ...]]]:
+    """Coordinates, in scan order, of `nlines` disjoint complete line sections
+    of the curve scanned as `rows`, each of exactly `per_line` smooth points.
+    The secant through smooth rows a, b is the line a x b, and its section
+    is `rows @ (a x b % p) % p == 0`, whose int64 sums stay below 3p^2 with
+    p < 10^4 under the scan cap.
 
-
-def _line_section_nodes(
-    curve: HomoPoly,
-    smooth_pts: List[ProjPoint],
-    nlines: int,
-    per_line: int,
-    rng: SplitMix64,
-) -> Optional[List[ProjPoint]]:
-    """Union of `nlines` disjoint complete line sections of the curve, each
-    consisting of exactly `per_line` distinct smooth rational points.
-
-    Choosing the points in complete collinear groups makes their divisor
-    linearly equivalent to nlines * H on the curve, so a residual form of
-    degree nlines through them exists that does not contain the curve; an
-    arbitrary point sample of that size admits no such form once the curve
-    has positive genus.
+    Complete collinear groups make the points' divisor linearly equivalent
+    to nlines * H on the curve, so a residual form of degree nlines through
+    them exists that does not contain the curve; an arbitrary sample of that
+    size admits no such form once the curve has positive genus.
     """
-    smooth_set = {q.coords for q in smooth_pts}
-    chosen: List[List[ProjPoint]] = []
-    used = set()
-    for _ in range(_LINE_SECTION_ATTEMPTS):
-        if len(chosen) == nlines:
-            break
-        a, b = rng.sample(smooth_pts, 2)
-        if a.coords == b.coords:
-            continue
-        section = _line_points_on_curve(curve, a, b)
-        coords = {q.coords for q in section}
-        if len(coords) != per_line or len(section) != per_line:
-            continue  # tangency, extra rational points, or missing ones
-        if not coords <= smooth_set:
-            continue
-        if coords & used:
-            continue
-        chosen.append(section)
-        used |= coords
-    if len(chosen) < nlines:
+    smooth_idx = np.flatnonzero(smooth)
+    if len(smooth_idx) < nlines * per_line:
         return None
-    return [pt for grp in chosen for pt in grp]
+    used = np.zeros(len(rows), dtype=bool)
+    chosen = 0
+    for _ in range(_LINE_SECTION_ATTEMPTS):
+        i, j = rng.sample(range(len(smooth_idx)), 2)
+        on_line = rows @ (np.cross(rows[smooth_idx[i]], rows[smooth_idx[j]]) % p) % p == 0
+        # a wrong count means tangency, extra rational points, or missing ones
+        if on_line.sum() != per_line or (on_line & (used | ~smooth)).any():
+            continue
+        used |= on_line
+        chosen += 1
+        if chosen == nlines:
+            return [tuple(row) for row in rows[used].tolist()]
+    return None
 
 
 def _random_combination(kernel: Sequence[Sequence], field: FieldSpec, rng: SplitMix64) -> List:
@@ -136,14 +122,14 @@ def _random_combination(kernel: Sequence[Sequence], field: FieldSpec, rng: Split
 def _random_form_through(
     nvars: int,
     degree: int,
-    points: Sequence[ProjPoint],
+    points: Sequence[Tuple[int, ...]],
     field: FieldSpec,
     rng: SplitMix64,
 ) -> Optional[HomoPoly]:
     """Seeded random element of the linear system of degree-`degree` forms
-    vanishing at the given points; None when the system is empty."""
+    vanishing at the given coordinate tuples; None when the system is empty."""
     basis = monomial_basis(nvars, degree)
-    rows = [point_row(q.coords, basis, field) for q in points]
+    rows = [point_row(q, basis, field) for q in points]
     kernel = nullspace(rows, len(basis), field)
     if not kernel:
         return None
@@ -168,10 +154,8 @@ def _plane_pair(
     curve = random_homo(3, curve_degree, field, rng.next_u64())
     if curve.is_zero():
         return None
-    rational = _curve_smooth_points(curve, field.p)
-    if len(rational) < nlines * per_line:
-        return None
-    nodes = _line_section_nodes(curve, rational, nlines, per_line, rng)
+    rows, smooth = _curve_smooth_points(curve, field.p)
+    nodes = _line_section_nodes(rows, smooth, nlines, per_line, field.p, rng)
     if nodes is None:
         return None
     residual = _random_form_through(3, residual_degree, nodes, field, rng)

@@ -19,6 +19,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -42,6 +43,16 @@ from .scan import projective_zeros
 
 # --- evaluation matrices ------------------------------------------------------
 
+EVAL_CAP = 10**7  # entries of an evaluation matrix, |sigma| * C(n + xi, n)
+
+
+def check_eval_cap(size: int, n: int, xi: int) -> None:
+    """Raise TooLarge above EVAL_CAP entries; an empty set still builds the basis."""
+    entries = max(size, 1) * comb(n + xi, n)
+    if entries > EVAL_CAP:
+        raise TooLarge(f"degree-{xi} evaluation matrix on P^{n}: {max(size, 1)} x "
+                       f"C({n + xi}, {n}) = {entries} entries > cap {EVAL_CAP}")
+
 
 @dataclass
 class EvalMatrix:
@@ -56,9 +67,10 @@ class EvalMatrix:
 
 
 def evaluation_matrix(sigma: PointSet, xi: int) -> EvalMatrix:
-    """One evaluation row per point."""
+    """One evaluation row per point; TooLarge above EVAL_CAP entries."""
     if xi < 0:
         raise ValueError("xi >= 0 required")
+    check_eval_cap(len(sigma), sigma.ambient_dim, xi)
     field = sigma.field
     basis = monomial_basis(sigma.ambient_dim + 1, xi)
     rows = [point_row(pt.coords, basis, field) for pt in sigma]
@@ -386,7 +398,6 @@ class BeseReport:
     hypothesis_detail: List[Tuple[str, str]]
     scan_result: str  # free | base_point | not_scanned
     witness: Optional[object] = None
-    scan_label: str = "F_p-rational scan"
 
     def to_json(self) -> str:
         wit = self.witness
@@ -403,7 +414,7 @@ class BeseReport:
                 "hypothesis_detail": self.hypothesis_detail,
                 "scan_result": self.scan_result,
                 "witness": wit,
-                "scan_label": self.scan_label,
+                "scan_label": "F_p-rational scan",
             },
             indent=2,
         )
@@ -462,6 +473,7 @@ def bese_check(
         if not field.p:
             raise ValueError("the base-point scan requires a prime field")
         check_scan_cap(2, field.p)
+        check_eval_cap(len(sigma), 2, xi)
     delta = len(sigma)
     half = (xi + 3) // 2
     cap_bound = max(half * (xi + 3 - half) - 1, half * half)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -335,6 +336,71 @@ def test_scan_cap_exit_3(tmp_path, capsys):
     code, out, err = run_cli(["sing", str(poly)], capsys)
     assert code == 3 and not out
     assert "P^4(F_101) has 105101005 points > cap 100000000" in err
+
+
+@pytest.mark.parametrize(
+    "header, argv",
+    [
+        ("P 3 Fp:101\n1,2,3,4\n1,0,5,7\n", ["defect", "--xi", "3000"]),
+        ("P 3 Fp:101\n1,2,3,4\n1,0,5,7\n", ["separator", "--xi", "3000", "--point", "0"]),
+        ("P 2 Fp:101\n1,3,7\n1,5,31\n1,11,64\n1,20,83\n1,41,2\n1,57,90\n",
+         ["bese", "--xi", "3000"]),
+    ],
+)
+def test_evaluation_matrix_cap_exit_3(tmp_path, header, argv, capsys):
+    """A degree-3000 evaluation matrix is refused (exit 3) before its monomial
+    basis is built: C(3003, 3) is about 4.5 * 10^9 monomials."""
+    path = tmp_path / "pts.points"
+    path.write_text(header)
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    assert code == 3 and not out
+    assert "> cap 10000000" in err
+
+
+def test_criteria_main_failure_shows_every_bullet(capsys):
+    """With no bullet applying, bullets 2 and 3 each name their least mu and
+    the bound it misses."""
+    argv = ["criteria", "--theorem", "main", "--n", "4", "--lambda", "2", "--size", "5", "--xi", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    report = json.loads(out)
+    assert code == 0 and not report["applies"]
+    assert report["instantiated_inequalities"][2:] == [
+        {"text": "bullet 2: least mu = max((xi+3)/3, |Sigma|/lambda) = 5/2 < (xi+4)/3 = 5/3 "
+                 "and <= min(lambda, xi+1-lambda) = 0", "holds": False},
+        {"text": "bullet 3: least mu = max(xi/n, |Sigma|/lambda, lambda/(n-1)) = 5/2 "
+                 "< (xi+1)/n = 1/2", "holds": False},
+    ]
+
+
+# sha256 of gen's stdout, .poly and .points, joined by NUL bytes
+_GEN_DIGESTS = {
+    "double_solid_eq15 --r 2 --field Fp:101 --seed 1":
+        "c7c59c5fc67c86e64588efe9c3dbd818e6252860989a615af4b66cf28a7858f3",
+    "double_solid_eq15 --r 2 --field Fp:101 --seed 2":
+        "f2203cd727a895a81f26dc650604c9821360dcb8fc80b96e1e19ec4ac9e5382e",
+    "double_solid_eq15 --r 3 --field Fp:101 --seed 1":
+        "5607e6fd5dea6e6a00bbf71b69f8ab537c7d102515f0b4ae58fcc74330acd1b2",
+    "double_solid_eq15 --r 3 --field Fp:101 --seed 2":
+        "eea90091a3a7e0aa88c7888a34dc108389ffe1d63de4a9278dabae1cc9f620ad",
+    "hypersurface_xgyf --d 3 --field Fp:31 --seed 1":
+        "2e86c4d533f919f436e7209da3789572ba440d7c1302ba7823910765908b6619",
+    "hypersurface_xgyf --d 3 --field Fp:31 --seed 2":
+        "d172696ae44af24fd986d4d4aa2868f75bdfc138c385cd9103da0f519b32d50e",
+    "hypersurface_xgyf --d 4 --field Fp:31 --seed 1":
+        "7512c18937107d923aabba9a0b626ef5269505b9447050063eebfcd8e1cbb0bb",
+    "hypersurface_xgyf --d 4 --field Fp:31 --seed 2":
+        "632a9398ab090b1a61357f8302446c1fb86a9f22190aef9c6eb911cdb458d52d",
+}
+
+
+@pytest.mark.parametrize("argv", list(_GEN_DIGESTS))
+def test_gen_output_is_pinned(tmp_path, monkeypatch, argv, capsys):
+    """A change to the plane-curve draws shows here first."""
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["gen", "--family", *argv.split(), "--prefix", "fam"], capsys)
+    assert code == 0
+    texts = (out, (tmp_path / "fam.poly").read_text(), (tmp_path / "fam.points").read_text())
+    assert hashlib.sha256("\0".join(texts).encode()).hexdigest() == _GEN_DIGESTS[argv]
 
 
 def test_hidden_threads_flag_changes_no_output(fixture_files, tmp_path, capsys):

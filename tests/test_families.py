@@ -5,13 +5,17 @@ import pytest
 from factlab.errors import BadParams, DegenerateDraw
 from factlab.families import (
     FamilySpec,
+    _curve_smooth_points,
+    _line_section_nodes,
     _verified,
     gen_double_solid_nonfactorial,
     gen_hypersurface_nonfactorial,
 )
 from factlab.fields import GF
 from factlab.lincond import defect
-from factlab.poly import eval_poly
+from factlab.poly import eval_poly, gradient, random_homo
+from factlab.projgeom import enumerate_projective, line_points
+from factlab.rng import SplitMix64
 
 
 def test_family_spec_validation():
@@ -67,6 +71,27 @@ def test_double_solid_small_field_contract():
         assert len(exc.observed_counts) == 5
     else:
         assert len(inst.sing) == 6 and inst.clean
+
+
+def test_line_sections_match_pointwise_evaluation():
+    """The scanned rows, their smooth mask and each node's secant section
+    agree with eval_poly point by point (r = 3 over F_101: 5 lines of 3)."""
+    F, p = GF(101), 101
+    for seed in (1, 2):
+        rng = SplitMix64(seed)
+        curve = random_homo(3, 3, F, rng.next_u64())
+        rows, smooth = _curve_smooth_points(curve, p)
+        on_curve = [q.coords for q in enumerate_projective(2, p) if not eval_poly(curve, q.coords)]
+        assert [tuple(row) for row in rows.tolist()] == on_curve
+        assert smooth.tolist() == [any(eval_poly(g, c) for g in gradient(curve)) for c in on_curve]
+        nodes = _line_section_nodes(rows, smooth, 5, 3, p, rng)
+        assert nodes is not None and len(set(nodes)) == 15
+        smooth_pts = {c for c, s in zip(on_curve, smooth.tolist()) if s}
+        for a in nodes:
+            assert a in smooth_pts
+            sections = [{c for c in line_points(a, b, F) if not eval_poly(curve, c)}
+                        for b in nodes if b != a]
+            assert any(len(sec) == 3 and sec <= set(nodes) for sec in sections)
 
 
 def test_degenerate_draw_names_each_seeds_reason():
