@@ -35,7 +35,6 @@ from .sing_locus import (
 from .lincond import (
     BeseReport,
     DefectReport,
-    EvalMatrix,
     IncidenceCertificate,
     SeparatorCertificate,
     all_separators,

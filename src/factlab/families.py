@@ -9,7 +9,7 @@ of its one scan, or for ci_plane a sample of the plane) and then randomizes
 the remaining forms inside the linear system of forms through them.
 Acceptance is always by scan verification (node count formula + all-ODP),
 with bounded retry and a loud DegenerateDraw carrying the per-seed observed
-counts and failure reasons.
+counts and failure reasons; a draw that stops early names the step.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .errors import BadParams, DegenerateDraw
 from .fields import FieldSpec
 from .linalg import combine, nullspace
+from .lincond import evaluation_matrix
 from .poly import (
     HomoPoly,
     embed_poly,
@@ -29,7 +30,6 @@ from .poly import (
     gradient,
     make_poly,
     monomial_basis,
-    point_row,
     random_homo,
 )
 from .projgeom import enumerate_projective
@@ -75,6 +75,10 @@ _ATTEMPTS = 5  # seeds spec.seed, spec.seed + 1, ... tried per generate call
 _LINE_SECTION_ATTEMPTS = 500  # random secants tried per _line_section_nodes call
 
 
+class _NoDraw(Exception):
+    """A draw stopped before it had a candidate; the message names the step."""
+
+
 def _curve_smooth_points(f: HomoPoly, p: int) -> Tuple[np.ndarray, np.ndarray]:
     """The F_p-points of a plane curve as the int64 rows of its one scan, in
     enumeration order, and the mask of the smooth rows among them."""
@@ -83,7 +87,7 @@ def _curve_smooth_points(f: HomoPoly, p: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _line_section_nodes(rows: np.ndarray, smooth: np.ndarray, nlines: int, per_line: int,
-                        p: int, rng: SplitMix64) -> Optional[List[Tuple[int, ...]]]:
+                        p: int, rng: SplitMix64) -> List[Tuple[int, ...]]:
     """Coordinates, in scan order, of `nlines` disjoint complete line sections
     of the curve scanned as `rows`, each of exactly `per_line` smooth points.
     The secant through smooth rows a, b is the line a x b, and its section
@@ -97,7 +101,7 @@ def _line_section_nodes(rows: np.ndarray, smooth: np.ndarray, nlines: int, per_l
     """
     smooth_idx = np.flatnonzero(smooth)
     if len(smooth_idx) < nlines * per_line:
-        return None
+        raise _NoDraw(f"{len(smooth_idx)} smooth rational points, {nlines * per_line} needed")
     used = np.zeros(len(rows), dtype=bool)
     chosen = 0
     for _ in range(_LINE_SECTION_ATTEMPTS):
@@ -110,7 +114,7 @@ def _line_section_nodes(rows: np.ndarray, smooth: np.ndarray, nlines: int, per_l
         chosen += 1
         if chosen == nlines:
             return [tuple(row) for row in rows[used].tolist()]
-    return None
+    raise _NoDraw(f"{chosen} of {nlines} secant sections found in {_LINE_SECTION_ATTEMPTS} tries")
 
 
 def _random_combination(kernel: Sequence[Sequence], field: FieldSpec, rng: SplitMix64) -> List:
@@ -125,14 +129,13 @@ def _random_form_through(
     points: Sequence[Tuple[int, ...]],
     field: FieldSpec,
     rng: SplitMix64,
-) -> Optional[HomoPoly]:
+) -> HomoPoly:
     """Seeded random element of the linear system of degree-`degree` forms
-    vanishing at the given coordinate tuples; None when the system is empty."""
-    basis = monomial_basis(nvars, degree)
-    rows = [point_row(q, basis, field) for q in points]
+    vanishing at the given coordinate tuples."""
+    basis, rows = evaluation_matrix(points, nvars, degree, field)
     kernel = nullspace(rows, len(basis), field)
     if not kernel:
-        return None
+        raise _NoDraw(f"no residual form of degree {degree} through {len(points)} nodes")
     coeffs = _random_combination(kernel, field, rng)
     if not any(coeffs):
         # last resort inside the draw: take the first kernel vector
@@ -147,21 +150,15 @@ def _plane_pair(
     residual_degree: int,
     field: FieldSpec,
     rng: SplitMix64,
-) -> Optional[Tuple[HomoPoly, HomoPoly]]:
+) -> Tuple[HomoPoly, HomoPoly]:
     """A seeded plane curve and a residual form through nlines * per_line of
-    its smooth rational points, taken as complete line sections; None when
-    a draw fails."""
+    its smooth rational points, taken as complete line sections."""
     curve = random_homo(3, curve_degree, field, rng.next_u64())
     if curve.is_zero():
-        return None
+        raise _NoDraw("zero curve")
     rows, smooth = _curve_smooth_points(curve, field.p)
     nodes = _line_section_nodes(rows, smooth, nlines, per_line, field.p, rng)
-    if nodes is None:
-        return None
-    residual = _random_form_through(3, residual_degree, nodes, field, rng)
-    if residual is None or residual.is_zero():
-        return None
-    return curve, residual
+    return curve, _random_form_through(3, residual_degree, nodes, field, rng)
 
 
 def _mix_in(plane_form: HomoPoly, nvars: int, positions: Tuple[int, ...],
@@ -183,15 +180,20 @@ def _mix_in(plane_form: HomoPoly, nvars: int, positions: Tuple[int, ...],
 def _verified(spec: FamilySpec, build, expected: int) -> NodalInstance:
     """Retry loop: build(seed) -> NodalInstance candidate; accept iff the
     scan finds exactly `expected` singular points, all ODP.  A failure names
-    each seed's reason: no draw, or its singular point count and how many
-    of those points are not ordinary double points."""
+    each seed's reason: no draw (and the step that failed, when build
+    raised _NoDraw), or its singular point count and how many of those
+    points are not ordinary double points."""
     observed, reasons = [], []
     for attempt in range(_ATTEMPTS):
         seed = (spec.seed + attempt) & (2**64 - 1)
-        inst = build(seed)
+        why = ""
+        try:
+            inst = build(seed)
+        except _NoDraw as exc:
+            inst, why = None, f": {exc}"
         if inst is None:
             observed.append(None)
-            reasons.append(f"seed {seed}: no draw")
+            reasons.append(f"seed {seed}: no draw{why}")
             continue
         observed.append(len(inst.sing))
         if len(inst.sing) == expected and inst.clean:
@@ -231,10 +233,7 @@ def gen_double_solid_nonfactorial(spec: FamilySpec) -> NodalInstance:
     def build(seed):
         rng = SplitMix64(seed)
         # plane curve of degree r in the plane {x = 0}, coordinates (y, z, w)
-        pair = _plane_pair(r, 2 * r - 1, r, 2 * r - 1, field, rng)
-        if pair is None:
-            return None
-        c_r, c_2r1 = pair
+        c_r, c_2r1 = _plane_pair(r, 2 * r - 1, r, 2 * r - 1, field, rng)
         # lift to P^3 (positions 1,2,3 = y,z,w), mixing in x-multiples
         g_r = _mix_in(c_r, 4, (1, 2, 3), (0,), field, rng)
         g_2r1 = _mix_in(c_2r1, 4, (1, 2, 3), (0,), field, rng)
@@ -266,10 +265,7 @@ def gen_hypersurface_nonfactorial(spec: FamilySpec) -> NodalInstance:
     def build(seed):
         rng = SplitMix64(seed)
         # plane {x = y = 0} has coordinates (z, w, t) = positions 2, 3, 4
-        pair = _plane_pair(d - 1, d - 1, d - 1, d - 1, field, rng)
-        if pair is None:
-            return None
-        g_plane, f_plane = pair
+        g_plane, f_plane = _plane_pair(d - 1, d - 1, d - 1, d - 1, field, rng)
         g = _mix_in(g_plane, 5, (2, 3, 4), (0, 1), field, rng)
         f = _mix_in(f_plane, 5, (2, 3, 4), (0, 1), field, rng)
         x = make_poly(5, 1, {(1, 0, 0, 0, 0): field.one}, field)
@@ -325,47 +321,34 @@ def gen_ci_nonfactorial(spec: FamilySpec) -> NodalInstance:
         coeffs = _random_combination(kernel, field, rng)
         return [form_from_coeffs(basis_t, coeffs[i * nt:(i + 1) * nt], field) for i in range(3)]
 
-    def _plane_degeneracy_count(row1, row2):
-        (a_, b_, c_), (d_, e_, h_) = row1, row2
-        minors = [a_ * e_ - b_ * d_, a_ * h_ - c_ * d_, b_ * h_ - c_ * e_]
-        return len(projective_zeros(minors, 2, p))
-
     def build(seed):
         rng = SplitMix64(seed)
         all_pts = list(enumerate_projective(2, p))
         if len(all_pts) < expected:
-            return None
+            raise _NoDraw(f"{len(all_pts)} points in the plane, {expected} needed")
         nodes = rng.sample(all_pts, expected)
-        basis_s = monomial_basis(3, s)
-        rows = [point_row(q.coords, basis_s, field) for q in nodes]
+        basis_s, rows = evaluation_matrix([q.coords for q in nodes], 3, s, field)
         gen_vecs = nullspace(rows, len(basis_s), field)
-        if len(gen_vecs) != 3:
-            return None  # non-generic Hilbert function for this (m, k)
+        if len(gen_vecs) != 3:  # non-generic Hilbert function for this (m, k)
+            raise _NoDraw(f"{len(gen_vecs)} forms of degree {s} through the nodes, 3 needed")
         gens = [form_from_coeffs(basis_s, v, field) for v in gen_vecs]
         ker2, basis2 = _syzygies(gens, k - 1)
         ker1, basis1 = _syzygies(gens, m - 1)
         if not ker1 or not ker2:
-            return None
+            raise _NoDraw(f"no syzygy of degree {k - 1 if not ker2 else m - 1}")
         row2 = _random_syzygy_row(ker2, basis2, rng)  # (D, E, H)
         row1 = _random_syzygy_row(ker1, basis1, rng)  # (A, B, C)
         if any(g.is_zero() for g in row1 + row2):
-            return None
-        if _plane_degeneracy_count(row1, row2) != expected:
-            return None
-        a_plane, b_plane, c_plane = row1
-        d_plane, e_plane, h_plane = row2
-        # lift restrictions to P^5 (plane coords w, t, v = positions 3, 4, 5)
-        pos = (3, 4, 5)
-        mix = (0, 1, 2)
-        A = _mix_in(a_plane, 6, pos, mix, field, rng)
-        B = _mix_in(b_plane, 6, pos, mix, field, rng)
-        C = _mix_in(c_plane, 6, pos, mix, field, rng)
-        D = _mix_in(d_plane, 6, pos, mix, field, rng)
-        E = _mix_in(e_plane, 6, pos, mix, field, rng)
-        H = _mix_in(h_plane, 6, pos, mix, field, rng)
-        def coord(i):
-            return make_poly(6, 1, {tuple(1 if j == i else 0 for j in range(6)): field.one}, field)
-        x, y, z = coord(0), coord(1), coord(2)
+            raise _NoDraw("a zero entry in the syzygy matrix")
+        (a_, b_, c_), (d_, e_, h_) = row1, row2
+        minors = [a_ * e_ - b_ * d_, a_ * h_ - c_ * d_, b_ * h_ - c_ * e_]
+        count = len(projective_zeros(minors, 2, p))
+        if count != expected:
+            raise _NoDraw(f"{count} degeneracy points, {expected} needed")
+        # lift the six entries to P^5 (plane coords w, t, v = positions 3, 4, 5)
+        A, B, C, D, E, H = (_mix_in(g, 6, (3, 4, 5), (0, 1, 2), field, rng) for g in row1 + row2)
+        x, y, z = (make_poly(6, 1, {tuple(int(j == i) for j in range(6)): field.one}, field)
+                   for i in range(3))
         F = x * A + y * B + z * C
         G = x * D + y * E + z * H
         sing = ci_singular_points(F, G)

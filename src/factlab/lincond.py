@@ -2,6 +2,10 @@
 the certificate combiner, exact line/conic incidence counts, intersection
 certificates, and the blown-up-plane base-point checker.
 
+evaluation_matrix is the package's one builder of monomial rows, which
+every evaluation matrix here and in families reads: over F_p it stacks
+scan.monomial_columns, over QQ it evaluates point by point.
+
 The defect of a finite reduced point set at degree xi is |set| - rank of
 its evaluation matrix; defect 0 means the points impose independent linear
 conditions on degree-xi forms.
@@ -22,6 +26,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import (
     DegreeMismatch,
     GVanishesOnDelta,
@@ -38,7 +44,7 @@ from .fields import FieldSpec, Scalar
 from .linalg import dot, kernel_of_rref, nullspace, rank_and_dependents, rref_subsets, solve
 from .poly import HomoPoly, eval_poly, form_from_coeffs, gradient, monomial_basis, point_row
 from .projgeom import PointSet, ProjPoint, check_scan_cap, line_points, point_set
-from .scan import projective_zeros
+from .scan import monomial_columns, projective_zeros
 
 
 # --- evaluation matrices ------------------------------------------------------
@@ -54,27 +60,24 @@ def check_eval_cap(size: int, n: int, xi: int) -> None:
                        f"C({n + xi}, {n}) = {entries} entries > cap {EVAL_CAP}")
 
 
-@dataclass
-class EvalMatrix:
-    xi: int
-    basis: List[Tuple[int, ...]]
-    rows: List[List[Scalar]]  # one per point of the set, in its order
-    field: FieldSpec
-
-    @property
-    def ncols(self) -> int:
-        return len(self.basis)
-
-
-def evaluation_matrix(sigma: PointSet, xi: int) -> EvalMatrix:
-    """One evaluation row per point; TooLarge above EVAL_CAP entries."""
+def evaluation_matrix(points: Sequence[Sequence[Scalar]], nvars: int, xi: int,
+                      field: FieldSpec) -> Tuple[List[Tuple[int, ...]], List[List[Scalar]]]:
+    """The degree-xi monomial basis in nvars variables and one row of its
+    values per coordinate tuple, in order: over F_p the stacked columns of
+    scan.monomial_columns, over QQ one exact row per point.  TooLarge above
+    EVAL_CAP entries."""
     if xi < 0:
         raise ValueError("xi >= 0 required")
-    check_eval_cap(len(sigma), sigma.ambient_dim, xi)
-    field = sigma.field
-    basis = monomial_basis(sigma.ambient_dim + 1, xi)
-    rows = [point_row(pt.coords, basis, field) for pt in sigma]
-    return EvalMatrix(xi, basis, rows, field)
+    check_eval_cap(len(points), nvars - 1, xi)
+    basis = monomial_basis(nvars, xi)
+    if not field.p:
+        return basis, [point_row(c, basis, field) for c in points]
+    pts = np.array(points, dtype=np.int64).reshape(len(points), nvars)
+    return basis, np.column_stack(list(monomial_columns(basis, pts, field.p))).tolist()
+
+
+def _set_matrix(sigma: PointSet, xi: int):
+    return evaluation_matrix([pt.coords for pt in sigma], sigma.ambient_dim + 1, xi, sigma.field)
 
 
 # --- defect -------------------------------------------------------------
@@ -107,8 +110,8 @@ class DefectReport:
 
 
 def defect(sigma: PointSet, xi: int) -> DefectReport:
-    mat = evaluation_matrix(sigma, xi)
-    rank, deps = rank_and_dependents(mat.rows, mat.ncols, sigma.field)
+    basis, rows = _set_matrix(sigma, xi)
+    rank, deps = rank_and_dependents(rows, len(basis), sigma.field)
     return DefectReport(
         size=len(sigma),
         rank=rank,
@@ -155,19 +158,17 @@ def separator(sigma: PointSet, P: ProjPoint, xi: int):
         raise NotInSet(f"{P} not in the set")
     field = sigma.field
     others = sigma.without(P)
-    mat = evaluation_matrix(others, xi)
-    kernel = nullspace(mat.rows, mat.ncols, field)
-    prow = point_row(P.coords, mat.basis, field)
-    for vec in kernel:
+    basis, rows = _set_matrix(others, xi)
+    _, (prow,) = evaluation_matrix([P.coords], len(P.coords), xi, field)
+    for vec in nullspace(rows, len(basis), field):
         if dot(vec, prow, field):
-            form = form_from_coeffs(mat.basis, vec, field)
+            form = form_from_coeffs(basis, vec, field)
             cert = SeparatorCertificate(P, form)
             if not cert.verify(sigma):
                 raise VerificationFailure(f"separator for {P} failed its defining evaluations")
             return cert
     # P's row is in the span: produce the witness combination
-    transposed = [[mat.rows[j][i] for j in range(len(mat.rows))] for i in range(mat.ncols)]
-    combo = solve(transposed, prow, field) or []
+    combo = solve([list(col) for col in zip(*rows)], prow, field) or []
     return SeparatorFailure(P, [(q, c) for q, c in zip(others.points, combo)])
 
 
@@ -300,8 +301,7 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     field = sigma.field
     pts = sigma.points
     n = len(pts)
-    basis2 = monomial_basis(3, 2)
-    rows = [point_row(pt.coords, basis2, field) for pt in pts]
+    basis2, rows = _set_matrix(sigma, 2)
 
     def conic_through(subset) -> List[HomoPoly]:
         return [form_from_coeffs(basis2, v, field)
@@ -438,8 +438,8 @@ def _first_base_point(sigma: PointSet, xi: int):
     direction there with grad g(Q) . v = 0 for every g."""
     field = sigma.field
     p = field.p
-    mat = evaluation_matrix(sigma, xi)
-    kernel = [form_from_coeffs(mat.basis, v, field) for v in nullspace(mat.rows, mat.ncols, field)]
+    basis, rows = _set_matrix(sigma, xi)
+    kernel = [form_from_coeffs(basis, v, field) for v in nullspace(rows, len(basis), field)]
     # with no degree-xi form through sigma every point is a base point
     zeros = projective_zeros(kernel, 2, p) if kernel else [(1, 0, 0)]
     grads = [gradient(g) for g in kernel]

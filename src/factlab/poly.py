@@ -7,11 +7,12 @@ earlier variables larger (for a fixed degree this is plain descending
 tuple order).
 
 Each exact operation on forms is written once: _acc adds a coefficient
-into a term dict, point_row evaluates monomials (eval_poly is its dot
-product with the coefficients), _substitute replaces variables by linear
-forms (restrict_to_plane, linear_change), and form_from_coeffs reads a
-coefficient vector over a monomial basis as a form.  eval_poly_horner is
-the independent evaluation oracle.
+into a term dict, point_row evaluates monomials at one point (eval_poly is
+its dot product with the coefficients; evaluation matrices take it over QQ
+only), _substitute replaces variables by linear forms (restrict_to_plane,
+linear_change), and form_from_coeffs reads a coefficient vector over a
+monomial basis as a form.  eval_poly_horner is the independent evaluation
+oracle.
 """
 
 from __future__ import annotations

@@ -14,26 +14,30 @@ are built only for the points that survive every form.  projective_zeros
 and coords_table refuse, before any work, a P^n(F_p) of more than
 projgeom.SCAN_CAP points (TooLarge); the cap is a constant, not a setting.
 
-coords_table, eval_on_points and common_zeros are the term-by-term path on
-explicit rows: the full table and common_zeros serve tests as an oracle,
-common_zeros also filters the single point of the last chart, and callers
-that need a further condition (a Jacobian rank, smoothness) filter the
-returned rows themselves with eval_on_points.  A scan takes forms only.
+monomial_columns evaluates monomials on explicit int64 rows, one column
+mod p each: eval_on_points sums a form's columns weighted by its
+coefficients, and lincond.evaluation_matrix stacks a basis's columns into
+every evaluation matrix over F_p.  coords_table, eval_on_points and
+common_zeros are the term-by-term path on explicit rows: the full table and
+common_zeros serve tests as an oracle, common_zeros also filters the single
+point of the last chart, and callers that need a further condition (a
+Jacobian rank, smoothness) filter the returned rows themselves with
+eval_on_points.  A scan takes forms only.
 
 horner_on_rows is the re-check path: recursive Horner in the first variable
 on explicit rows, the batched form of poly.eval_poly_horner.  It shares no
-code with the chart kernel or with eval_on_points, so sing_locus re-checks
+code with the chart kernel or with monomial_columns, so sing_locus re-checks
 every scan hit, and evaluates gradients and Hessians at the hits, along a
 path independent of the one that found them.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .poly import HomoPoly
+from .poly import HomoPoly, Monomial
 from .projgeom import check_scan_cap
 
 _CHUNK = 1 << 15  # grid points per slab (at least one value of the first free coordinate)
@@ -57,24 +61,34 @@ def coords_table(n: int, p: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def eval_on_points(f: HomoPoly, pts: np.ndarray, p: int) -> np.ndarray:
-    """Exact evaluation of f at every row of pts, mod p."""
-    out = np.zeros(pts.shape[0], dtype=np.int64)
-    pow_cache = {}
-    for mono, coeff in f.terms.items():
-        term = np.full(pts.shape[0], int(coeff) % p, dtype=np.int64)
+def monomial_columns(monos: Sequence[Monomial], pts: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """Each monomial of monos at every row of pts (int64 entries in [0, p)),
+    as one int64 column mod p per monomial, in order.  Each power x_v^e that
+    a monomial needs is built once, from the last power of x_v before it; a
+    column may be a stored power or a column of pts: read it, do not write."""
+    powers = {}
+    for var in range(pts.shape[1]):
+        x = acc = pts[:, var]
+        k = 1
+        for e in sorted({m[var] for m in monos} - {0}):
+            for _ in range(e - k):
+                acc = acc * x % p
+            powers[var, e], k = acc, e
+    for mono in monos:
+        col = None
         for var, e in enumerate(mono):
-            if not e:
-                continue
-            key = (var, e)
-            if key not in pow_cache:
-                base = pts[:, var]
-                acc = base.copy()
-                for _ in range(e - 1):
-                    acc = acc * base % p
-                pow_cache[key] = acc
-            term = term * pow_cache[key] % p
-        out = (out + term) % p
+            if e:
+                col = powers[var, e] if col is None else col * powers[var, e] % p
+        yield np.ones(pts.shape[0], dtype=np.int64) if col is None else col
+
+
+def eval_on_points(f: HomoPoly, pts: np.ndarray, p: int) -> np.ndarray:
+    """Exact evaluation of f at every row of pts, mod p: the
+    coefficient-weighted sum of its monomial columns."""
+    out = np.zeros(pts.shape[0], dtype=np.int64)
+    for col, coeff in zip(monomial_columns(list(f.terms), pts, p), f.terms.values()):
+        out += int(coeff) % p * col
+        out %= p
     return out
 
 

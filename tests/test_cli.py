@@ -157,6 +157,57 @@ def test_separator_subcommand(fixture_files, capsys):
     assert code == 5 and json.loads(out)["separated"] is False
 
 
+_QQ_SET = "P 2 QQ\n1,2,3\n1,0,1/2\n0,1,-1\n1,1,1\n"
+
+
+def _pt(*coords):
+    return [str(c) for c in coords]
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, report",
+    [
+        ("P 2 Fp:7\n", ["defect", "--xi", "2"], 0,
+         {"size": 0, "rank": 0, "defect": 0, "xi": 2, "field": "Fp:7", "dependent_points": []}),
+        ("P 2 Fp:7\n1,2,3\n", ["defect", "--xi", "0"], 0,
+         {"size": 1, "rank": 1, "defect": 0, "xi": 0, "field": "Fp:7", "dependent_points": []}),
+        # the others' matrix has no rows, so its kernel is the whole basis
+        ("P 2 Fp:7\n1,2,3\n", ["separator", "--xi", "1", "--point", "0"], 0,
+         {"separated": True, "point": _pt(1, 2, 3), "form": "x"}),
+        (_QQ_SET, ["defect", "--xi", "1"], 0,
+         {"size": 4, "rank": 3, "defect": 1, "xi": 1, "field": "QQ",
+          "dependent_points": [_pt(1, 1, 1)]}),
+        (_QQ_SET, ["separator", "--xi", "1", "--point", "3"], 5,
+         {"separated": False, "point": _pt(1, 1, 1),
+          "combination": [[_pt(1, 2, 3), "1/3"], [_pt(1, 0, "1/2"), "2/3"],
+                          [_pt(0, 1, -1), "1/3"]]}),
+        (_QQ_SET, ["separator", "--xi", "2", "--point", "0"], 0,
+         {"separated": True, "point": _pt(1, 2, 3), "form": "-1/2*x^2 - 1/2*x*y + x*z"}),
+    ],
+    ids=["empty", "one-point-xi0", "one-point-separator", "qq-defect", "qq-no-separator",
+         "qq-separator"],
+)
+def test_defect_and_separator_edge_sets_are_pinned(tmp_path, text, argv, code, report, capsys):
+    """An empty set, one point at degree 0, a one-point separator and a QQ
+    set: the exit code and the exact stdout."""
+    path = tmp_path / "edge.points"
+    path.write_text(text)
+    got = run_cli([argv[0], str(path), *argv[1:]], capsys)
+    assert got == (code, json.dumps(report, indent=2) + "\n", "")
+
+
+def test_no_draw_names_the_step_that_failed(tmp_path, capsys):
+    """At r = 6 over F_101 no seed finds 11 disjoint secant sections of 6
+    smooth points each on its plane sextic."""
+    code, out, err = run_cli(["gen", "--family", "double_solid_eq15", "--r", "6", "--field",
+                              "Fp:101", "--seed", "1", "--prefix", str(tmp_path / "g")], capsys)
+    found = {1: 4, 2: 5, 3: 3, 4: 7, 5: 6}
+    assert (code, out) == (4, "")
+    assert err == "error: double_solid_eq15: expected 66 nodes; " + "; ".join(
+        f"seed {seed}: no draw: {k} of 11 secant sections found in 500 tries"
+        for seed, k in found.items()) + "\n"
+
+
 @pytest.mark.parametrize("index", ["2", "5", "-1"])
 def test_separator_point_out_of_range_exit_2(tmp_path, index, capsys):
     pts = tmp_path / "two.points"

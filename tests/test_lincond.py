@@ -56,8 +56,8 @@ def conic_points(p, count):
 
 def test_evaluation_matrix_shape():
     sigma = conic_points(7, 4)
-    mat = evaluation_matrix(sigma, 2)
-    assert len(mat.rows) == 4 and mat.ncols == 6
+    basis, rows = evaluation_matrix([q.coords for q in sigma], 3, 2, sigma.field)
+    assert len(rows) == 4 and len(basis) == 6
 
 
 def test_defect_six_points_on_conic():
@@ -555,6 +555,22 @@ def test_max_on_conics_pencil_cost(rref_stack_sizes):
     max_on_conics(sigma)
     assert sorted(sizes, reverse=True)[:2] == [comb(14, 4), comb(15, 2)]
     assert len(sizes) <= 4
+
+
+def test_fp_evaluation_matrices_make_no_python_power(monkeypatch):
+    """Over F_p every evaluation matrix is stacked from numpy columns, so
+    defect and max_on_conics call no FieldSpec.power per entry."""
+    rng = random.Random(17)
+    space = point_set([canonicalize([1, *c], F101) for c in
+                       sorted({tuple(rng.randrange(101) for _ in range(3)) for _ in range(30)})])
+    plane = _seeded_plane_set(random.Random(15), 101, 15, "conic")
+    want = defect(space, 6), max_on_conics(plane)
+
+    def refused(self, a, e):
+        raise AssertionError("a per-entry power on the F_p matrix path")
+
+    monkeypatch.setattr(type(F101), "power", refused)
+    assert (defect(space, 6), max_on_conics(plane)) == want
 
 
 def test_secant_lines_one_stack(rref_stack_sizes):

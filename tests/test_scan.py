@@ -12,10 +12,12 @@ import factlab.sing_locus as sing_locus
 from factlab import cli
 from factlab.errors import TooLarge, VerificationFailure
 from factlab.fields import GF
-from factlab.poly import eval_poly_horner, gradient, make_poly, monomial_basis, parse_poly
+from factlab.poly import (eval_poly_horner, gradient, make_poly, monomial_basis, parse_poly,
+                          point_row)
 from factlab.projgeom import enumerate_projective, projective_count
 from factlab.scan import (_CHUNK, _STEP, _chart_table, _grid_zeros, _horner, _horner_at,
-                          common_zeros, coords_table, horner_on_rows, projective_zeros)
+                          common_zeros, coords_table, eval_on_points, horner_on_rows,
+                          monomial_columns, projective_zeros)
 
 
 def _form(nvars, degree, field, rng, density):
@@ -144,6 +146,39 @@ def test_horner_on_rows_matches_eval_poly_horner(p):
                 f = _form(n + 1, degree, field, rng, density)
                 want = [eval_poly_horner(f, row) for row in rows.tolist()]
                 assert horner_on_rows(f, rows, p).tolist() == want
+
+
+def _monomials(nvars, degree, rng, count):
+    """x_0^degree and count - 1 seeded monomials of that degree."""
+    out = [(degree,) + (0,) * (nvars - 1)]
+    for _ in range(count - 1):
+        cuts = sorted(rng.randrange(degree + 1) for _ in range(nvars - 1))
+        out.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [degree])))
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 101, 2**31 - 1])
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_monomial_columns_match_point_row(p, nvars):
+    """Each column holds point_row's entries for its monomial: degree 0 (a
+    column of ones), exponents >= p, zero coordinates, and no points at all
+    (a (0, nvars) array).  eval_on_points, the weighted sum of the columns,
+    equals horner_on_rows on the same rows."""
+    rng = random.Random(p + nvars)
+    field = GF(p)
+    high = p + 2 if p < 1000 else 40
+    for npts in (0, 1, 8):
+        coords = [tuple(rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(nvars))
+                  for _ in range(npts)]
+        pts = np.array(coords, dtype=np.int64).reshape(npts, nvars)
+        for degree in (0, 1, 3, high):
+            monos = monomial_basis(nvars, degree) if degree <= 3 else _monomials(nvars, degree, rng, 12)
+            cols = list(monomial_columns(monos, pts, p))
+            assert len(cols) == len(monos) and all(col.shape == (npts,) for col in cols)
+            for i, c in enumerate(coords):
+                assert [int(col[i]) for col in cols] == point_row(c, monos, field)
+            f = make_poly(nvars, degree, {m: rng.randrange(1, p) for m in monos}, field)
+            assert eval_on_points(f, pts, p).tolist() == horner_on_rows(f, pts, p).tolist()
 
 
 def test_single_point_chart():
