@@ -6,8 +6,10 @@ others read the field from their input file).  A scan of P^n(F_p) stops
 before any work when the space has more than projgeom.SCAN_CAP = 10^8
 points, and an evaluation matrix when it has more than lincond.EVAL_CAP =
 10^7 entries, |sigma| * C(n + xi, n) (exit 3); the caps are fixed, not
-options.  All reports are exact-integer/rational JSON; identical command
-lines produce byte-identical output.
+options.  All reports are exact-integer/rational JSON, written by one writer,
+report.dumps (json.dumps with a two-space indent, byte for byte, with its
+common shapes at C speed); identical command lines produce byte-identical
+output.
 
 Exit codes:
   0  success
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import List, Optional
 
@@ -41,6 +42,7 @@ from .fields import parse_field_spec
 from .lincond import SeparatorFailure, bese_check, defect, separator
 from .poly import HomoPoly, parse_poly
 from .projgeom import dump_point_set, load_point_set
+from .report import dumps
 from .sing_locus import NodalInstance, ci_singular_points, singular_points, verify_nodal
 
 # exit code of each error, first match wins (see the module docstring); any
@@ -89,7 +91,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _point_json(pt):
-    return [str(c) for c in pt.coords]
+    return list(map(str, pt.coords))
 
 
 # --- subcommand implementations --------------------------------------------
@@ -112,7 +114,7 @@ def cmd_sing(args) -> int:
         "warning": inst.isolated_warning,
         "evidence": "mod-p evidence",
     }
-    _emit(json.dumps(report, indent=2), args.output)
+    _emit(dumps(report), args.output)
     if args.points_out:
         with open(args.points_out, "w") as fh:
             fh.write(dump_point_set(sing))
@@ -143,14 +145,14 @@ def cmd_separator(args) -> int:
                 if c
             ],
         }
-        _emit(json.dumps(report, indent=2), args.output)
+        _emit(dumps(report), args.output)
         return 5
     report = {
         "separated": True,
         "point": _point_json(P),
         "form": result.form.to_text(),
     }
-    _emit(json.dumps(report, indent=2), args.output)
+    _emit(dumps(report), args.output)
     return 0
 
 
@@ -224,7 +226,7 @@ def cmd_gen(args) -> int:
         "points_file": points_path,
         "evidence": "mod-p evidence",
     }
-    _emit(json.dumps(report, indent=2), args.output)
+    _emit(dumps(report), args.output)
     return 0
 
 

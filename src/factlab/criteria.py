@@ -10,7 +10,6 @@ Everything here is exact integer/rational arithmetic; no floats anywhere.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -30,6 +29,7 @@ from .poly import (
     restrict_to_plane,
 )
 from .projgeom import PointSet, line_points
+from .report import dumps
 from .sing_locus import NodalInstance, singular_points, verify_nodal
 
 
@@ -46,7 +46,7 @@ class CriterionVerdict:
             k: (f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v)
             for k, v in self.parameters.items()
         }
-        return json.dumps(
+        return dumps(
             {
                 "criterion_id": self.criterion_id,
                 "applies": self.applies,
@@ -55,8 +55,7 @@ class CriterionVerdict:
                 ],
                 "certified_degree": self.certified_degree,
                 "parameters": params,
-            },
-            indent=2,
+            }
         )
 
 
@@ -315,7 +314,7 @@ class HongParkVerdict:
                 "g_r": self.witness.g_r.to_text(),
                 "g_2r_minus_1": self.witness.g_2r1.to_text(),
             }
-        return json.dumps(
+        return dumps(
             {
                 "status": self.status,
                 "r": self.r,
@@ -323,8 +322,7 @@ class HongParkVerdict:
                 "defect": self.defect,
                 "witness": wit,
                 "note": self.note,
-            },
-            indent=2,
+            }
         )
 
 

@@ -15,6 +15,7 @@ counts and failure reasons; a draw that stops early names the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +64,16 @@ class FamilySpec:
         elif self.family == "ci_plane":
             if self.m is None or self.k is None or not self.m >= self.k >= 2:
                 raise BadParams("ci_plane needs m >= k >= 2")
+            # the draw needs 3 forms of degree s through its N nodes, and
+            # C(s+2, 2) - N is how many there are for nodes in general position
+            s = self.m + self.k - 2
+            nodes = s**2 - (self.m - 1) * (self.k - 1)
+            forms = comb(s + 2, 2) - nodes
+            if forms < 3:
+                raise BadParams(
+                    f"ci_plane needs 3 forms of degree {s} through its {nodes} nodes, and "
+                    f"m = {self.m}, k = {self.k} leaves C({s + 2}, 2) - {nodes} = {forms}"
+                )
         else:
             raise BadParams(f"unknown family {self.family!r}")
         if not self.field.p:

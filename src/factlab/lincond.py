@@ -20,7 +20,6 @@ which every kernel form's gradient vanishes.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
@@ -44,6 +43,7 @@ from .fields import FieldSpec, Scalar
 from .linalg import dot, kernel_of_rref, nullspace, rank_and_dependents, rref_subsets, solve
 from .poly import HomoPoly, eval_poly, form_from_coeffs, gradient, monomial_basis, point_row
 from .projgeom import PointSet, ProjPoint, check_scan_cap, line_points, point_set
+from .report import dumps
 from .scan import monomial_columns, projective_zeros
 
 
@@ -93,7 +93,7 @@ class DefectReport:
     dependent_points: List[ProjPoint]
 
     def to_json(self) -> str:
-        return json.dumps(
+        return dumps(
             {
                 "size": self.size,
                 "rank": self.rank,
@@ -104,8 +104,7 @@ class DefectReport:
                     [str(c) for c in pt.coords]
                     for pt in self.dependent_points
                 ],
-            },
-            indent=2,
+            }
         )
 
 
@@ -406,7 +405,7 @@ class BeseReport:
             wit = f"{Q} direction ({':'.join(map(str, v))})"
         elif wit is not None:
             wit = str(wit)
-        return json.dumps(
+        return dumps(
             {
                 "xi": self.xi,
                 "delta": self.delta,
@@ -415,8 +414,7 @@ class BeseReport:
                 "scan_result": self.scan_result,
                 "witness": wit,
                 "scan_label": "F_p-rational scan",
-            },
-            indent=2,
+            }
         )
 
 
@@ -428,6 +426,16 @@ def _tangent_directions(pt: ProjPoint, field: FieldSpec):
     last = max(i for i, c in enumerate(pt.coords) if c)
     u, v = [tuple(int(i == j) for j in range(3)) for i in range(3) if i != last]
     return line_points(u, v, field)
+
+
+def _independent_pair(rows, p: int) -> bool:
+    """Whether two of the rows (vectors of F_p^3) are linearly independent."""
+    first = next((r for r in rows if any(r)), None)
+    if first is None:
+        return False
+    a, b, c = first
+    return any((b * z - c * y) % p or (c * x - a * z) % p or (a * y - b * x) % p
+               for x, y, z in rows)
 
 
 def _first_base_point(sigma: PointSet, xi: int):
@@ -443,12 +451,19 @@ def _first_base_point(sigma: PointSet, xi: int):
     # with no degree-xi form through sigma every point is a base point
     zeros = projective_zeros(kernel, 2, p) if kernel else [(1, 0, 0)]
     grads = [gradient(g) for g in kernel]
+    monos = monomial_basis(3, xi - 1)  # every partial's monomials
     sigma_keys = {pt.coords for pt in sigma}
     for row in zeros:
         Q = ProjPoint(tuple(int(c) for c in row), field)
         if Q.coords not in sigma_keys:
             return "base_point", Q
-        grad_rows = [[eval_poly(d, Q.coords) for d in grad] for grad in grads]
+        at_Q = dict(zip(monos, point_row(Q.coords, monos, field)))
+        grad_rows = [[dot(d.terms.values(), map(at_Q.__getitem__, d.terms), field) for d in grad]
+                     for grad in grads]
+        # every g vanishes at Q, so by Euler each row is orthogonal to Q; two
+        # independent rows then leave only Q itself, and no direction
+        if _independent_pair(grad_rows, p):
+            continue
         for v in _tangent_directions(Q, field):
             if not any(dot(r, v, field) for r in grad_rows):
                 return "base_point", (Q, v)

@@ -49,15 +49,18 @@ class PointSet:
     field: FieldSpec
 
     def __post_init__(self):
-        seen = set()
+        size, field = self.ambient_dim + 1, self.field
         for pt in self.points:
-            if pt.ambient_dim != self.ambient_dim:
+            if len(pt.coords) != size:
                 raise ValueError("mixed ambient dimensions")
-            if pt.field != self.field:
+            if pt.field is not field and pt.field != field:
                 raise ValueError("mixed fields")
-            if pt.coords in seen:
-                raise DuplicatePoint(f"duplicate point {pt}")
-            seen.add(pt.coords)
+        if len({pt.coords for pt in self.points}) < len(self.points):
+            seen = set()
+            for pt in self.points:  # only to name the first repeat
+                if pt.coords in seen:
+                    raise DuplicatePoint(f"duplicate point {pt}")
+                seen.add(pt.coords)
 
     def __len__(self):
         return len(self.points)

@@ -5,7 +5,11 @@ enumerate_projective's order (pivot ascending, then lex on the free
 coordinates) without building a coordinate table: in the chart with pivot
 coordinate 1 and earlier coordinates 0, the k free coordinates run over a
 full p^k grid, on which the first form is evaluated by nested Horner, one
-variable at a time (about deg * p^k operations, not terms * p^k).  Each
+variable at a time (about deg * p^k operations, not terms * p^k).  A chart
+on which some form is a nonzero constant -- one term c * x_pivot^e left
+after x_0..x_(pivot-1) = 0, with p not dividing c, as each partial of a
+diagonal form is on its own chart -- holds no zero, and is skipped before
+any chart table or grid is built.  Each
 chart's grid is cut into slabs along its first free coordinate; slabs bound
 memory and are scanned in order.  The first form's zeros are kept as flat
 grid indices, and every further form filters them in turn on its own chart
@@ -219,13 +223,25 @@ def _zeros_at(f: HomoPoly, pivot: int, idx: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate([part[_horner_at(table, part, p) == 0] for part in parts])
 
 
+def _nonzero_constant(f: HomoPoly, pivot: int, p: int) -> bool:
+    """Whether f on the chart x_pivot = 1 (earlier coordinates 0) is one
+    term c * x_pivot^e with p not dividing c: a nonzero constant there."""
+    left = (item for item in f.terms.items() if not any(item[0][:pivot]))
+    first, second = next(left, None), next(left, None)
+    if first is None or second is not None:
+        return False
+    mono, c = first
+    return not any(mono[pivot + 1:]) and int(c) % p != 0
+
+
 def projective_zeros(polys: Sequence[HomoPoly], n: int, p: int) -> np.ndarray:
     """Rows of P^n(F_p) where every poly vanishes, as canonical int64
     coordinates in enumerate_projective's order.
 
     In each chart, the first poly (zero forms are taken last) is evaluated
     on the whole grid by the Horner kernel and the others on its zeros only,
-    each on its own chart table; rows are built for the final survivors.
+    each on its own chart table; rows are built for the final survivors.  A
+    chart on which some poly is a nonzero constant gives no rows and no work.
     The single point of the last chart goes through common_zeros.
     """
     check_scan_cap(n, p)
@@ -233,6 +249,8 @@ def projective_zeros(polys: Sequence[HomoPoly], n: int, p: int) -> np.ndarray:
     polys = sorted(polys, key=HomoPoly.is_zero)
     results = []
     for pivot in range(n):
+        if any(_nonzero_constant(f, pivot, p) for f in polys):
+            continue
         # each chart table lives inside one call, so only one is held at a time
         idx = _grid_zeros(polys[0], pivot, p)
         for f in polys[1:]:

@@ -251,6 +251,16 @@ def test_gen_rejects_max_retries(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("m,k", [(4, 2), (4, 3)])
+def test_gen_ci_plane_refuses_too_few_forms_through_the_nodes(tmp_path, capsys, m, k):
+    """Only 2 forms of degree m + k - 2 pass through the nodes: exit 2 before any draw."""
+    prefix = str(tmp_path / "fam")
+    code, _, err = run_cli(["gen", "--family", "ci_plane", "--m", str(m), "--k", str(k),
+                            "--prefix", prefix], capsys)
+    assert code == 2 and err.strip().endswith("= 2")
+    assert not list(tmp_path.iterdir())
+
+
 def test_classify_degree_mismatch(fixture_files, capsys):
     base, prefix = fixture_files
     code, _, err = run_cli(["classify", prefix + ".poly", "--r", "3"], capsys)
@@ -452,6 +462,39 @@ def test_gen_output_is_pinned(tmp_path, monkeypatch, argv, capsys):
     assert code == 0
     texts = (out, (tmp_path / "fam.poly").read_text(), (tmp_path / "fam.points").read_text())
     assert hashlib.sha256("\0".join(texts).encode()).hexdigest() == _GEN_DIGESTS[argv]
+
+
+_Q2 = "x^4+y^4+z^4+w^4+2*x^2*y^2+2*x^2*z^2+2*x^2*w^2+2*y^2*z^2+2*y^2*w^2+2*z^2*w^2"
+_LOCUS_FILES = {
+    "quartic": "F 4 Fp:101\nx^4+2*y^4+3*z^4+5*w^4\n",
+    "sextic": "F 4 Fp:101\nx^6+2*y^6+3*z^6+5*w^6\n",
+    "cubic": "F 5 Fp:31\nx^3+2*y^3+3*z^3+4*t^3+5*u^3\n",
+    "pair": "F 6 Fp:17\nx^2+2*y^2+3*z^2+4*w^2+5*t^2+6*v^2\nx^2+4*y^2+9*z^2+16*w^2+8*t^2+2*v^2\n",
+    "double_quadric": f"F 4 Fp:101\n{_Q2}\n",  # q^2, q = 0 with (p+1)^2 = 10 404 points
+}
+_SMOOTH = "f60ccf2b0527a4d61ba4db16a6380d1ac28a8bae3b390339168608cc6f851df2"
+# sha256 of stdout
+_LOCUS_DIGESTS = {
+    "sing quartic": _SMOOTH,
+    "classify quartic --r 2": "5002fa12d86bf3d1e0b272a481764862059c9bdb0bffce67e51cf639092f72ff",
+    "sing sextic": _SMOOTH,
+    "classify sextic --r 3": "05a54e35ec0950d02ef18a00030594ddc7898f57a3b0233fbcf107c6ecd3bfd1",
+    "sing cubic": _SMOOTH,
+    "sing pair": _SMOOTH,
+    "sing double_quadric": "d0b05b22cb5f464b2f1c5b0c6786bfd182eb598401be0c52e6547720931c0834",
+}
+
+
+@pytest.mark.parametrize("argv", list(_LOCUS_DIGESTS))
+def test_sing_and_classify_output_is_pinned(tmp_path, argv, capsys):
+    """Diagonal forms, whose partials the scan skips chart by chart, a smooth
+    complete intersection, and a many-hit locus written by report.dumps."""
+    command, name, *rest = argv.split()
+    path = tmp_path / f"{name}.poly"
+    path.write_text(_LOCUS_FILES[name])
+    code, out, _ = run_cli([command, str(path), *rest], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _LOCUS_DIGESTS[argv]
 
 
 def test_hidden_threads_flag_changes_no_output(fixture_files, tmp_path, capsys):

@@ -25,8 +25,19 @@ def test_family_spec_validation():
         FamilySpec("hypersurface_xgyf", GF(31), seed=0, d=2)
     with pytest.raises(BadParams):
         FamilySpec("ci_plane", GF(11), seed=0, m=2, k=3)
+    for m, k in ((2, 2), (3, 2), (3, 3)):  # C(s+2, 2) - N = 3 forms through the nodes
+        FamilySpec("ci_plane", GF(11), seed=0, m=m, k=k)
     with pytest.raises(BadParams):
         FamilySpec("unknown", GF(11), seed=0)
+
+
+@pytest.mark.parametrize("m,k,nodes,forms", [(4, 2, 13, 2), (4, 3, 19, 2), (4, 4, 27, 1),
+                                             (5, 2, 21, 0), (6, 6, 75, -9)])
+def test_ci_plane_needs_three_forms_through_the_nodes(m, k, nodes, forms):
+    """C(s+2, 2) - N forms of degree s = m + k - 2 pass through N general
+    nodes; the draw needs 3, which only (2, 2), (3, 2) and (3, 3) leave."""
+    with pytest.raises(BadParams, match=rf"its {nodes} nodes, .* = {forms}$"):
+        FamilySpec("ci_plane", GF(101), seed=0, m=m, k=k)
 
 
 def test_double_solid_counts(double_solid_r2, double_solid_r3):

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ import factlab.sing_locus as sing_locus
 from factlab import cli
 from factlab.errors import TooLarge, VerificationFailure
 from factlab.fields import GF
-from factlab.poly import (eval_poly_horner, gradient, make_poly, monomial_basis, parse_poly,
-                          point_row)
-from factlab.projgeom import enumerate_projective, projective_count
+from factlab.poly import (HomoPoly, eval_poly_horner, gradient, make_poly, monomial_basis,
+                          parse_poly, point_row)
+from factlab.projgeom import SCAN_CAP, enumerate_projective, projective_count
 from factlab.scan import (_CHUNK, _STEP, _chart_table, _grid_zeros, _horner, _horner_at,
                           common_zeros, coords_table, eval_on_points, horner_on_rows,
                           monomial_columns, projective_zeros)
@@ -203,6 +204,75 @@ def test_projective_zeros_cap(monkeypatch):
         projective_zeros([f], 3, 467)
     with pytest.raises(TooLarge):
         coords_table(3, 467)
+
+
+# --- charts on which a form is a nonzero constant ----------------------------
+
+
+def _fermat(nvars, degree, field, rng):
+    """A diagonal form sum a_i x_i^degree, a_i != 0: its partial d * a_i *
+    x_i^(degree-1) is a nonzero constant on chart i unless p | degree."""
+    return make_poly(nvars, degree, {tuple(degree * (j == i) for j in range(nvars)):
+                                     rng.randrange(1, field.p) for i in range(nvars)}, field)
+
+
+def _fermat_cases():
+    rng = random.Random(101)
+    for p in (5, 7, 101):
+        for n in (2, 3, 4):
+            if projective_count(n, p) > SCAN_CAP:
+                continue
+            for degree in range(2, 7):
+                f = _fermat(n + 1, degree, GF(p), rng)
+                yield pytest.param(n, p, [f] + gradient(f), id=f"n{n}-p{p}-d{degree}")
+
+
+def _count_chart_work(monkeypatch):
+    """Calls of _chart_table and _grid_zeros from here on, by name."""
+    calls = Counter()
+    for name in ("_chart_table", "_grid_zeros"):
+        def counted(*args, _name=name, _real=getattr(scan, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(scan, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,p,polys", _fermat_cases())
+def test_constant_chart_skip_matches_table_scan(n, p, polys):
+    assert np.array_equal(projective_zeros(polys, n, p), common_zeros(polys, coords_table(n, p), p))
+
+
+def test_skipped_chart_builds_no_table(monkeypatch):
+    """Each partial of a Fermat quartic is constant on its own chart, so a
+    sing scan does no chart work at all."""
+    f = _fermat(4, 4, GF(101), random.Random(4))
+    calls = _count_chart_work(monkeypatch)
+    assert projective_zeros([f] + gradient(f), 3, 101).shape == (0, 4)
+    assert not calls
+    # only the partial by x_0 is constant on chart 0; charts 1 and 2 are scanned
+    projective_zeros([f, gradient(f)[0]], 3, 101)
+    assert calls["_grid_zeros"] == 2
+
+
+def _near_misses():
+    F = GF(7)
+    yield pytest.param([HomoPoly(3, 3, {(3, 0, 0): 1, (0, 3, 0): 7}, F)], id="p-divides-coefficient")
+    yield pytest.param([parse_poly("x^3 + y^3 + z^3", 3, F)], id="pure-power-plus-free-term")
+    yield pytest.param([parse_poly("x*z^2 + y^2*z", 3, F)], id="one-term-not-a-pure-power")
+    f = parse_poly("x^7 + 2*y^7 + 3*z^7", 3, F)
+    yield pytest.param([f] + gradient(f), id="p-divides-degree")  # every partial is zero
+
+
+@pytest.mark.parametrize("polys", _near_misses())
+def test_near_constant_chart_is_scanned(monkeypatch, polys):
+    """No form is a nonzero constant on chart 1 (x = 0, y = 1), where each
+    case has zeros: both charts of P^2(F_7) with a grid are scanned."""
+    calls = _count_chart_work(monkeypatch)
+    got = projective_zeros(polys, 2, 7)
+    assert calls["_grid_zeros"] == 2
+    assert ((got[:, 0] == 0) & (got[:, 1] == 1)).any()
+    assert np.array_equal(got, common_zeros(polys, coords_table(2, 7), 7))
 
 
 # --- the independent re-check of every scan hit ------------------------------

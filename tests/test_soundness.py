@@ -107,3 +107,16 @@ sys.exit(1)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reports_have_one_writer():
+    """Every JSON report goes through report.dumps: the package passes
+    indent= to json.dumps in one place only, the writer's fallback."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [path.name for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  for kw in node.keywords if kw.arg == "indent"]
+    assert found == ["report.py"], found
+    assert "indent=2" not in "".join(path.read_text() for path in PACKAGE.glob("*.py")
+                                     if path.name != "report.py")
