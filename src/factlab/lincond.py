@@ -40,7 +40,7 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import dot, kernel_of_rref, nullspace, rank_and_dependents, rref_subsets, solve
+from .linalg import combine, dot, kernel_of_rref, nullspace, rank_and_dependents, rref_subsets, solve
 from .poly import HomoPoly, eval_poly, form_from_coeffs, gradient, monomial_basis, point_row
 from .projgeom import PointSet, ProjPoint, check_scan_cap, line_points, point_set
 from .report import dumps
@@ -166,9 +166,11 @@ def separator(sigma: PointSet, P: ProjPoint, xi: int):
             if not cert.verify(sigma):
                 raise VerificationFailure(f"separator for {P} failed its defining evaluations")
             return cert
-    # P's row is in the span: produce the witness combination
-    combo = solve([list(col) for col in zip(*rows)], prow, field) or []
-    return SeparatorFailure(P, [(q, c) for q, c in zip(others.points, combo)])
+    # P's row is in the span: produce the witness combination, checked
+    combo = solve([list(col) for col in zip(*rows)], prow, field)
+    if combo is None or combine(combo, rows, field) != prow:
+        raise VerificationFailure(f"span witness for {P} does not reproduce its row")
+    return SeparatorFailure(P, list(zip(others.points, combo)))
 
 
 def all_separators(sigma: PointSet, xi: int) -> Dict[Tuple, SeparatorCertificate]:

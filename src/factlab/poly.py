@@ -374,9 +374,10 @@ def node_rank(grads: Sequence[HomoPoly], H: List[List[HomoPoly]], coords: Sequen
     """Rank of hessian_block(H, coords) at a point where every form in grads
     (the gradient whose Jacobian is H) vanishes.
 
-    Raises NotSingular when the gradient does not vanish there.
-    sing_locus.verify_nodal takes the same test on blocks of points at once;
-    this per-point form is its oracle in tests.
+    Raises NotSingular when the gradient does not vanish there.  This
+    affine test of the pivot chart is the per-point oracle in tests of
+    sing_locus.verify_nodal, which takes the equivalent corank-1 test of the
+    full projective Hessian at all points at once.
     """
     fld = grads[0].field
     for g in grads:

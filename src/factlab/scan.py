@@ -26,13 +26,14 @@ common_zeros are the term-by-term path on explicit rows: the full table and
 common_zeros serve tests as an oracle, common_zeros also filters the single
 point of the last chart, and callers that need a further condition (a
 Jacobian rank, smoothness) filter the returned rows themselves with
-eval_on_points.  A scan takes forms only.
+eval_on_points.  sing_locus's node checks evaluate every gradient and second
+partial at the hits with eval_on_points too.  A scan takes forms only.
 
-horner_on_rows is the re-check path: recursive Horner in the first variable
-on explicit rows, the batched form of poly.eval_poly_horner.  It shares no
-code with the chart kernel or with monomial_columns, so sing_locus re-checks
-every scan hit, and evaluates gradients and Hessians at the hits, along a
-path independent of the one that found them.
+horner_on_rows has one job, the re-check: recursive Horner in the first
+variable on explicit rows, the batched form of poly.eval_poly_horner.  It
+shares no code with the chart kernel or with monomial_columns, so sing_locus
+re-checks every scan hit, its forms and its Jacobian, along a path
+independent of the one that found it.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ top of it is mod-p evidence, not a characteristic-0 proof.
 Both kinds of locus run one tail: the scan, for a complete intersection a
 Jacobian filter by eval_on_points, then a bulk re-check of every hit by
 scan.horner_on_rows, an evaluator independent of the scan's own and of the
-filter's.  The node checks evaluate gradients and Hessian entries at all
-points of one chart at once, in blocks of at most _BLOCK rows; each block's
-verdict is one full-rank test by linalg.echelon_mod_p.  Every P^n(F_p) of
-more than projgeom.SCAN_CAP points is refused before any work (TooLarge).
+filter's.  The node checks evaluate each gradient and second partial once,
+at all points, by eval_on_points; each point's verdict is one corank test of
+its projective (bordered) Hessian by linalg.echelon_mod_p.  Every P^n(F_p)
+of more than projgeom.SCAN_CAP points is refused before any work (TooLarge).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .poly import HomoPoly, gradient, hessian, partial
 from .projgeom import PointSet, ProjPoint
 from .scan import eval_on_points, horner_on_rows, projective_zeros
 
-_BLOCK = 1 << 10  # points per block of the node checks
+_BLOCK = 1 << 10  # points per slice of the node checks' elimination
 _ISOLATION_FACTOR = 5  # more than this * degree * n singular points: not isolated
 
 
@@ -80,8 +80,9 @@ def _rank_deficient(jacobian: List[np.ndarray], p: int) -> np.ndarray:
     return ok
 
 
-def _values(polys, rows: np.ndarray, p: int, evaluate=horner_on_rows) -> np.ndarray:
-    """(len(rows), len(polys)) array of every poly at every row."""
+def _values(polys, rows: np.ndarray, p: int, evaluate) -> np.ndarray:
+    """(len(rows), len(polys)) array of every poly at every row, by
+    evaluate (horner_on_rows or eval_on_points)."""
     return np.stack([evaluate(g, rows, p) for g in polys], axis=1)
 
 
@@ -106,8 +107,8 @@ def _locus(forms: List[HomoPoly], what: str) -> PointSet:
         rows = projective_zeros(forms, n, p)
         rows = rows[_rank_deficient([_values(d, rows, p, eval_on_points) for d in partials], p)]
     result = _rows_to_pointset(rows, n, field)
-    bad = _values(forms, rows, p).any(axis=1)
-    bad |= ~_rank_deficient([_values(d, rows, p) for d in partials], p)
+    bad = _values(forms, rows, p, horner_on_rows).any(axis=1)
+    bad |= ~_rank_deficient([_values(d, rows, p, horner_on_rows) for d in partials], p)
     if bad.any():
         pt = ProjPoint(tuple(rows[np.flatnonzero(bad)[0]].tolist()), field)
         raise VerificationFailure(f"scan soundness: {pt} is not a singular point of {what}")
@@ -140,20 +141,26 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     """Fill node_flags (an ordinary double point at each singular point) and
     clean.
 
-    Each block of points of one pivot chart gets one full-rank test by
-    echelon_mod_p.  At a hypersurface point the matrix is the affine
-    Hessian H_aff(f), n x n.  At a complete-intersection point it is the
-    bordered Hessian [[H_aff(alpha*F + beta*G), a], [a^T, 0]], (n+1) x
-    (n+1), where alpha*F + beta*G is the combination with vanishing
-    differential and a is the affine differential of the transverse form
-    (F, or G where dF = 0): a quadratic form is nondegenerate on the
-    hyperplane ker a (a != 0) exactly when that matrix is invertible.  By
-    Euler's relation a is nonzero wherever the Jacobian has rank 1; where it
-    has rank 0 the matrix has a zero row, and a point of Jacobian rank 2 is
-    no node.
+    Each form's partials and second partials are built once and evaluated
+    once, at all points, by eval_on_points.  A point is a node when its
+    Jacobian is rank-deficient and one symmetric matrix M there has corank
+    exactly 1 (echelon_mod_p pivots, in slices of _BLOCK points).  At a
+    hypersurface point M is the projective Hessian H(f); at a
+    complete-intersection point it is [[alpha*H(F) + beta*H(G), dT], [dT^T,
+    0]], where alpha*dF + beta*dG = 0 and T is the transverse form (F, or G
+    where dF = 0).  M has a kernel vector with a nonzero pivot entry: P for
+    H(f), as H(f)(P) P = (deg f - 1) df(P) = 0 (Euler), and (P, -alpha(deg F
+    - deg G)) or (P, 0) for the bordered matrix, as F(P) = G(P) = 0.  So
+    deleting the pivot's row and column keeps the rank, and the test is the
+    affine one of the pivot chart: an invertible affine Hessian, or a
+    quadratic form nondegenerate on the hyperplane ker dT.  For a complete
+    intersection M is 0 where the Jacobian has rank 0, and a point of
+    Jacobian rank 2 is no node.
 
     The instance must be over a prime field (ValueError otherwise): its
-    points are scan hits, and the checks run on them as int64 arrays mod p.
+    points are scan hits, on every form, and the checks run on them as int64
+    arrays mod p.  A point off the forms is not refused, and its flag means
+    nothing.
     A hypersurface point whose gradient does not vanish raises NotSingular,
     as poly.node_rank does, naming the first such point in inst.sing order.
 
@@ -169,30 +176,17 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     if inst.sing:
         p = inst.field.p
         rows = np.array([pt.coords for pt in inst.sing], dtype=np.int64) % p
-        # gradients and Hessians are built once per form, not once per point
-        grads = [gradient(g) for g in inst.defining]
-        hessians = [hessian(g) for g in inst.defining]
-        node = np.zeros(rows.shape[0], dtype=bool)
-        nonsingular = np.zeros(rows.shape[0], dtype=bool)
-        pivots = (rows != 0).argmax(axis=1)
-        for pivot in range(n + 1):
-            chart = np.flatnonzero(pivots == pivot)
-            for lo in range(0, chart.size, _BLOCK):
-                block = chart[lo:lo + _BLOCK]
-                pts = rows[block]
-                d = [_values(g, pts, p) for g in grads]
-                H = [_hessian_blocks(h, pts, pivot, p) for h in hessians]
-                deficient = _rank_deficient(d, p)
-                if len(d) == 1:
-                    nonsingular[block] = ~deficient
-                    M = H[0]
-                else:
-                    M = _bordered_hessians(*d, *H, pivot, p)
-                node[block] = deficient & (echelon_mod_p(M, p)[1] < M.shape[1]).all(axis=1)
-        if nonsingular.any():
-            first = inst.sing.points[np.flatnonzero(nonsingular)[0]]
+        d = [_values(gradient(g), rows, p, eval_on_points) for g in inst.defining]
+        deficient = _rank_deficient(d, p)
+        if len(d) == 1 and not deficient.all():
+            first = inst.sing.points[np.flatnonzero(~deficient)[0]]
             raise NotSingular(f"gradient nonzero at {tuple(first.coords)}")
-        flags = node.tolist()
+        H = [_hessians(hessian(g), rows, p) for g in inst.defining]
+        M = H[0] if len(d) == 1 else _bordered_hessians(*d, *H, p)
+        size = M.shape[1]
+        rank = np.concatenate([(echelon_mod_p(M[lo:lo + _BLOCK], p)[1] < size).sum(axis=1)
+                               for lo in range(0, len(M), _BLOCK)])
+        flags = (deficient & (rank == size - 1)).tolist()
     inst.node_flags = flags
     inst.clean = all(flags) if flags else True
     threshold = _ISOLATION_FACTOR * degree * n
@@ -205,30 +199,27 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     return inst
 
 
-def _hessian_blocks(H: List[List[HomoPoly]], rows: np.ndarray, pivot: int, p: int) -> np.ndarray:
-    """(len(rows), n, n) array: H at each row without the pivot's row and
-    column, as poly.hessian_block gives it at one point of that chart."""
-    keep = [i for i in range(rows.shape[1]) if i != pivot]
-    out = np.empty((rows.shape[0], len(keep), len(keep)), dtype=np.int64)
-    for a, i in enumerate(keep):
-        for b in range(a, len(keep)):
-            out[:, a, b] = out[:, b, a] = horner_on_rows(H[i][keep[b]], rows, p)
+def _hessians(H: List[List[HomoPoly]], rows: np.ndarray, p: int) -> np.ndarray:
+    """(len(rows), n+1, n+1) array: H at every row, each second partial
+    evaluated once."""
+    out = np.empty((rows.shape[0], len(H), len(H)), dtype=np.int64)
+    for i in range(len(H)):
+        for j in range(i, len(H)):
+            out[:, i, j] = out[:, j, i] = eval_on_points(H[i][j], rows, p)
     return out
 
 
-def _bordered_hessians(dF, dG, HF, HG, pivot: int, p: int) -> np.ndarray:
-    """(len(dF), n+1, n+1) array: at each point of one pivot chart, given
-    the gradients dF, dG (one row per point) and the Hessian blocks HF, HG
-    there, the bordered Hessian [[alpha*HF + beta*HG, a], [a^T, 0]] of
-    verify_nodal."""
+def _bordered_hessians(dF, dG, HF, HG, p: int) -> np.ndarray:
+    """(len(dF), n+2, n+2) array: at each point, given the gradients dF, dG
+    (one row per point) and the Hessians HF, HG there, the bordered Hessian
+    [[alpha*HF + beta*HG, dT], [dT^T, 0]] of verify_nodal."""
     every = np.arange(dF.shape[0])
-    n = HF.shape[1]
+    size = HF.shape[1]
     # alpha*dF + beta*dG = 0 for (alpha, beta) = (dG_k, -dF_k), k any index
     # where the Jacobian column is nonzero, when the Jacobian has rank 1
     k = ((dF != 0) | (dG != 0)).argmax(axis=1)
     alpha, beta = dG[every, k], (p - dF[every, k]) % p
-    M = np.zeros((dF.shape[0], n + 1, n + 1), dtype=np.int64)
-    M[:, :n, :n] = (alpha[:, None, None] * HF % p + beta[:, None, None] * HG % p) % p
-    a = np.delete(np.where(dF.any(axis=1)[:, None], dF, dG), pivot, axis=1)
-    M[:, :n, n] = M[:, n, :n] = a
+    M = np.zeros((dF.shape[0], size + 1, size + 1), dtype=np.int64)
+    M[:, :size, :size] = (alpha[:, None, None] * HF % p + beta[:, None, None] * HG % p) % p
+    M[:, :size, size] = M[:, size, :size] = np.where(dF.any(axis=1)[:, None], dF, dG)
     return M

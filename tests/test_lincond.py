@@ -120,6 +120,26 @@ def test_separator_refused_when_verify_fails(monkeypatch):
         separator(sigma, sigma.points[0], 3)
 
 
+@pytest.mark.parametrize("witness", [None, "zeros"])
+def test_separator_witness_refused_unless_it_reproduces_the_row(monkeypatch, tmp_path,
+                                                                 capsys, witness):
+    """A span witness is printed only once it reproduces P's row: no
+    solution, or a wrong one, raises VerificationFailure, and the CLI exits
+    5 with nothing on stdout."""
+    sigma = conic_points(7, 6)
+    index = next(i for i, pt in enumerate(sigma)
+                 if isinstance(separator(sigma, pt, 2), SeparatorFailure))
+    monkeypatch.setattr(lincond, "solve",
+                        lambda matrix, rhs, field: witness and [0] * len(matrix[0]))
+    with pytest.raises(VerificationFailure, match="span witness"):
+        separator(sigma, sigma.points[index], 2)
+    path = tmp_path / "conic.points"
+    path.write_text(dump_point_set(sigma))
+    capsys.readouterr()
+    assert main(["separator", str(path), "--xi", "2", "--point", str(index)]) == 5
+    assert capsys.readouterr().out == ""
+
+
 def _quadric_through(sigma, miss, rng):
     field = sigma.field
     basis = monomial_basis(sigma.ambient_dim + 1, 2)

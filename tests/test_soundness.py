@@ -38,7 +38,8 @@ def test_no_import_inside_a_function():
 def test_no_unused_import_or_private_function():
     """Every name a module imports is used in that module (__init__.py
     re-exports, so it is exempt), and every module-level private function
-    is referenced somewhere in the package outside its own body."""
+    or constant is referenced somewhere in the package outside its own
+    definition."""
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -59,10 +60,17 @@ def test_no_unused_import_or_private_function():
                     if not used[mod][name]:
                         found.append(f"{mod}: unused import {name}")
         for node in tree.body:
-            if (isinstance(node, ast.FunctionDef) and node.name.startswith("_")
-                    and not node.name.startswith("__")
-                    and everywhere[node.name] == names(node)[node.name]):
-                found.append(f"{mod}: unreferenced private function {node.name}")
+            if isinstance(node, ast.FunctionDef):
+                kind, defined = "function", [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                kind, defined = "constant", [t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                                             and isinstance(t.ctx, ast.Store)]
+            else:
+                continue
+            for name in defined:
+                if (name.startswith("_") and not name.startswith("__")
+                        and everywhere[name] == names(node)[name]):
+                    found.append(f"{mod}: unreferenced private {kind} {name}")
     assert not found, found
 
 
