@@ -42,7 +42,8 @@ class DuplicatePoint(FactlabError):
 # --- arithmetic preconditions -----------------------------------------------
 
 class NotSingular(FactlabError):
-    """Gradient does not vanish at the given point."""
+    """The given point is no singular point: a form or the gradient does not
+    vanish there."""
 
 
 class OddDegree(FactlabError):

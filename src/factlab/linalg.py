@@ -5,7 +5,8 @@ Matrices are lists of lists of field elements.  Every rank, RREF,
 nullspace, solve and dependents list runs on rref_mod_p over F_p, one
 numpy elimination of an int64 stack of matrices (rref_subsets passes many
 small eliminations to it as one stack), and on RowSpace over QQ.  dot and
-combine are the package's dot product and linear combination of vectors.
+combine are the package's dot product and linear combination of vectors;
+inverse_mod_p is its one batched inverse of an int64 array mod p.
 bareiss_rank is an independent fraction-free elimination over QQ, kept as
 the oracle tests compare against.
 """
@@ -117,18 +118,24 @@ def rref_mod_p(stack: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     a zero row).  It is echelon_mod_p, each row scaled once by the inverse
     of its pivot, and the rows sorted by pivot."""
     a, piv = echelon_mod_p(stack, p)
-    # a zero row's lead is 0, whose power is 0, so it stays zero
-    lead = (a * (np.arange(a.shape[2]) == piv[:, :, None])).sum(axis=2, keepdims=True)
-    inv, e = np.ones_like(lead), p - 2
-    while e:  # inv = lead ** (p - 2) mod p, by squaring
-        if e & 1:
-            inv = inv * lead % p
-        lead = lead * lead % p
-        e >>= 1
-    a *= inv
+    # a zero row's lead is 0: whatever its "inverse", the row stays zero
+    a *= inverse_mod_p((a * (np.arange(a.shape[2]) == piv[:, :, None])).sum(axis=2, keepdims=True), p)
     a %= p
     order = np.argsort(piv, axis=1, kind="stable")
     return np.take_along_axis(a, order[:, :, None], axis=1), np.take_along_axis(piv, order, axis=1)
+
+
+def inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """a ** (p - 2) mod p for every entry of an int64 array with entries in
+    [0, p), by squaring: the inverse of each nonzero entry (a zero entry
+    gives 0, or 1 when p = 2).  p < 2**31 keeps each product inside int64."""
+    inv, e = np.ones_like(a), p - 2
+    while e:
+        if e & 1:
+            inv = inv * a % p
+        a = a * a % p
+        e >>= 1
+    return inv
 
 
 def rref_subsets(rows: Sequence[Sequence], subsets: Sequence, field: FieldSpec) -> Iterator[Tuple]:

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import linalg
 from .errors import (
     DegreeMismatch,
     GVanishesOnDelta,
@@ -40,7 +41,8 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import combine, dot, kernel_of_rref, nullspace, rank_and_dependents, rref_subsets, solve
+from .linalg import (combine, dot, inverse_mod_p, kernel_of_rref, nullspace, rank_and_dependents,
+                     rref_subsets, solve)
 from .poly import HomoPoly, eval_poly, form_from_coeffs, gradient, monomial_basis, point_row
 from .projgeom import PointSet, ProjPoint, check_scan_cap, line_points, point_set
 from .report import dumps
@@ -248,6 +250,7 @@ def swap_combine(
 # --- incidence counts -------------------------------------------------------
 
 _CONIC_CAP = 40  # max_on_conics refuses larger sets (TooLarge)
+_PENCIL_BLOCK = 256  # pencils per block of max_on_conics' count over F_p
 
 
 def secant_lines(pts: Sequence[ProjPoint], field: FieldSpec) -> Dict[Tuple, Tuple[Tuple[int, int], int]]:
@@ -277,6 +280,68 @@ def max_on_lines(sigma: PointSet) -> Tuple[int, Tuple[ProjPoint, ProjPoint]]:
     return mask.bit_count(), (pts[i], pts[j])
 
 
+def _pencils_mod_p(table: np.ndarray, p: int) -> Tuple[int, Tuple[int, ...]]:
+    """max_on_conics' 5-subset candidates over F_p, from the (n, 6) int64
+    array of the points' conic rows: the largest count, and the first
+    5-subset T + (e,) in (lex T, ascending e) order that holds more than
+    five points and attains it; (5, the first five indices) when none does.
+    """
+    n = len(table)
+    subsets = np.fromiter(itertools.combinations(range(n - 1), 4), dtype=(np.intp, 4))
+    R, piv = linalg.rref_mod_p(table[subsets], p)  # a module attribute: tests count its stacks
+    best, witness = 5, tuple(range(5))
+    for lo in range(0, len(subsets), _PENCIL_BLOCK):
+        pencil = np.flatnonzero(piv[lo:lo + _PENCIL_BLOCK, 3] < 6) + lo  # no four collinear
+        count = _pencil_counts(R[pencil], piv[pencil], subsets[pencil, 3], table, p)
+        top = count.max(initial=0)
+        if top > best:  # argmax is the first in row-major order: lex T, then ascending e
+            k, e = divmod(int(count.argmax()), n)
+            best, witness = int(top), tuple(subsets[pencil[k]].tolist()) + (e,)
+    return best, witness
+
+
+def _pencil_counts(R: np.ndarray, piv: np.ndarray, last: np.ndarray, table: np.ndarray,
+                   p: int) -> np.ndarray:
+    """(len(R), n) array: for each 4-subset T with RREF R (rank 4, pivot
+    columns piv) and last index last, the number of points on the conic
+    through T and e at each e > last that is no base point, and 0 at every
+    other e.
+
+    Each point q is keyed by its parameter b/a, for [a : b] = [c1(q) :
+    c2(q)], or by p for [0 : 1], with one batched inverse; the points of T
+    and the base points, where a = b = 0, share the key p + 1.  The count
+    at e is 4 + base + the length of the run of e's key in its row."""
+    m, n = len(R), len(table)
+    # the two free (non-pivot) columns of each RREF, ascending
+    free = np.flatnonzero(~(np.arange(6) == piv[:, :, None]).any(axis=1)).reshape(m, 2) % 6
+    # c1 and c2, as kernel_of_rref builds them: 1 at free column f, -R[i, f]
+    # at pivot column i
+    kernel = np.zeros((2, m, 6), dtype=np.int64)
+    np.put_along_axis(kernel, free.T[:, :, None], 1, axis=2)
+    np.put_along_axis(kernel, np.broadcast_to(piv, (2, m, 4)),
+                      -np.take_along_axis(R, free[:, None, :], axis=2).transpose(2, 0, 1) % p, axis=2)
+    ab = np.zeros((2, m, n), dtype=np.int64)
+    for k in range(6):  # each product reduced: six of them below p stay inside int64
+        ab += kernel[:, :, k, None] * table[:, k] % p
+    a, b = ab % p
+    on_all = (a == 0) & (b == 0)  # the 4 points of T and the base points
+    key = np.where(a != 0, b * inverse_mod_p(a, p) % p, p)
+    key[on_all] = p + 1
+    # equal keys of a row are one run after a stable sort, the kind that
+    # rref_mod_p runs: a quicksort or np.unique pages in about 0.4 MB more of
+    # numpy's sort code, which shows in a short process's peak RSS
+    order = np.argsort(key, axis=1, kind="stable")
+    ranked = np.take_along_axis(key, order, axis=1)
+    starts = np.ones((m, n), dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    run = np.cumsum(starts) - 1  # runs never cross rows: each row starts one
+    count = np.empty_like(key)
+    np.put_along_axis(count, order, np.bincount(run)[run].reshape(m, n), axis=1)
+    count += on_all.sum(axis=1, keepdims=True)  # 4 + base
+    count[on_all | (np.arange(n) <= last[:, None])] = 0
+    return count
+
+
 def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     """Exact max of |conic ∩ sigma| over all conics of P^2, with a witness.
 
@@ -294,6 +359,12 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     point e holds T, the base points and every point with e's parameter.
     That is C(n, 4) eliminations of 4 x 6 matrices, run as one stack,
     instead of C(n, 5) of 5 x 6 ones.
+
+    Over F_p the pencils are counted as int64 arrays (_pencils_mod_p):
+    after the one elimination, blocks of _PENCIL_BLOCK pencils evaluate
+    both members at all n points and count equal parameters per pencil, so
+    the count's temporaries are O(_PENCIL_BLOCK * n) next to the stack.
+    Over QQ it is one Python loop per pencil.
     """
     if sigma.ambient_dim != 2:
         raise WrongAmbient("conic counting lives in P^2")
@@ -312,28 +383,31 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
         sols = conic_through(range(n))
         return n, (sols[0] if sols else None)
 
-    best, witness_subset = 5, tuple(range(5))
     # a 4-subset ending at the last point extends to no 5-subset
-    subsets = list(itertools.combinations(range(n - 1), 4))
-    for T, (R, pivots) in zip(subsets, rref_subsets(rows, subsets, field)):
-        if len(pivots) != 4:  # the four points are collinear
-            continue
-        c1, c2 = kernel_of_rref(R, pivots, 6, field)
-        base, params, bucket = 0, {}, Counter()
-        for q in range(n):
-            if q in T:
+    if field.p:
+        best, witness_subset = _pencils_mod_p(np.array(rows, dtype=np.int64), field.p)
+    else:  # QQ: one Python loop per pencil
+        best, witness_subset = 5, tuple(range(5))
+        subsets = list(itertools.combinations(range(n - 1), 4))
+        for T, (R, pivots) in zip(subsets, rref_subsets(rows, subsets, field)):
+            if len(pivots) != 4:  # the four points are collinear
                 continue
-            a, b = dot(c1, rows[q], field), dot(c2, rows[q], field)
-            if not a and not b:
-                base += 1
-                continue
-            params[q] = (field.one, field.div(b, a)) if a else (field.zero, field.one)
-            bucket[params[q]] += 1
-        for e in range(T[-1] + 1, n):
-            if e in params:
-                count = 4 + base + bucket[params[e]]
-                if count > best:
-                    best, witness_subset = count, T + (e,)
+            c1, c2 = kernel_of_rref(R, pivots, 6, field)
+            base, params, bucket = 0, {}, Counter()
+            for q in range(n):
+                if q in T:
+                    continue
+                a, b = dot(c1, rows[q], field), dot(c2, rows[q], field)
+                if not a and not b:
+                    base += 1
+                    continue
+                params[q] = (field.one, field.div(b, a)) if a else (field.zero, field.one)
+                bucket[params[q]] += 1
+            for e in range(T[-1] + 1, n):
+                if e in params:
+                    count = 4 + base + bucket[params[e]]
+                    if count > best:
+                        best, witness_subset = count, T + (e,)
 
     # line pairs: the points on each secant line as a bitmask
     lines = [(key, mask) for key, (_, mask) in secant_lines(pts, field).items()]

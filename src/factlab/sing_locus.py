@@ -7,10 +7,11 @@ top of it is mod-p evidence, not a characteristic-0 proof.
 Both kinds of locus run one tail: the scan, for a complete intersection a
 Jacobian filter by eval_on_points, then a bulk re-check of every hit by
 scan.horner_on_rows, an evaluator independent of the scan's own and of the
-filter's.  The node checks evaluate each gradient and second partial once,
-at all points, by eval_on_points; each point's verdict is one corank test of
-its projective (bordered) Hessian by linalg.echelon_mod_p.  Every P^n(F_p)
-of more than projgeom.SCAN_CAP points is refused before any work (TooLarge).
+filter's.  The node checks evaluate each form, gradient and second partial
+once, at all points, by eval_on_points; each point's verdict is one corank
+test of its projective (bordered) Hessian by linalg.echelon_mod_p.  Every
+P^n(F_p) of more than projgeom.SCAN_CAP points is refused before any work
+(TooLarge).
 """
 
 from __future__ import annotations
@@ -157,12 +158,12 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     intersection M is 0 where the Jacobian has rank 0, and a point of
     Jacobian rank 2 is no node.
 
-    The instance must be over a prime field (ValueError otherwise): its
-    points are scan hits, on every form, and the checks run on them as int64
-    arrays mod p.  A point off the forms is not refused, and its flag means
-    nothing.
-    A hypersurface point whose gradient does not vanish raises NotSingular,
-    as poly.node_rank does, naming the first such point in inst.sing order.
+    The instance must be over a prime field (ValueError otherwise), and the
+    checks run on its points as int64 arrays mod p.  Each form is evaluated
+    once, at all points, by eval_on_points: a point where a form does not
+    vanish raises NotSingular, naming the first such point in inst.sing
+    order.  So does a hypersurface point whose gradient does not vanish, as
+    poly.node_rank does.
 
     Isolation over F_p is heuristic: a positive-dimensional component shows
     up as a large scan count, flagged when |sing| exceeds
@@ -176,6 +177,10 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     if inst.sing:
         p = inst.field.p
         rows = np.array([pt.coords for pt in inst.sing], dtype=np.int64) % p
+        off = _values(inst.defining, rows, p, eval_on_points).any(axis=1)
+        if off.any():
+            first = inst.sing.points[np.flatnonzero(off)[0]]
+            raise NotSingular(f"form nonzero at {tuple(first.coords)}")
         d = [_values(gradient(g), rows, p, eval_on_points) for g in inst.defining]
         deficient = _rank_deficient(d, p)
         if len(d) == 1 and not deficient.all():

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+import factlab.linalg as linalg
 import factlab.lincond as lincond
 from factlab.cli import main
 from factlab.errors import (
@@ -543,6 +544,24 @@ def _conics_cases():
         for size in sizes:
             for kind in ("random", "conic", "collinear", "pair_and_conic"):
                 cases.append(_seeded_plane_set(rng, p, size, kind))
+    # several blocks of pencils over F_101; in the 17-point set the points off
+    # the conic x*z = y^2 come first, so its best 5-subset is in a late block
+    cases.append(_seeded_plane_set(rng, 101, 14, "pair_and_conic"))
+    pts = _seeded_plane_set(rng, 101, 17, "conic").points
+    on_conic = [(x * z - y * y) % 101 == 0 for x, y, z in (q.coords for q in pts)]
+    cases.append(point_set([q for q, on in sorted(zip(pts, on_conic), key=lambda t: t[1])]))
+    # F_(2^31 - 1): the largest products and inverses the int64 count meets
+    for kind in ("conic", "pair_and_conic", "random"):
+        cases.append(_seeded_plane_set(rng, 2**31 - 1, 11, kind))
+    # the first pencil, through three points of z = 0 and (0:0:1), is spanned
+    # by x*z and y*z: the other points of z = 0 are base points, those of
+    # x = 0 have parameter [0 : 1] and those of y = 0 parameter [1 : 0]
+    for p in (101, 2**31 - 1):
+        F = GF(p)
+        cases.append(point_set([canonicalize(list(c), F) for c in (
+            (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 2, 0), (1, 3, 0),
+            (0, 1, 1), (0, 1, 2), (1, 0, 1), (1, 0, 2), (1, 0, 3), (1, 5, 7),
+        )]))
     # a line pair beats every 5-subset only when all points but at most one
     # lie on one line
     for p, on_line, off_line in [(5, 5, 1), (7, 6, 0), (7, 7, 1), (11, 7, 0), (13, 9, 1)]:
@@ -591,6 +610,22 @@ def test_fp_evaluation_matrices_make_no_python_power(monkeypatch):
 
     monkeypatch.setattr(type(F101), "power", refused)
     assert (defect(space, 6), max_on_conics(plane)) == want
+
+
+def test_fp_max_on_conics_counts_pencils_as_arrays(monkeypatch):
+    """Over F_p the pencils are counted as int64 arrays: no FieldSpec.div or
+    inv per point and no dot or kernel_of_rref per pencil.  The one witness
+    conic is still built by nullspace."""
+    plane = _seeded_plane_set(random.Random(15), 101, 15, "conic")
+    want = max_on_conics(plane)
+
+    def refused(*args):
+        raise AssertionError("Python arithmetic per pencil on the F_p path")
+
+    for owner, name in [(type(F101), "div"), (type(F101), "inv"), (linalg, "dot"),
+                        (lincond, "dot"), (lincond, "kernel_of_rref")]:
+        monkeypatch.setattr(owner, name, refused)
+    assert max_on_conics(plane) == want
 
 
 def test_secant_lines_one_stack(rref_stack_sizes):

@@ -248,6 +248,19 @@ def test_verify_nodal_not_singular_like_node_rank():
     assert str(got.value) == str(want.value) == "gradient nonzero at (0, 1, 10, 0)"
 
 
+def test_verify_nodal_refuses_a_point_off_the_forms():
+    """At (1:3:5:6) over F_7 neither form vanishes but the Jacobian has rank
+    1; a point on both forms before it is passed over."""
+    F = GF(7)
+    A, B = random_homo(4, 2, F, 0), random_homo(4, 3, F, 1000)
+    on_both = next(pt for pt in enumerate_projective(3, 7)
+                   if not eval_poly(A, pt.coords) and not eval_poly(B, pt.coords))
+    off = [ProjPoint((1, 3, 5, 6), F), ProjPoint((1, 0, 0, 0), F)]
+    assert eval_poly(A, off[0].coords) and eval_poly(B, off[0].coords)
+    with pytest.raises(NotSingular, match=r"^form nonzero at \(1, 3, 5, 6\)$"):
+        verify_nodal(NodalInstance([A, B], point_set([on_both] + off)))
+
+
 def test_verify_nodal_refuses_rational_field():
     f = parse_poly("x^2 + y^2 + z^2", 4, QQ)
     vertex = ProjPoint(tuple(Fraction(c) for c in (0, 0, 0, 1)), QQ)
@@ -286,10 +299,11 @@ def test_node_checks_evaluate_no_point_alone(monkeypatch, ci_22):
 
 
 def test_verify_nodal_evaluates_each_derivative_once(monkeypatch, ci_22):
-    """The node checks evaluate each partial and each second partial once,
-    at all points, by eval_on_points, and never by horner_on_rows: (n+1) +
-    (n+1)(n+2)/2 evaluations per form, 14 on q^2 over F_101 (10 404 points
-    in 4 charts) and 27 on each quadric of a complete intersection in P^5."""
+    """The node checks evaluate each form, each partial and each second
+    partial once, at all points, by eval_on_points, and never by
+    horner_on_rows: 1 + (n+1) + (n+1)(n+2)/2 evaluations per form, 15 on q^2
+    over F_101 (10 404 points in 4 charts) and 28 on each quadric of a
+    complete intersection in P^5."""
     import factlab.sing_locus as sl
 
     calls = []
@@ -304,7 +318,7 @@ def test_verify_nodal_evaluates_each_derivative_once(monkeypatch, ci_22):
     assert len(sing) == 102**2 and _charts(sing) == {0, 1, 2, 3}
     calls.clear()
     verify_nodal(NodalInstance([q * q], sing))
-    assert calls == [("eval_on_points", len(sing))] * 14
+    assert calls == [("eval_on_points", len(sing))] * 15
     calls.clear()
     verify_nodal(NodalInstance(ci_22.defining, ci_22.sing))
-    assert calls == [("eval_on_points", len(ci_22.sing))] * 2 * 27
+    assert calls == [("eval_on_points", len(ci_22.sing))] * 2 * 28
