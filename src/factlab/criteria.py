@@ -15,14 +15,16 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from . import linalg
 from .errors import BadParams, VerificationFailure
-from .linalg import kernel_of_rref, nullspace, rref_subsets
+from .linalg import kernel_mod_p, nullspace
 from .lincond import defect, secant_lines
 from .poly import (
     HomoPoly,
     divide_by_linear,
     embed_poly,
-    eval_poly,
     form_from_coeffs,
     monomial_basis,
     poly_sqrt,
@@ -215,6 +217,7 @@ def app_double_hypersurface(d: int, r: int, nsing: int) -> CriterionVerdict:
 
 
 _PLANE_BASIS = monomial_basis(4, 1)  # x, y, z, w: coefficient i belongs to coordinate i
+_PLANE_BLOCK = 1024  # planes per block of _candidate_planes' node count
 
 
 @dataclass
@@ -231,33 +234,35 @@ class StructureWitness:
 def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
     """Every plane carrying more than 2r nodes, when it can be found exactly.
 
-    First the planes spanned by node triples, in triple order.  If none
+    First the planes spanned by node triples, in first-triple order, each
+    read off its triple's RREF in one stack by kernel_mod_p.  If none
     carries more than 2r nodes, then every plane that does has all its
     nodes on one line L (three of them off a line would span it), L carries
-    more than 2r nodes, and every plane through L qualifies.  So over a
-    prime field the fallback is the p+1 planes through each such secant
-    line, in enumerate_projective order of their coefficient vectors.
+    more than 2r nodes, and every plane through L qualifies.  So the
+    fallback is the p+1 planes through each such secant line, in
+    enumerate_projective order of their coefficient vectors.
     """
-    field = f.field
-    r2 = f.degree  # 2r
-    planes: Dict[Tuple, HomoPoly] = {}
-    triples = list(itertools.combinations(range(len(sing)), 3))  # one stack
-    for R, pivots in rref_subsets([pt.coords for pt in sing], triples, field):
-        if len(pivots) == 3:
-            form = form_from_coeffs(_PLANE_BASIS, kernel_of_rref(R, pivots, 4, field)[0], field)
-            key = tuple(sorted(form.terms.items()))
-            if key not in planes and sum(1 for pt in sing if not eval_poly(form, pt.coords)) > r2:
-                planes[key] = form
-    if planes or not field.p:
-        return list(planes.values())
-    through_lines = set()
-    for key, (_, mask) in secant_lines(sing.points, field).items():
-        if mask.bit_count() > r2:
-            u, v = nullspace(key, 4, field)
-            through_lines.update(line_points(u, v, field))
-    # enumerate_projective order: pivot position first, then lex
-    order = sorted(through_lines, key=lambda c: (next(i for i, x in enumerate(c) if x), c))
-    return [form_from_coeffs(_PLANE_BASIS, c, field) for c in order]
+    field, p = f.field, f.field.p
+    table = np.array([pt.coords for pt in sing], dtype=np.int64).reshape(len(sing), 4)
+    triples = np.fromiter(itertools.combinations(range(len(sing)), 3), dtype=(np.intp, 3))
+    R, piv = linalg.rref_mod_p(table[triples], p)  # a module attribute: tests count its stacks
+    full = piv[:, 2] < 4
+    vecs = kernel_mod_p(R[full], piv[full], 3, p)[:, 0]
+    vecs = vecs[np.sort(np.unique(vecs, axis=0, return_index=True)[1])]
+    planes = []
+    for lo in range(0, len(vecs), _PLANE_BLOCK):  # each product reduced: int64 holds their sum
+        block = vecs[lo:lo + _PLANE_BLOCK]
+        values = sum(block[:, k, None] * table[:, k] % p for k in range(4)) % p
+        planes += block[(values == 0).sum(axis=1) > f.degree].tolist()
+    if not planes:
+        through_lines = set()
+        for key, (_, mask) in secant_lines(sing.points, field).items():
+            if mask.bit_count() > f.degree:
+                u, v = nullspace(key, 4, field)
+                through_lines.update(line_points(u, v, field))
+        # enumerate_projective order: pivot position first, then lex
+        planes = sorted(through_lines, key=lambda c: (next(i for i, x in enumerate(c) if x), c))
+    return [form_from_coeffs(_PLANE_BASIS, c, field) for c in planes]
 
 
 def detect_nodal_surface_form(f: HomoPoly, sing: PointSet) -> Optional[StructureWitness]:
@@ -267,14 +272,14 @@ def detect_nodal_surface_form(f: HomoPoly, sing: PointSet) -> Optional[Structure
     root, lift the root back to P^3 on the complementary variables, and
     divide the residual by ell.  Absence of a witness proves nothing.
     """
+    if not f.field.p:
+        raise ValueError("the plane search runs over a prime field")
     if f.degree % 2:
         raise BadParams("degree must be even")
     r = f.degree // 2
     field = f.field
     for ell in _candidate_planes(f, sing):
-        chart = next(
-            i for i in range(4) if ell.coeff(tuple(1 if j == i else 0 for j in range(4)))
-        )
+        chart = next(i for i in range(4) if ell.coeff(tuple(int(j == i) for j in range(4))))
         restricted = restrict_to_plane(f, ell, chart)
         root = poly_sqrt(restricted)
         if root is None:

@@ -33,9 +33,8 @@ from .poly import (
     monomial_basis,
     random_homo,
 )
-from .projgeom import enumerate_projective
 from .rng import SplitMix64
-from .scan import eval_on_points, projective_zeros
+from .scan import coords_table, eval_on_points, projective_zeros
 from .sing_locus import (
     NodalInstance,
     ci_singular_points,
@@ -334,11 +333,11 @@ def gen_ci_nonfactorial(spec: FamilySpec) -> NodalInstance:
 
     def build(seed):
         rng = SplitMix64(seed)
-        all_pts = list(enumerate_projective(2, p))
-        if len(all_pts) < expected:
-            raise _NoDraw(f"{len(all_pts)} points in the plane, {expected} needed")
-        nodes = rng.sample(all_pts, expected)
-        basis_s, rows = evaluation_matrix([q.coords for q in nodes], 3, s, field)
+        table = coords_table(2, p)
+        if len(table) < expected:
+            raise _NoDraw(f"{len(table)} points in the plane, {expected} needed")
+        nodes = table[rng.sample(range(len(table)), expected)]
+        basis_s, rows = evaluation_matrix(nodes, 3, s, field)
         gen_vecs = nullspace(rows, len(basis_s), field)
         if len(gen_vecs) != 3:  # non-generic Hilbert function for this (m, k)
             raise _NoDraw(f"{len(gen_vecs)} forms of degree {s} through the nodes, 3 needed")

@@ -6,7 +6,7 @@ nullspace, solve and dependents list runs on rref_mod_p over F_p, one
 numpy elimination of an int64 stack of matrices (rref_subsets passes many
 small eliminations to it as one stack), and on RowSpace over QQ.  dot and
 combine are the package's dot product and linear combination of vectors;
-inverse_mod_p is its one batched inverse of an int64 array mod p.
+inverse_mod_p and kernel_mod_p are its batched inverse and kernel mod p.
 bareiss_rank is an independent fraction-free elimination over QQ, kept as
 the oracle tests compare against.
 """
@@ -195,6 +195,19 @@ def kernel_of_rref(R, pivots: Sequence[int], ncols: int, field: FieldSpec) -> Li
             v[pcol] = field.neg(R[i][fcol])
         basis.append(v)
     return basis
+
+
+def kernel_mod_p(R: np.ndarray, piv: np.ndarray, rank: int, p: int) -> np.ndarray:
+    """kernel_of_rref on a (B, m, n) stack of RREFs mod p, each of this rank,
+    with pivot columns piv as rref_mod_p returns them: a (B, n - rank, n)
+    int64 array, one kernel vector per free column of each matrix."""
+    (nmat, _, ncols), piv = R.shape, piv[:, :rank]
+    free = np.nonzero(~(np.arange(ncols) == piv[:, :, None]).any(axis=1))[1].reshape(nmat, ncols - rank)
+    kernel = np.zeros((nmat, ncols - rank, ncols), dtype=np.int64)
+    np.put_along_axis(kernel, free[:, :, None], 1, axis=2)
+    entries = np.take_along_axis(R[:, :rank], free[:, None, :], axis=2).transpose(0, 2, 1)
+    np.put_along_axis(kernel, np.broadcast_to(piv[:, None, :], entries.shape), -entries % p, axis=2)
+    return kernel
 
 
 def nullspace(matrix: Sequence[Sequence], ncols: int, field: FieldSpec) -> List[List[Scalar]]:

@@ -14,7 +14,8 @@ The kernel of the evaluation matrix is the space of degree-xi forms through
 the set, and its rows span exactly the annihilator of that kernel.  So the
 base points of the blown-up plane are the common zeros of the kernel forms
 (one projective_zeros scan) and, at a point of the set, the directions on
-which every kernel form's gradient vanishes.
+which every kernel form's gradient vanishes: every gradient at every point
+is one int64 product, their ranks one echelon_mod_p stack.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import (combine, dot, inverse_mod_p, kernel_of_rref, nullspace, rank_and_dependents,
-                     rref_subsets, solve)
-from .poly import HomoPoly, eval_poly, form_from_coeffs, gradient, monomial_basis, point_row
-from .projgeom import PointSet, ProjPoint, check_scan_cap, line_points, point_set
+from .linalg import (combine, dot, inverse_mod_p, kernel_mod_p, kernel_of_rref, nullspace,
+                     rank_and_dependents, rref_subsets, solve)
+from .poly import HomoPoly, eval_poly, form_from_coeffs, monomial_basis, point_row
+from .projgeom import PointSet, ProjPoint, check_scan_cap, point_set
 from .report import dumps
 from .scan import monomial_columns, projective_zeros
 
@@ -312,14 +313,7 @@ def _pencil_counts(R: np.ndarray, piv: np.ndarray, last: np.ndarray, table: np.n
     and the base points, where a = b = 0, share the key p + 1.  The count
     at e is 4 + base + the length of the run of e's key in its row."""
     m, n = len(R), len(table)
-    # the two free (non-pivot) columns of each RREF, ascending
-    free = np.flatnonzero(~(np.arange(6) == piv[:, :, None]).any(axis=1)).reshape(m, 2) % 6
-    # c1 and c2, as kernel_of_rref builds them: 1 at free column f, -R[i, f]
-    # at pivot column i
-    kernel = np.zeros((2, m, 6), dtype=np.int64)
-    np.put_along_axis(kernel, free.T[:, :, None], 1, axis=2)
-    np.put_along_axis(kernel, np.broadcast_to(piv, (2, m, 4)),
-                      -np.take_along_axis(R, free[:, None, :], axis=2).transpose(2, 0, 1) % p, axis=2)
+    kernel = kernel_mod_p(R, piv, 4, p).transpose(1, 0, 2)  # c1 and c2 of every pencil
     ab = np.zeros((2, m, n), dtype=np.int64)
     for k in range(6):  # each product reduced: six of them below p stay inside int64
         ab += kernel[:, :, k, None] * table[:, k] % p
@@ -409,18 +403,17 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
                     if count > best:
                         best, witness_subset = count, T + (e,)
 
-    # line pairs: the points on each secant line as a bitmask
-    lines = [(key, mask) for key, (_, mask) in secant_lines(pts, field).items()]
-    witness_lines = None
-    for (l1, m1), (l2, m2) in itertools.combinations_with_replacement(lines, 2):
-        count = (m1 | m2).bit_count()
-        if count > best:
-            best, witness_lines = count, (l1, l2)
-    if witness_lines is None:
+    # line pairs i <= j of bitmasks (n <= 40 bits) at once; argmax takes the first
+    # maximum in row-major order, the first pair in combinations_with_replacement order
+    lines = secant_lines(pts, field)
+    masks = np.array([mask for _, mask in lines.values()], dtype=np.int64)
+    counts = np.triu(np.bitwise_count(masks[:, None] | masks[None, :]))
+    if counts.max() <= best:
         return best, conic_through(witness_subset)[0]
-    basis1 = monomial_basis(3, 1)
-    l1, l2 = (form_from_coeffs(basis1, nullspace(key, 3, field)[0], field) for key in witness_lines)
-    return best, l1 * l2
+    keys, basis1 = list(lines), monomial_basis(3, 1)
+    l1, l2 = (form_from_coeffs(basis1, nullspace(keys[k], 3, field)[0], field)
+              for k in divmod(int(counts.argmax()), len(keys)))
+    return int(counts.max()), l1 * l2
 
 
 # --- set-theoretic intersection certificates ---------------------------------
@@ -494,55 +487,46 @@ class BeseReport:
         )
 
 
-def _tangent_directions(pt: ProjPoint, field: FieldSpec):
-    """The p+1 first-order directions at pt: P(F_p^3 / <pt>)."""
-    # pt and the unit vectors e_i, i != last, are a basis, where last is the
-    # index of pt's last nonzero coordinate: e_last is the only unit vector
-    # in the span of pt and the unit vectors before it
-    last = max(i for i, c in enumerate(pt.coords) if c)
-    u, v = [tuple(int(i == j) for j in range(3)) for i in range(3) if i != last]
-    return line_points(u, v, field)
-
-
-def _independent_pair(rows, p: int) -> bool:
-    """Whether two of the rows (vectors of F_p^3) are linearly independent."""
-    first = next((r for r in rows if any(r)), None)
-    if first is None:
-        return False
-    a, b, c = first
-    return any((b * z - c * y) % p or (c * x - a * z) % p or (a * y - b * x) % p
-               for x, y, z in rows)
-
-
 def _first_base_point(sigma: PointSet, xi: int):
     """("base_point", witness) for the first F_p-rational base point of the
     degree-xi forms through sigma on the blow-up, in enumerate_projective
-    order, or ("free", None).  The witness is a point Q outside sigma with
-    every kernel form g zero at Q, or (Q, v) with Q in sigma and v a tangent
-    direction there with grad g(Q) . v = 0 for every g."""
-    field = sigma.field
-    p = field.p
+    order, or ("free", None): a point Q outside sigma where every kernel
+    form g vanishes, or (Q, v) with Q in sigma and v the first direction of
+    line_points(e_a, e_b) (a < b; e_last is at Q's last nonzero coordinate)
+    with grad g(Q) . v = 0 for every g.
+
+    Every gradient at every point of sigma is one product: the degree-(xi-1)
+    evaluation matrix re-indexed by d/dx_j x^m = m_j * x^(m - e_j), times the
+    kernel, exact in int64 (the scan cap's p <= 9999 and EVAL_CAP keep sums
+    below 10**15).  By Euler each gradient at Q is orthogonal to Q: rank 2
+    leaves no direction, rank <= 1 the canonical r_b * e_a - r_a * e_b for
+    the one row r the elimination leaves, or e_b when r_b = 0."""
+    field, p = sigma.field, sigma.field.p
     basis, rows = _set_matrix(sigma, xi)
-    kernel = [form_from_coeffs(basis, v, field) for v in nullspace(rows, len(basis), field)]
+    vecs = nullspace(rows, len(basis), field)
+    kernel = [form_from_coeffs(basis, v, field) for v in vecs]
     # with no degree-xi form through sigma every point is a base point
     zeros = projective_zeros(kernel, 2, p) if kernel else [(1, 0, 0)]
-    grads = [gradient(g) for g in kernel]
-    monos = monomial_basis(3, xi - 1)  # every partial's monomials
-    sigma_keys = {pt.coords for pt in sigma}
+    monos, values = _set_matrix(sigma, xi - 1)
+    at = {m: i for i, m in enumerate(monos)}
+    shifted = [[at.get(tuple(e - (v == j) for v, e in enumerate(m)), 0) for m in basis]
+               for j in range(3)]  # the index of m - e_j; any index where m_j = 0
+    partials = np.array(values, dtype=np.int64).reshape(len(sigma), len(monos))[:, shifted]
+    partials = partials * np.array(basis, dtype=np.int64).T % p  # (|sigma|, 3, len(basis))
+    grads = partials @ np.array(vecs, dtype=np.int64).reshape(-1, len(basis)).T % p
+    reduced, piv = linalg.echelon_mod_p(grads.transpose(0, 2, 1), p)  # k x 3 at each point
+    rank, r = (piv < 3).sum(axis=1), reduced.sum(axis=1) % p
+    index = {pt.coords: i for i, pt in enumerate(sigma)}
     for row in zeros:
         Q = ProjPoint(tuple(int(c) for c in row), field)
-        if Q.coords not in sigma_keys:
+        i = index.get(Q.coords)
+        if i is None:
             return "base_point", Q
-        at_Q = dict(zip(monos, point_row(Q.coords, monos, field)))
-        grad_rows = [[dot(d.terms.values(), map(at_Q.__getitem__, d.terms), field) for d in grad]
-                     for grad in grads]
-        # every g vanishes at Q, so by Euler each row is orthogonal to Q; two
-        # independent rows then leave only Q itself, and no direction
-        if _independent_pair(grad_rows, p):
-            continue
-        for v in _tangent_directions(Q, field):
-            if not any(dot(r, v, field) for r in grad_rows):
-                return "base_point", (Q, v)
+        if rank[i] < 2:
+            a, b = sorted({0, 1, 2} - {max(j for j, c in enumerate(Q.coords) if c)})
+            v = [0, 0, 0]
+            v[a], v[b] = (1, -int(r[i, a]) * pow(int(r[i, b]), p - 2, p) % p) if r[i, b] else (0, 1)
+            return "base_point", (Q, tuple(v))
     return "free", None
 
 
@@ -609,9 +593,7 @@ def bese_check(
         elif verdict == "unknown" and status == "yes":
             status = "unknown"
 
-    scan_result, witness = "not_scanned", None
-    if scan:
-        scan_result, witness = _first_base_point(sigma, xi)
+    scan_result, witness = _first_base_point(sigma, xi) if scan else ("not_scanned", None)
     return BeseReport(
         xi=xi,
         delta=delta,

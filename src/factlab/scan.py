@@ -9,22 +9,23 @@ variable at a time (about deg * p^k operations, not terms * p^k).  A chart
 on which some form is a nonzero constant -- one term c * x_pivot^e left
 after x_0..x_(pivot-1) = 0, with p not dividing c, as each partial of a
 diagonal form is on its own chart -- holds no zero, and is skipped before
-any chart table or grid is built.  Each
-chart's grid is cut into slabs along its first free coordinate; slabs bound
-memory and are scanned in order.  The first form's zeros are kept as flat
-grid indices, and every further form filters them in turn on its own chart
-table, by Horner in the first free coordinate at each surviving index.  Rows
-are built only for the points that survive every form.  projective_zeros
-and coords_table refuse, before any work, a P^n(F_p) of more than
-projgeom.SCAN_CAP points (TooLarge); the cap is a constant, not a setting.
+any chart table or grid is built; the last chart's one point (0:...:0:1)
+goes by each form's x_n^deg coefficient.  Each chart's grid is cut into
+slabs along its first free coordinate; slabs bound memory and are scanned in
+order.  The first form's zeros are kept as flat grid indices, and every
+further form filters them in turn on its own chart table, by Horner in the
+first free coordinate at each surviving index.  Rows are built only for the
+points that survive every form.  projective_zeros and coords_table refuse,
+before any work, a P^n(F_p) of more than projgeom.SCAN_CAP points
+(TooLarge); the cap is a constant, not a setting.
 
 monomial_columns evaluates monomials on explicit int64 rows, one column
 mod p each: eval_on_points sums a form's columns weighted by its
 coefficients, and lincond.evaluation_matrix stacks a basis's columns into
 every evaluation matrix over F_p.  coords_table, eval_on_points and
 common_zeros are the term-by-term path on explicit rows: the full table and
-common_zeros serve tests as an oracle, common_zeros also filters the single
-point of the last chart, and callers that need a further condition (a
+common_zeros serve tests as an oracle (families also draws plane nodes
+from the table's rows), and callers that need a further condition (a
 Jacobian rank, smoothness) filter the returned rows themselves with
 eval_on_points.  sing_locus's node checks evaluate every gradient and second
 partial at the hits with eval_on_points too.  A scan takes forms only.
@@ -243,7 +244,7 @@ def projective_zeros(polys: Sequence[HomoPoly], n: int, p: int) -> np.ndarray:
     on the whole grid by the Horner kernel and the others on its zeros only,
     each on its own chart table; rows are built for the final survivors.  A
     chart on which some poly is a nonzero constant gives no rows and no work.
-    The single point of the last chart goes through common_zeros.
+    The last chart's single point is decided by coefficients alone.
     """
     check_scan_cap(n, p)
     # a zero form filters nothing; kept first, it would keep a whole chart's indices
@@ -262,8 +263,8 @@ def projective_zeros(polys: Sequence[HomoPoly], n: int, p: int) -> np.ndarray:
         rows[:, pivot] = 1
         rows[:, pivot + 1:] = np.column_stack(np.unravel_index(idx, (p,) * (n - pivot)))
         results.append(rows)
-    # the last chart is the single point (0:...:0:1)
-    last = np.zeros((1, n + 1), dtype=np.int64)
-    last[0, n] = 1
-    results.append(common_zeros(polys, last, p))
+    # the last chart is the single point (0:...:0:1), where f is its x_n^deg coefficient
+    last = np.eye(1, n + 1, n, dtype=np.int64)
+    results.append(last if all(int(f.coeff((0,) * n + (f.degree,))) % p == 0 for f in polys)
+                   else last[:0])
     return np.concatenate(results, axis=0)

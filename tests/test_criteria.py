@@ -1,10 +1,14 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import ceil, comb, floor, lcm
 
 import pytest
 
+import factlab.criteria as criteria
+import factlab.linalg as linalg
+import factlab.poly as poly
 from factlab.criteria import (
     _candidate_planes,
     app_ci1,
@@ -18,8 +22,8 @@ from factlab.criteria import (
     theorem_main_certify,
 )
 from factlab.errors import BadParams, VerificationFailure
-from factlab.fields import GF
-from factlab.linalg import rank
+from factlab.fields import GF, QQ
+from factlab.linalg import rank, rref
 from factlab.poly import make_poly, parse_poly, random_homo
 from factlab.projgeom import canonicalize, point_set
 from factlab.sing_locus import singular_points
@@ -231,6 +235,82 @@ def test_candidate_planes_through_a_heavy_line_match_brute_force(p):
                 want = _brute_force_planes(sing, 2 * r, p)
                 assert [_coeffs(ell) for ell in _candidate_planes(f, sing)] == want
                 assert len(want) == (p + 1 if k > 2 * r else 0)
+
+
+def _plane_heavy_nodes(p, size, rng):
+    """size seeded points of P^3(F_p), about half of them on one seeded
+    plane, with no line holding more than 4 of them."""
+    F = GF(p)
+    plane = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
+    pts = []
+    while len(pts) < size:
+        if rng.random() < 0.5:
+            s = [rng.randrange(p) for _ in range(3)]
+            c = [sum(a * x for a, x in zip(s, col)) % p for col in zip(*plane)]
+        else:
+            c = [rng.randrange(p) for _ in range(4)]
+        if not any(c):
+            continue
+        q = canonicalize(c, F)
+        # the points of pts on each line through q, keyed by the line's RREF
+        lines = Counter(str(rref([q.coords, a.coords], F)[0]) for a in pts if a != q)
+        if q not in pts and max(lines.values(), default=0) < 4:
+            pts.append(q)
+    return point_set(pts)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_candidate_planes_spanned_by_triples_match_brute_force(p):
+    """Nodes with no line holding more than 2r of them: every plane with
+    more than 2r nodes is spanned by a triple of them, so the triple search
+    finds exactly the brute-force planes, each at its first triple."""
+    rng = random.Random(100 + p)
+    F = GF(p)
+    found = 0
+    for r in (2, 2, 3):
+        f = make_poly(4, 2 * r, {(2 * r, 0, 0, 0): 1}, F)
+        for size in (5, 8, 11):
+            sing = _plane_heavy_nodes(p, size, rng)
+            got = [canonicalize(list(_coeffs(ell)), F).coords for ell in _candidate_planes(f, sing)]
+            assert sorted(got) == sorted(_brute_force_planes(sing, 2 * r, p))
+            found += bool(got)
+            spanning = [(i, t) for i, t in enumerate(itertools.combinations(sing.points, 3))
+                        if rank([q.coords for q in t], F) == 3]
+            first = [next(i for i, t in spanning
+                          if all(sum(a * x for a, x in zip(c, q.coords)) % p == 0 for q in t))
+                     for c in got]
+            assert first == sorted(first) and len(set(first)) == len(first)
+    assert found >= 3
+
+
+def test_plane_search_refuses_qq(monkeypatch):
+    def refused(*args):
+        raise AssertionError("array work over QQ")
+
+    monkeypatch.setattr(linalg, "rref_mod_p", refused)
+    f = parse_poly("x^4 - y^4 + z^4 - w^4", 4, QQ)
+    sing = point_set([canonicalize([Fraction(c) for c in v], QQ)
+                      for v in ([1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1])])
+    with pytest.raises(ValueError, match="prime field"):
+        detect_nodal_surface_form(f, sing)
+
+
+def test_candidate_planes_make_no_python_evaluation(monkeypatch, double_solid_r3):
+    """The triple planes are read off one stack and counted as int64
+    arrays: no kernel_of_rref or eval_poly per triple."""
+    cases = [(double_solid_r3.defining[0], double_solid_r3.sing)]
+    cases += [(make_poly(4, 4, {(4, 0, 0, 0): 1}, GF(p)), _plane_heavy_nodes(p, 11, random.Random(p)))
+              for p in (7, 13)]
+    want = [_candidate_planes(f, sing) for f, sing in cases]
+    assert all(want)
+
+    def refused(*args):
+        raise AssertionError("Python arithmetic per triple in the plane search")
+
+    for owner, name in [(linalg, "kernel_of_rref"), (criteria, "kernel_of_rref"),
+                        (poly, "eval_poly"), (criteria, "eval_poly")]:
+        monkeypatch.setattr(owner, name, refused, raising=False)
+    assert [_candidate_planes(f, sing) for f, sing in cases] == want
 
 
 def test_candidate_planes_beyond_p_31():

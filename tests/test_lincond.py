@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 
 import factlab.linalg as linalg
 import factlab.lincond as lincond
+import factlab.poly as poly
 from factlab.cli import main
 from factlab.errors import (
     DegreeMismatch,
@@ -24,7 +26,6 @@ from factlab.fields import GF, QQ
 from factlab.lincond import (
     SeparatorCertificate,
     SeparatorFailure,
-    _tangent_directions,
     all_separators,
     bese_check,
     defect,
@@ -39,7 +40,7 @@ from factlab.lincond import (
 )
 from factlab.linalg import kernel_of_rref, nullspace, rank, rref_subsets
 from factlab.poly import eval_poly, form_from_coeffs, make_poly, monomial_basis, parse_poly
-from factlab.projgeom import canonicalize, dump_point_set, enumerate_projective, point_set
+from factlab.projgeom import canonicalize, dump_point_set, enumerate_projective, line_points, point_set
 from factlab.rng import SplitMix64
 
 F7 = GF(7)
@@ -330,6 +331,16 @@ def _gradient_row(coords, direction, basis, p):
     return row
 
 
+def _tangent_directions(pt, field):
+    """The p+1 first-order directions at pt: P(F_p^3 / <pt>)."""
+    # pt and the unit vectors e_i, i != last, are a basis, where last is the
+    # index of pt's last nonzero coordinate: e_last is the only unit vector
+    # in the span of pt and the unit vectors before it
+    last = max(i for i, c in enumerate(pt.coords) if c)
+    u, v = [tuple(int(i == j) for j in range(3)) for i in range(3) if i != last]
+    return line_points(u, v, field)
+
+
 def _bese_oracle(sigma, xi):
     """First base point by row membership: rank of the evaluation rows of
     sigma with the candidate row appended, candidate by candidate (all the
@@ -377,6 +388,37 @@ def test_bese_scan_matches_row_membership_oracle():
         found.add(type(rep.witness).__name__)
     # the set of cases reaches all three outcomes
     assert found == {"NoneType", "ProjPoint", "tuple"}
+
+
+def test_bese_seeded_sweep_matches_row_membership_oracle():
+    """200 seeded sets over F_3..F_13 at xi = 3..5, up to three more points
+    than degree-xi forms have coefficients, so some kernels are empty."""
+    rng = random.Random(21)
+    found = Counter()
+    for _ in range(200):
+        p, xi = rng.choice((3, 5, 7, 11, 13)), rng.randint(3, 5)
+        size = rng.randint(1, min(p * p + p + 1, comb(xi + 2, 2) + 3))
+        sigma = _seeded_plane_set(rng, p, size, rng.choice(("random", "collinear", "conic",
+                                                              "pair_and_conic")))
+        rep = bese_check(sigma, xi)
+        assert (rep.scan_result, rep.witness) == _bese_oracle(sigma, xi), (p, xi, list(sigma))
+        found[type(rep.witness).__name__] += 1
+    assert set(found) == {"NoneType", "ProjPoint", "tuple"} and min(found.values()) >= 20
+
+
+def test_fp_bese_builds_no_gradient_form(monkeypatch):
+    """Over F_p the directions come from one product and one elimination:
+    no poly.gradient or partial, no dot and no point_row per point."""
+    want = [(rep.scan_result, rep.witness) for rep in (bese_check(s, xi) for s, xi in _bese_cases())]
+
+    def refused(*args):
+        raise AssertionError("per-point Python evaluation on the F_p bese path")
+
+    for owner, name in [(poly, "gradient"), (poly, "partial"), (poly, "point_row"),
+                        (lincond, "point_row"), (linalg, "dot"), (lincond, "dot")]:
+        monkeypatch.setattr(owner, name, refused)
+    assert [(rep.scan_result, rep.witness)
+            for rep in (bese_check(s, xi) for s, xi in _bese_cases())] == want
 
 
 def _empty_kernel_set(p, xi, with_origin):
@@ -584,6 +626,50 @@ def test_max_on_conics_matches_five_subset_oracle():
         got = max_on_conics(sigma)
         want = _conics_oracle(sigma)
         assert got[0] == want[0] and repr(got[1]) == repr(want[1]), list(map(str, sigma))
+
+
+def _line_heavy_set(rng, field, size):
+    """size points, most of them on the line y = 2x + z or on the pair of
+    lines y = 2x + z and z = 0, the rest random; over QQ with small
+    fractions for coordinates."""
+    p = field.p
+    pts, seen = [], set()
+    kind = rng.randrange(3)
+    while len(pts) < size:
+        t = rng.randrange(p) if p else Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        u = rng.random()
+        if u < 0.85 and kind < 2:
+            c = [1, 2 + t, t]
+        elif u < 0.95 and kind == 1:
+            c = [1, t, 0]
+        else:
+            c = [rng.randrange(p) if p else Fraction(rng.randint(-5, 5)) for _ in range(3)]
+            if not any(x % p if p else x for x in c):
+                continue
+        q = canonicalize(c, field)
+        if q.coords not in seen:
+            seen.add(q.coords)
+            pts.append(q)
+    return point_set(pts)
+
+
+def test_max_on_conics_line_pairs_match_the_oracle_on_both_fields(monkeypatch):
+    """The line pairs are counted at once on bitmasks: the count and the
+    first best pair in combinations_with_replacement order are the
+    oracle's, over F_p and over QQ.  A line-pair witness is the only
+    degree-1 basis that max_on_conics builds."""
+    degrees, basis = [], lincond.monomial_basis
+    monkeypatch.setattr(lincond, "monomial_basis", lambda n, d: degrees.append(d) or basis(n, d))
+    rng = random.Random(77)
+    wins = Counter()
+    for k in range(36):
+        field = QQ if k % 3 == 0 else GF(rng.choice((7, 11, 101, 2**31 - 1)))
+        sigma = _line_heavy_set(rng, field, rng.randint(6, 9 if field is QQ else 11))
+        degrees.clear()
+        got, want = max_on_conics(sigma), _conics_oracle(sigma)
+        assert (got[0], got[1].to_text()) == (want[0], want[1].to_text()), list(map(str, sigma))
+        wins[field.p == 0, 1 in degrees] += 1
+    assert wins[True, True] >= 3 and wins[False, True] >= 5 and wins[False, False] >= 3
 
 
 def test_max_on_conics_pencil_cost(rref_stack_sizes):

@@ -192,6 +192,38 @@ def test_single_point_chart():
     assert rows[-1].tolist() == [0, 0, 0, 1]
 
 
+def _last_chart_cases():
+    """Forms of P^2(F_7) whose z^deg coefficient is 0, p, 2p or a unit,
+    stored unreduced, next to a zero form and degree-0 forms."""
+    F = GF(7)
+
+    def cubic(top):
+        terms = {(1, 1, 1): 2, (0, 2, 1): 3, (2, 0, 1): 1}
+        if top is not None:
+            terms[0, 0, 3] = top
+        return HomoPoly(3, 3, terms, F)
+
+    for top in (None, 7, 14, 3):
+        yield pytest.param([cubic(top)], id=f"top-{top}")
+    yield pytest.param([cubic(14), cubic(3)], id="zero-then-unit")
+    yield pytest.param([HomoPoly(3, 2, {}, F), cubic(7)], id="zero-form")
+    yield pytest.param([HomoPoly(3, 0, {(0, 0, 0): 7}, F)], id="degree-0-p")
+    yield pytest.param([cubic(None), HomoPoly(3, 0, {(0, 0, 0): 5}, F)], id="degree-0-unit")
+
+
+@pytest.mark.parametrize("polys", _last_chart_cases())
+def test_last_chart_from_coefficients(monkeypatch, polys):
+    """The point (0:0:1) is decided by each form's z^deg coefficient mod p,
+    as the table scan decides it, and with no common_zeros call."""
+    want = common_zeros(polys, coords_table(2, 7), 7)
+
+    def refused(*args):
+        raise AssertionError("the last chart went through common_zeros")
+
+    monkeypatch.setattr(scan, "common_zeros", refused)
+    assert np.array_equal(projective_zeros(polys, 2, 7), want)
+
+
 def test_projective_zeros_cap(monkeypatch):
     """P^3(F_467) has more than 10^8 points: refused before any chart table."""
     f = parse_poly("x^2 + y*z", 4, GF(467))
