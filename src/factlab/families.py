@@ -34,7 +34,7 @@ from .poly import (
     random_homo,
 )
 from .rng import SplitMix64
-from .scan import coords_table, eval_on_points, projective_zeros
+from .scan import coords_table, eval_forms, projective_zeros
 from .sing_locus import (
     NodalInstance,
     ci_singular_points,
@@ -93,7 +93,7 @@ def _curve_smooth_points(f: HomoPoly, p: int) -> Tuple[np.ndarray, np.ndarray]:
     """The F_p-points of a plane curve as the int64 rows of its one scan, in
     enumeration order, and the mask of the smooth rows among them."""
     rows = projective_zeros([f], f.nvars - 1, p)
-    return rows, np.any([eval_on_points(g, rows, p) != 0 for g in gradient(f)], axis=0)
+    return rows, eval_forms(gradient(f), rows, p).any(axis=1)
 
 
 def _line_section_nodes(rows: np.ndarray, smooth: np.ndarray, nlines: int, per_line: int,

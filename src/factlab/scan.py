@@ -4,31 +4,38 @@ projective_zeros is the scan primitive.  It visits P^n(F_p) in
 enumerate_projective's order (pivot ascending, then lex on the free
 coordinates) without building a coordinate table: in the chart with pivot
 coordinate 1 and earlier coordinates 0, the k free coordinates run over a
-full p^k grid, on which the first form is evaluated by nested Horner, one
-variable at a time (about deg * p^k operations, not terms * p^k).  A chart
-on which some form is a nonzero constant -- one term c * x_pivot^e left
-after x_0..x_(pivot-1) = 0, with p not dividing c, as each partial of a
-diagonal form is on its own chart -- holds no zero, and is skipped before
-any chart table or grid is built; the last chart's one point (0:...:0:1)
-goes by each form's x_n^deg coefficient.  Each chart's grid is cut into
-slabs along its first free coordinate; slabs bound memory and are scanned in
-order.  The first form's zeros are kept as flat grid indices, and every
-further form filters them in turn on its own chart table, by Horner in the
-first free coordinate at each surviving index.  Rows are built only for the
-points that survive every form.  projective_zeros and coords_table refuse,
-before any work, a P^n(F_p) of more than projgeom.SCAN_CAP points
-(TooLarge); the cap is a constant, not a setting.
+full p^k grid.  The first form's chart table T (its coefficients in the
+first free coordinate t, tabulated over the other k - 1 by nested Horner)
+gives its values on the whole grid as one matrix product V @ T, V[t, j] =
+t^j mod p, taken in float64, which is exact while D * (p-1)^2 < 2^53 for T's
+D rows (always for n >= 2, where the scan cap keeps p <= 10^4; past it, on
+P^1 over a large p, an int64 Horner pass runs instead).  T is converted and
+multiplied in blocks of columns of at most _CHUNK grid points.  A chart on
+which some form is a nonzero constant -- one term c * x_pivot^e left after
+x_0..x_(pivot-1) = 0, with p not dividing c, as each partial of a diagonal
+form is on its own chart -- holds no zero, and is skipped before any chart
+table or grid is built; the last chart's one point (0:...:0:1) goes by each
+form's x_n^deg coefficient.  The first form's zeros are kept as flat grid
+indices, and every further form filters them in turn on its own chart
+table, by Horner in the first free coordinate at each surviving index.
+Rows are built only for the points that survive every form, in order.
+projective_zeros and coords_table refuse, before any work, a P^n(F_p) of
+more than projgeom.SCAN_CAP points (TooLarge); the cap is a constant, not a
+setting.
 
 monomial_columns evaluates monomials on explicit int64 rows, one column
-mod p each: eval_on_points sums a form's columns weighted by its
-coefficients, and lincond.evaluation_matrix stacks a basis's columns into
-every evaluation matrix over F_p.  coords_table, eval_on_points and
-common_zeros are the term-by-term path on explicit rows: the full table and
-common_zeros serve tests as an oracle (families also draws plane nodes
-from the table's rows), and callers that need a further condition (a
-Jacobian rank, smoothness) filter the returned rows themselves with
-eval_on_points.  sing_locus's node checks evaluate every gradient and second
-partial at the hits with eval_on_points too.  A scan takes forms only.
+mod p each, with exponents reduced below p.  eval_forms evaluates several
+forms at once as one exact product of those columns with the forms'
+coefficient matrix (float64 while the sum fits below 2^53, an int64 sum of
+terms past it), and eval_on_points is its one-form case;
+lincond.evaluation_matrix stacks a basis's columns into every evaluation
+matrix over F_p.  coords_table, eval_on_points and common_zeros are the
+term-by-term path on explicit rows: the full table and common_zeros serve
+tests as an oracle (families also draws plane nodes from the table's rows),
+and callers that need a further condition (a Jacobian rank, smoothness)
+filter the returned rows themselves with eval_forms, as sing_locus's node
+checks evaluate every gradient and second partial at the hits.  A scan
+takes forms only.
 
 horner_on_rows has one job, the re-check: recursive Horner in the first
 variable on explicit rows, the batched form of poly.eval_poly_horner.  It
@@ -46,8 +53,16 @@ import numpy as np
 from .poly import HomoPoly, Monomial
 from .projgeom import check_scan_cap
 
-_CHUNK = 1 << 15  # grid points per slab (at least one value of the first free coordinate)
+# grid points per block (or int64 slab) of the grid pass, and column entries
+# per block of eval_forms
+_CHUNK = 1 << 15
 _STEP = 4096  # surviving grid indices per Horner step of a further form
+_EXACT = 2**53  # float64 holds every integer below this exactly
+# multiply-adds per float64 product: BLAS splits a larger product across
+# threads, which saved nothing and cost CPU time (on a 2-vCPU machine one
+# 10404 x 10 x 10 product took 0.12-3.7 ms at twice its wall time in CPU,
+# four blocks of 2601 rows 0.12-0.14 ms on one thread)
+_PRODUCT = 1 << 18
 
 
 def coords_table(n: int, p: int) -> np.ndarray:
@@ -69,14 +84,19 @@ def coords_table(n: int, p: int) -> np.ndarray:
 
 def monomial_columns(monos: Sequence[Monomial], pts: np.ndarray, p: int) -> Iterator[np.ndarray]:
     """Each monomial of monos at every row of pts (int64 entries in [0, p)),
-    as one int64 column mod p per monomial, in order.  Each power x_v^e that
-    a monomial needs is built once, from the last power of x_v before it; a
-    column may be a stored power or a column of pts: read it, do not write."""
+    as one int64 column mod p per monomial, in order.  On F_p, x^e =
+    x^(1 + (e-1) mod (p-1)) for e >= 1, so each exponent is first reduced
+    below p.  Each power x_v^e that a monomial needs is built once, from the
+    last power of x_v before it; a column may be a stored power or a column
+    of pts: read it, do not write."""
+    def reduced(e):
+        return 1 + (e - 1) % (p - 1) if e else 0
+
     powers = {}
     for var in range(pts.shape[1]):
         x = acc = pts[:, var]
         k = 1
-        for e in sorted({m[var] for m in monos} - {0}):
+        for e in sorted({reduced(m[var]) for m in monos} - {0}):
             for _ in range(e - k):
                 acc = acc * x % p
             powers[var, e], k = acc, e
@@ -84,18 +104,50 @@ def monomial_columns(monos: Sequence[Monomial], pts: np.ndarray, p: int) -> Iter
         col = None
         for var, e in enumerate(mono):
             if e:
-                col = powers[var, e] if col is None else col * powers[var, e] % p
+                col = powers[var, reduced(e)] if col is None else col * powers[var, reduced(e)] % p
         yield np.ones(pts.shape[0], dtype=np.int64) if col is None else col
 
 
-def eval_on_points(f: HomoPoly, pts: np.ndarray, p: int) -> np.ndarray:
-    """Exact evaluation of f at every row of pts, mod p: the
-    coefficient-weighted sum of its monomial columns."""
-    out = np.zeros(pts.shape[0], dtype=np.int64)
-    for col, coeff in zip(monomial_columns(list(f.terms), pts, p), f.terms.values()):
-        out += int(coeff) % p * col
-        out %= p
+def eval_forms(forms: Sequence[HomoPoly], pts: np.ndarray, p: int) -> np.ndarray:
+    """(len(pts), len(forms)) int64 array: every form at every row of pts
+    (int64 entries in [0, p)), mod p.
+
+    The monomials of all the forms become one matrix of columns
+    (monomial_columns), built once and multiplied by the (monomials, forms)
+    matrix of coefficients mod p.  In float64 the product is exact while
+    monomials * (p-1)^2 < _EXACT; rows go in blocks of at most _CHUNK
+    column entries and _PRODUCT multiply-adds.  Above that bound each form
+    is a sum of coefficient-weighted columns in int64, reduced mod p after
+    every term.
+    """
+    monos = sorted(set().union(*(f.terms for f in forms)))
+    coeffs = np.array([[int(f.terms.get(m, 0)) % p for f in forms] for m in monos],
+                      dtype=np.int64).reshape(len(monos), len(forms))
+    if len(monos) * (p - 1) ** 2 >= _EXACT:
+        out = np.zeros((pts.shape[0], len(forms)), dtype=np.int64)
+        for col, row in zip(monomial_columns(monos, pts, p), coeffs):
+            out += col[:, None] * row
+            out %= p
+        return out
+    weights = coeffs.astype(np.float64)
+    out = np.empty((pts.shape[0], len(forms)), dtype=np.int64)
+    size = max(1, len(monos))
+    step = max(1, min(_CHUNK // size, _PRODUCT // (size * max(1, len(forms)))))
+    for lo in range(0, pts.shape[0], step):
+        block = pts[lo:lo + step]
+        cols = np.empty((len(monos), block.shape[0]))
+        for row, col in zip(cols, monomial_columns(monos, block, p)):
+            row[:] = col
+        # every partial sum is an integer below _EXACT, so the product is exact
+        out[lo:lo + step] = cols.T @ weights
+    out %= p
     return out
+
+
+def eval_on_points(f: HomoPoly, pts: np.ndarray, p: int) -> np.ndarray:
+    """Exact evaluation of f at every row of pts, mod p: eval_forms on f
+    alone."""
+    return eval_forms([f], pts, p)[:, 0]
 
 
 def horner_on_rows(f: HomoPoly, rows: np.ndarray, p: int) -> np.ndarray:
@@ -103,11 +155,17 @@ def horner_on_rows(f: HomoPoly, rows: np.ndarray, p: int) -> np.ndarray:
 
     Recursive Horner in the first variable, as poly.eval_poly_horner, with
     the row columns as the variables and a reduction mod p at every step
-    (p < 2**31, so acc * x + c stays inside int64).
+    (p < 2**31, so acc * x + c stays inside int64).  Exponents are reduced
+    below p first (Fermat: x^e = x^(1 + (e-1) mod (p-1)) for e >= 1 on
+    F_p), so a huge exponent costs no more Horner steps than p - 1.
     """
     if not f.terms or not rows.shape[0]:
         return np.zeros(rows.shape[0], dtype=np.int64)
-    return _horner_rows({m: int(c) % p for m, c in f.terms.items()}, rows, 0, p)
+    terms = {}
+    for m, c in f.terms.items():
+        m = tuple(1 + (e - 1) % (p - 1) if e else 0 for e in m)
+        terms[m] = (terms.get(m, 0) + int(c)) % p
+    return _horner_rows(terms, rows, 0, p)
 
 
 def _horner_rows(terms, rows, var, p):
@@ -204,17 +262,58 @@ def _horner_at(table: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
 
 
 def _grid_zeros(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
-    """Flat grid indices t_1 * p^(k-1) + column, ascending, where f vanishes
-    on the chart x_pivot = 1, found slab by slab over the whole grid."""
+    """Flat grid indices t_1 * p^(k-1) + column where f vanishes on the
+    chart x_pivot = 1, over the whole grid: ascending within each block of
+    columns, block after block (projective_zeros sorts its survivors).
+
+    With T the (D, G) chart table and V[t, j] = t^j mod p, the values on the
+    grid are V @ T, an exact float64 product while D * (p-1)^2 < _EXACT.  A
+    value x is 0 mod p exactly when x == rint(x * (1/p)) * p: for x = q * p
+    the product x * (1/p) lies within 0.5 of q, and for any other x the
+    right side is an exact multiple of p.  T is converted and multiplied one
+    block of columns at a time, each block's product holding at most _CHUNK
+    grid points and taking at most _PRODUCT multiply-adds, in buffers reused
+    from block to block.  Past the bound (P^1 over a large p only) the int64
+    Horner kernel runs, slab by slab.
+    """
     table = _chart_table(f, pivot, p)
-    step = max(1, _CHUNK // table.shape[1])
+    depth, width = table.shape
+    if depth * (p - 1) ** 2 >= _EXACT:
+        step = max(1, _CHUNK // width)
 
-    # a function, so that one slab's temporaries are freed before the next
-    def slab(lo, hi):
-        vals = _horner(table, np.arange(lo, hi, dtype=np.int64), p)
-        return np.flatnonzero(vals == 0) + lo * table.shape[1]
+        # a function, so that one slab's temporaries are freed before the next
+        def slab(lo, hi):
+            vals = _horner(table, np.arange(lo, hi, dtype=np.int64), p)
+            return np.flatnonzero(vals == 0) + lo * width
 
-    return np.concatenate([slab(lo, min(lo + step, p)) for lo in range(0, p, step)])
+        return np.concatenate([slab(lo, min(lo + step, p)) for lo in range(0, p, step)])
+    points = min(_CHUNK, max(1, _PRODUCT // depth))  # grid points per block
+    rows = min(p, points)  # below p only on P^1, where G = 1
+    cols = min(width, max(1, points // rows))
+    block = np.empty((depth, cols))
+    vals, test = np.empty(rows * cols), np.empty(rows * cols)
+    zero = np.empty(rows * cols, dtype=bool)
+    found = []
+    for lo in range(0, p, rows):
+        t = np.arange(lo, min(lo + rows, p), dtype=np.int64)
+        powers = np.empty((t.size, depth))
+        acc = np.ones_like(t)
+        for j in range(depth):
+            powers[:, j] = acc
+            acc = acc * t % p
+        for c0 in range(0, width, cols):
+            c = min(cols, width - c0)
+            np.copyto(block[:, :c], table[:, c0:c0 + c])
+            x, y, z = vals[:t.size * c], test[:t.size * c], zero[:t.size * c]
+            np.matmul(powers, block[:, :c], out=x.reshape(t.size, c))
+            np.multiply(x, 1 / p, out=y)
+            np.rint(y, out=y)
+            y *= p
+            np.equal(y, x, out=z)
+            t_hit, c_hit = np.divmod(np.flatnonzero(z), c)
+            found.append((t_hit + lo) * width + (c_hit + c0))
+    del table, block, vals, test, zero  # before the indices are joined, at the peak
+    return np.concatenate(found)
 
 
 def _zeros_at(f: HomoPoly, pivot: int, idx: np.ndarray, p: int) -> np.ndarray:
@@ -259,6 +358,8 @@ def projective_zeros(polys: Sequence[HomoPoly], n: int, p: int) -> np.ndarray:
             if not idx.size:
                 break
             idx = _zeros_at(f, pivot, idx, p)
+        if (idx[1:] < idx[:-1]).any():  # more than one block of columns
+            idx.sort(kind="stable")  # pages in less of numpy's sort code than a quicksort
         rows = np.zeros((idx.size, n + 1), dtype=np.int64)
         rows[:, pivot] = 1
         rows[:, pivot + 1:] = np.column_stack(np.unravel_index(idx, (p,) * (n - pivot)))

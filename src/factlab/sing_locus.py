@@ -5,13 +5,13 @@ The scan certifies F_p-rational singular points only; every report built on
 top of it is mod-p evidence, not a characteristic-0 proof.
 
 Both kinds of locus run one tail: the scan, for a complete intersection a
-Jacobian filter by eval_on_points, then a bulk re-check of every hit by
+Jacobian filter by scan.eval_forms, then a bulk re-check of every hit by
 scan.horner_on_rows, an evaluator independent of the scan's own and of the
-filter's.  The node checks evaluate each form, gradient and second partial
-once, at all points, by eval_on_points; each point's verdict is one corank
-test of its projective (bordered) Hessian by linalg.echelon_mod_p.  Every
-P^n(F_p) of more than projgeom.SCAN_CAP points is refused before any work
-(TooLarge).
+filter's.  The node checks evaluate each form, its gradient and its second
+partials at all points, one eval_forms product for each; each point's
+verdict is one corank test of its projective (bordered) Hessian by
+linalg.echelon_mod_p.  Every P^n(F_p) of more than projgeom.SCAN_CAP points
+is refused before any work (TooLarge).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .fields import FieldSpec
 from .linalg import echelon_mod_p
 from .poly import HomoPoly, gradient, hessian, partial
 from .projgeom import PointSet, ProjPoint
-from .scan import eval_on_points, horner_on_rows, projective_zeros
+from .scan import eval_forms, horner_on_rows, projective_zeros
 
 _BLOCK = 1 << 10  # points per slice of the node checks' elimination
 _ISOLATION_FACTOR = 5  # more than this * degree * n singular points: not isolated
@@ -81,35 +81,38 @@ def _rank_deficient(jacobian: List[np.ndarray], p: int) -> np.ndarray:
     return ok
 
 
-def _values(polys, rows: np.ndarray, p: int, evaluate) -> np.ndarray:
+def _values(polys, rows: np.ndarray, p: int) -> np.ndarray:
     """(len(rows), len(polys)) array of every poly at every row, by
-    evaluate (horner_on_rows or eval_on_points)."""
-    return np.stack([evaluate(g, rows, p) for g in polys], axis=1)
+    scan.horner_on_rows, one poly at a time: the re-check's evaluator."""
+    return np.stack([horner_on_rows(g, rows, p) for g in polys], axis=1)
 
 
 def _locus(forms: List[HomoPoly], what: str) -> PointSet:
     """Points where every form vanishes and the Jacobian of the forms has
     rank below their number, in scan order.
 
-    A hypersurface's partials go into the scan, which then leaves nothing
-    to filter; the scan of a complete intersection finds the common zeros
-    of its forms, and the Jacobian filter (eval_on_points) runs once on all
-    of them.  Every hit is re-verified: the forms and the Jacobian are
-    evaluated at all hits by scan.horner_on_rows, independently of the scan
-    and of the filter.
+    A hypersurface's partials alone go into the scan, which then leaves
+    nothing to filter: singular_points refuses p | deg, and by Euler's
+    relation deg * f = sum x_i * df/dx_i, so f vanishes wherever its
+    partials do.  The scan of a complete intersection finds the common
+    zeros of its forms, and the Jacobian filter (one eval_forms call per
+    form, on its partials) runs once on all of them.  Every hit is
+    re-verified, f included: the forms and the Jacobian are evaluated at
+    all hits by scan.horner_on_rows, independently of the scan and of the
+    filter.
     """
     field = forms[0].field
     p = field.p
     n = forms[0].nvars - 1
     partials = [[partial(g, v) for v in range(n + 1)] for g in forms]
     if len(forms) == 1:
-        rows = projective_zeros(forms + partials[0], n, p)
+        rows = projective_zeros(partials[0], n, p)
     else:
         rows = projective_zeros(forms, n, p)
-        rows = rows[_rank_deficient([_values(d, rows, p, eval_on_points) for d in partials], p)]
+        rows = rows[_rank_deficient([eval_forms(d, rows, p) for d in partials], p)]
     result = _rows_to_pointset(rows, n, field)
-    bad = _values(forms, rows, p, horner_on_rows).any(axis=1)
-    bad |= ~_rank_deficient([_values(d, rows, p, horner_on_rows) for d in partials], p)
+    bad = _values(forms, rows, p).any(axis=1)
+    bad |= ~_rank_deficient([_values(d, rows, p) for d in partials], p)
     if bad.any():
         pt = ProjPoint(tuple(rows[np.flatnonzero(bad)[0]].tolist()), field)
         raise VerificationFailure(f"scan soundness: {pt} is not a singular point of {what}")
@@ -143,9 +146,11 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     clean.
 
     Each form's partials and second partials are built once and evaluated
-    once, at all points, by eval_on_points.  A point is a node when its
-    Jacobian is rank-deficient and one symmetric matrix M there has corank
-    exactly 1 (echelon_mod_p pivots, in slices of _BLOCK points).  At a
+    once, at all points: the form, its gradient and its second partials on
+    and above the diagonal are one scan.eval_forms call each.  A point is a
+    node when its Jacobian is rank-deficient and one symmetric matrix M
+    there has corank exactly 1 (echelon_mod_p pivots; M is built from the
+    evaluated entries and reduced in slices of _BLOCK points).  At a
     hypersurface point M is the projective Hessian H(f); at a
     complete-intersection point it is [[alpha*H(F) + beta*H(G), dT], [dT^T,
     0]], where alpha*dF + beta*dG = 0 and T is the transverse form (F, or G
@@ -159,11 +164,10 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     Jacobian rank 2 is no node.
 
     The instance must be over a prime field (ValueError otherwise), and the
-    checks run on its points as int64 arrays mod p.  Each form is evaluated
-    once, at all points, by eval_on_points: a point where a form does not
-    vanish raises NotSingular, naming the first such point in inst.sing
-    order.  So does a hypersurface point whose gradient does not vanish, as
-    poly.node_rank does.
+    checks run on its points as int64 arrays mod p.  A point where a form
+    does not vanish raises NotSingular, naming the first such point in
+    inst.sing order.  So does a hypersurface point whose gradient does not
+    vanish, as poly.node_rank does.
 
     Isolation over F_p is heuristic: a positive-dimensional component shows
     up as a large scan count, flagged when |sing| exceeds
@@ -177,21 +181,23 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     if inst.sing:
         p = inst.field.p
         rows = np.array([pt.coords for pt in inst.sing], dtype=np.int64) % p
-        off = _values(inst.defining, rows, p, eval_on_points).any(axis=1)
+        off = np.any([eval_forms([g], rows, p)[:, 0] for g in inst.defining], axis=0)
         if off.any():
             first = inst.sing.points[np.flatnonzero(off)[0]]
             raise NotSingular(f"form nonzero at {tuple(first.coords)}")
-        d = [_values(gradient(g), rows, p, eval_on_points) for g in inst.defining]
+        d = [eval_forms(gradient(g), rows, p) for g in inst.defining]
         deficient = _rank_deficient(d, p)
         if len(d) == 1 and not deficient.all():
             first = inst.sing.points[np.flatnonzero(~deficient)[0]]
             raise NotSingular(f"gradient nonzero at {tuple(first.coords)}")
-        H = [_hessians(hessian(g), rows, p) for g in inst.defining]
-        M = H[0] if len(d) == 1 else _bordered_hessians(*d, *H, p)
-        size = M.shape[1]
-        rank = np.concatenate([(echelon_mod_p(M[lo:lo + _BLOCK], p)[1] < size).sum(axis=1)
-                               for lo in range(0, len(M), _BLOCK)])
-        flags = (deficient & (rank == size - 1)).tolist()
+        upper = [_upper_hessian(g, rows, p) for g in inst.defining]
+        square = _symmetric_index(n + 1)
+        corank_one = []
+        for lo in range(0, len(rows), _BLOCK):
+            H = [h[lo:lo + _BLOCK, square] for h in upper]
+            M = H[0] if len(d) == 1 else _bordered_hessians(*(g[lo:lo + _BLOCK] for g in d), *H, p)
+            corank_one.append((echelon_mod_p(M, p)[1] < M.shape[1]).sum(axis=1) == M.shape[1] - 1)
+        flags = (deficient & np.concatenate(corank_one)).tolist()
     inst.node_flags = flags
     inst.clean = all(flags) if flags else True
     threshold = _ISOLATION_FACTOR * degree * n
@@ -204,14 +210,21 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     return inst
 
 
-def _hessians(H: List[List[HomoPoly]], rows: np.ndarray, p: int) -> np.ndarray:
-    """(len(rows), n+1, n+1) array: H at every row, each second partial
-    evaluated once."""
-    out = np.empty((rows.shape[0], len(H), len(H)), dtype=np.int64)
-    for i in range(len(H)):
-        for j in range(i, len(H)):
-            out[:, i, j] = out[:, j, i] = eval_on_points(H[i][j], rows, p)
-    return out
+def _upper_hessian(g: HomoPoly, rows: np.ndarray, p: int) -> np.ndarray:
+    """(len(rows), (n+1)(n+2)/2) array: the second partials of g on and above
+    the diagonal, in np.triu_indices order, at every row, by one eval_forms
+    call."""
+    H = hessian(g)
+    return eval_forms([H[i][j] for i, j in zip(*np.triu_indices(len(H)))], rows, p)
+
+
+def _symmetric_index(size: int) -> np.ndarray:
+    """(size, size) index into a row of _upper_hessian: upper[:, index] is
+    the full symmetric matrix of each row."""
+    i, j = np.triu_indices(size)
+    index = np.empty((size, size), dtype=np.intp)
+    index[i, j] = index[j, i] = np.arange(i.size)
+    return index
 
 
 def _bordered_hessians(dF, dG, HF, HG, p: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -495,6 +496,20 @@ def test_sing_and_classify_output_is_pinned(tmp_path, argv, capsys):
     code, out, _ = run_cli([command, str(path), *rest], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _LOCUS_DIGESTS[argv]
+
+
+def test_sing_with_a_huge_exponent_is_fast(tmp_path, capsys):
+    """x^100002 y^2 z^2 w^2 over F_7: every evaluator reduces exponents
+    below p, so the 184 singular points take well under a second (about 4 s
+    with one numpy step per unit of exponent), with the same report."""
+    path = tmp_path / "huge.poly"
+    path.write_text("F 4 Fp:7\nx^100002*y^2*z^2*w^2\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli(["sing", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["count"] == 184
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "d173499ce839ff1ccc25e692d60604f70862434886301a69b8da4dfbec9d21df"
 
 
 def test_hidden_threads_flag_changes_no_output(fixture_files, tmp_path, capsys):

@@ -14,11 +14,11 @@ from factlab import cli
 from factlab.errors import TooLarge, VerificationFailure
 from factlab.fields import GF
 from factlab.poly import (HomoPoly, eval_poly_horner, gradient, make_poly, monomial_basis,
-                          parse_poly, point_row)
+                          parse_poly, point_row, random_homo)
 from factlab.projgeom import SCAN_CAP, enumerate_projective, projective_count
-from factlab.scan import (_CHUNK, _STEP, _chart_table, _grid_zeros, _horner, _horner_at,
-                          common_zeros, coords_table, eval_on_points, horner_on_rows,
-                          monomial_columns, projective_zeros)
+from factlab.scan import (_CHUNK, _EXACT, _STEP, _chart_table, _grid_zeros, _horner,
+                          _horner_at, common_zeros, coords_table, eval_forms, eval_on_points,
+                          horner_on_rows, monomial_columns, projective_zeros)
 
 
 def _form(nvars, degree, field, rng, density):
@@ -80,7 +80,7 @@ def _boundary_cases():
 def test_boundary_case_crosses_slab_and_step():
     # keeps the slabs-and-steps case meaningful if the module's constants change
     n, p, polys = _slabs_and_survivors()
-    assert -(-p // max(1, _CHUNK // p ** (n - 1))) >= 2  # slabs of the first chart
+    assert -(-p ** (n - 1) // (_CHUNK // p)) >= 2  # blocks of columns of the first chart
     assert _grid_zeros(polys[0], 1, p).size == p ** (n - 1) > _STEP
 
 
@@ -94,6 +94,183 @@ def test_projective_zeros_matches_table_scan(n, p, polys):
         slow = [q.coords for q in enumerate_projective(n, p)
                 if all(not eval_poly_horner(f, q.coords) for f in polys)]
         assert [tuple(map(int, row)) for row in projective_zeros(polys, n, p)] == slow
+
+
+# --- exact products mod p ------------------------------------------------------
+
+# 2^26 - 5 is prime: two products of residues (p - 1)^2 sum below 2^53, three do not
+_NEAR_BOUND = 67108859
+
+
+def _python_values(forms, rows, p):
+    return [[sum(int(c) * _python_monomial(m, row, p) for m, c in f.terms.items()) % p
+             for f in forms] for row in rows]
+
+
+def _python_monomial(mono, row, p):
+    out = 1
+    for x, e in zip(row, mono):
+        out = out * pow(int(x), e, p) % p
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 10007, _NEAR_BOUND, 2**31 - 1])
+@pytest.mark.parametrize("path", ["chosen", "int64"])
+def test_eval_forms_matches_python_integers(monkeypatch, p, path):
+    """Seeded dense forms of degree 1..4 at rows with 0 and p - 1 entries,
+    with no rows at all, and on both sides of the exact-product bound: the
+    float64 product for small p, the int64 sum of terms at p = 2^31 - 1, and
+    either at every p when the bound is lowered (a test hook)."""
+    if path == "int64":
+        monkeypatch.setattr(scan, "_EXACT", 1)
+    rng = random.Random(p)
+    field = GF(p if p > 2 else 101)  # FieldSpec refuses p = 2; the coefficients are read mod p
+    sides = set()
+    for nvars in (2, 3, 4):
+        rows = np.array([[0] * nvars, [p - 1] * nvars]
+                        + [[rng.randrange(p) for _ in range(nvars)] for _ in range(6)],
+                        dtype=np.int64)
+        for degree in range(1, 5):
+            forms = [_form(nvars, degree, field, rng, density) for density in (1.0, 0.5, 0.0)]
+            got = eval_forms(forms, rows, p)
+            assert got.dtype == np.int64 and got.tolist() == _python_values(forms, rows, p)
+            assert eval_forms(forms, rows[:0], p).shape == (0, 3)
+            sides.add(len(monomial_basis(nvars, degree)) * (p - 1) ** 2 < scan._EXACT)
+    if path == "int64" or p == 2**31 - 1:
+        assert sides == {False}
+    else:
+        assert sides == ({True, False} if p == _NEAR_BOUND else {True})
+
+
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_eval_forms_at_the_exact_bound(nvars):
+    """Every column and coefficient p - 1 makes the largest sum: 2 (p - 1)^2
+    < 2^53 takes the float64 product, 3 (p - 1)^2 does not."""
+    p = _NEAR_BOUND
+    assert (2 * (p - 1) ** 2 < _EXACT) and (3 * (p - 1) ** 2 >= _EXACT)
+    linear = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
+    f = make_poly(nvars, 1, {m: p - 1 for m in linear}, GF(p))
+    rows = np.full((3, nvars), p - 1, dtype=np.int64)
+    assert eval_forms([f, f], rows, p).tolist() == [[nvars * (p - 1) ** 2 % p] * 2] * 3
+
+
+def _dense_cases():
+    """Seeded dense forms over larger fields than _cases: several blocks of
+    columns per chart, P^1 with more than one block of grid rows (p >
+    _CHUNK), and degree 12, whose 13 table rows shrink a block below _CHUNK
+    points.  One dense form alone, and forms sharing a seeded linear factor,
+    so that the later forms have zeros to filter."""
+    rng = random.Random(2026)
+    for n, p, degrees in ((2, 101, (3, 2)), (3, 31, (4, 3)), (4, 11, (3, 2)), (2, 211, (12, 5)),
+                          (1, 65537, (9, 4)), (3, 17, (5, 4, 2))):
+        field = GF(p)
+        yield pytest.param(n, p, [_form(n + 1, degrees[0], field, rng, 1.0)], id=f"n{n}-p{p}")
+        line = _form(n + 1, 1, field, rng, 1.0)
+        polys = [line * _form(n + 1, d - 1, field, rng, 1.0) for d in degrees]
+        yield pytest.param(n, p, polys, id=f"n{n}-p{p}-shared-line")
+
+
+@pytest.mark.parametrize("n,p,polys", _dense_cases())
+def test_projective_zeros_matches_table_scan_dense(n, p, polys):
+    want = common_zeros(polys, coords_table(n, p), p)
+    assert want.shape[0] > 0
+    assert np.array_equal(projective_zeros(polys, n, p), want)
+
+
+def test_grid_pass_past_the_bound_on_p1(monkeypatch):
+    """Past D (p-1)^2 < 2^53, met only on P^1 over a large p, the grid pass
+    is the int64 Horner kernel, slab by slab: forced here by lowering the
+    bound (a test hook) on a product of linear forms and a dense form over
+    F_65537."""
+    p = 65537
+    field = GF(p)
+    rng = random.Random(p)
+    line = [make_poly(2, 1, {(1, 0): rng.randrange(1, p), (0, 1): rng.randrange(1, p)}, field)
+            for _ in range(3)]
+    polys = [line[0] * line[1] * line[2] * _form(2, 2, field, rng, 1.0),
+             _form(2, 3, field, rng, 1.0)]
+    want = [common_zeros(polys[:k], coords_table(1, p), p) for k in (1, 2)]
+    horner = Counter()
+    real = scan._horner
+    monkeypatch.setattr(scan, "_horner", lambda *a: horner.update(["call"]) or real(*a))
+    monkeypatch.setattr(scan, "_EXACT", 1)
+    for k in (1, 2):
+        assert np.array_equal(projective_zeros(polys[:k], 1, p), want[k - 1])
+    assert want[0].shape[0] >= 3 and horner["call"] >= 2 * -(-p // _CHUNK)
+
+
+def test_ci_scan_memory_is_bounded():
+    """The grid pass converts and multiplies a chart table in blocks: the
+    traced peak of ci_singular_points on a seeded (cubic, quadric) pair in
+    P^5(F_17), whose first chart table is (4, 83 521), stays within 0.5 MB of
+    the 3.92 MB of the int64 Horner pass it replaced."""
+    import tracemalloc
+
+    F, G = random_homo(6, 3, GF(17), 7), random_homo(6, 2, GF(17), 8)
+    tracemalloc.start()
+    try:
+        sing_locus.ci_singular_points(F, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (3.92 + 0.5) * 2**20
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101])
+def test_huge_exponents_match_eval_poly_horner(p):
+    """Exponents far above p: each evaluator reduces them by Fermat
+    (x^e = x^(1 + (e-1) mod (p-1)) for e >= 1), and agrees with the
+    per-point oracle, which raises to the full power."""
+    rng = random.Random(p)
+    field = GF(p if p > 2 else 101)
+    big = [(100002, 2, 2, 2), (p, 1, 0, 0), (p - 1, 0, 3 * p, 1), (1, 2 * p + 1, 0, 5 * p)]
+    for mono in big:
+        f = HomoPoly(4, sum(mono), {mono: rng.randrange(1, field.p),
+                                    (0, 0, 0, sum(mono)): rng.randrange(1, field.p)}, field)
+        rows = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(20)]
+                        + [[0, 0, 0, 1], [p - 1] * 4], dtype=np.int64)
+        if p == 2:  # the oracle works over the field of the form
+            want = [sum(c * _python_monomial(m, row, p) for m, c in f.terms.items()) % p
+                    for row in rows.tolist()]
+        else:
+            want = [eval_poly_horner(f, row) for row in rows.tolist()]
+        assert horner_on_rows(f, rows, p).tolist() == want
+        assert eval_on_points(f, rows, p).tolist() == want
+        (col,) = monomial_columns([mono], rows, p)
+        assert col.tolist() == [_python_monomial(mono, row, p) for row in rows.tolist()]
+
+
+def _euler_cases():
+    rng = random.Random(1707)
+    for n, p in ((2, 7), (2, 13), (3, 5), (3, 11), (4, 3)):
+        for degree in (2, 3, 4):
+            yield n, p, [_form(n + 1, degree, GF(p), rng, 1.0)], f"dense-n{n}-p{p}-d{degree}"
+    for case in [*_near_misses(), *_fermat_cases()]:
+        n, p, polys = (2, 7, case.values[0]) if len(case.values) == 1 else case.values
+        yield n, p, polys[:1], case.id
+
+
+def _euler_params():
+    # singular_points refuses degree < 2 and p | degree
+    for n, p, polys, name in _euler_cases():
+        if polys[0].degree >= 2 and polys[0].degree % p:
+            yield pytest.param(n, p, polys, id=name)
+
+
+@pytest.mark.parametrize("n,p,polys", _euler_params())
+def test_hypersurface_scan_reads_the_partials_only(monkeypatch, n, p, polys):
+    """singular_points scans the partials alone (Euler: deg * f = sum x_i
+    df/dx_i, and p does not divide deg), and finds the rows of the table
+    scan of f and all its partials, in the same order."""
+    f = polys[0]
+    scanned = []
+    real = sing_locus.projective_zeros
+    monkeypatch.setattr(sing_locus, "projective_zeros",
+                        lambda forms, *a: scanned.append(list(forms)) or real(forms, *a))
+    want = common_zeros([f] + gradient(f), coords_table(n, p), p)
+    got = sing_locus.singular_points(f)
+    assert scanned == [gradient(f)]
+    assert [pt.coords for pt in got] == [tuple(map(int, row)) for row in want]
 
 
 @pytest.mark.parametrize("p", [101, 65521, 2**31 - 1])
@@ -163,8 +340,8 @@ def _monomials(nvars, degree, rng, count):
 def test_monomial_columns_match_point_row(p, nvars):
     """Each column holds point_row's entries for its monomial: degree 0 (a
     column of ones), exponents >= p, zero coordinates, and no points at all
-    (a (0, nvars) array).  eval_on_points, the weighted sum of the columns,
-    equals horner_on_rows on the same rows."""
+    (a (0, nvars) array).  eval_on_points, the product of the columns with
+    the coefficients, equals horner_on_rows on the same rows."""
     rng = random.Random(p + nvars)
     field = GF(p)
     high = p + 2 if p < 1000 else 40
@@ -318,8 +495,8 @@ def _bogus_scan(*args, **kwargs):
 def _keep_every_row(monkeypatch):
     """ci_singular_points filters the scan's rows by Jacobian rank before its
     checks; zero partials at every row let a faked scan row through."""
-    monkeypatch.setattr(sing_locus, "eval_on_points",
-                        lambda f, rows, p: np.zeros(rows.shape[0], dtype=np.int64))
+    monkeypatch.setattr(sing_locus, "eval_forms",
+                        lambda forms, rows, p: np.zeros((rows.shape[0], len(forms)), dtype=np.int64))
 
 
 def test_singular_points_recheck(monkeypatch):
@@ -374,7 +551,7 @@ import factlab.sing_locus
 from factlab import cli
 factlab.sing_locus.projective_zeros = lambda *a, **k: np.array([[1, 0, 0, 0]], dtype=np.int64)
 # the CI path filters by Jacobian rank first: keep the faked row for the re-check
-factlab.sing_locus.eval_on_points = lambda f, rows, p: np.zeros(rows.shape[0], dtype=np.int64)
+factlab.sing_locus.eval_forms = lambda forms, rows, p: np.zeros((rows.shape[0], len(forms)), dtype=np.int64)
 sys.exit(cli.main(["sing", sys.argv[1]]))
 """
 

@@ -14,6 +14,8 @@ from factlab.poly import (
     hessian_block,
     hessian_rank_at,
     linear_change,
+    make_poly,
+    node_rank,
     parse_poly,
     random_homo,
 )
@@ -188,6 +190,38 @@ def test_node_flags_match_hessian_rank_at():
     assert flags_seen == {True, False}
 
 
+def test_node_flags_match_node_rank_on_seeded_instances(double_solid_r2, double_solid_r3,
+                                                        hypersurface_d3, hypersurface_d4):
+    """The node checks' exact products against the per-point oracle
+    poly.node_rank on generated nodal families, on seeded forms made
+    singular at a seeded point, and on q^2 over F_101 (every 7th of its
+    10 404 points and the last, in all four charts); complete intersections are checked
+    against _ci_node_reference in test_ci_node_flags_match_reference."""
+    rng = random.Random(22)
+    q = parse_poly("x*y - z*w", 4, GF(101))
+    q2_sing = list(singular_points(q * q))
+    q2_sample = point_set(q2_sing[::7] + q2_sing[-1:])
+    cases = [(inst.defining[0], inst.sing) for inst in
+             (double_solid_r2, double_solid_r3, hypersurface_d3, hypersurface_d4)]
+    for p, degree in ((7, 3), (11, 4), (13, 3)):
+        field = GF(p)
+        g = random_homo(4, degree, field, rng.randrange(1000))
+        # no term x_3^d or x_3^(d-1) * x_i: singular at (0:0:0:1)
+        f = make_poly(4, degree, {m: c for m, c in g.terms.items() if m[3] < degree - 1}, field)
+        cases.append((f, singular_points(f)))
+    cases.append((q * q, q2_sample))
+    flags_seen = set()
+    for f, sing in cases:
+        assert len(sing)
+        n = f.nvars - 1
+        flags = verify_nodal(NodalInstance([f], sing)).node_flags
+        grads, H = gradient(f), hessian(f)
+        assert flags == [node_rank(grads, H, pt.coords) == n for pt in sing]
+        flags_seen |= set(flags)
+    assert flags_seen == {True, False}
+    assert len(q2_sing) == 102**2 and _charts(q2_sample) == {0, 1, 2, 3}
+
+
 def _ci_node_reference(F, G, pt):
     """The complete-intersection node test at one point, with list algebra:
     the Hessian of the combination with vanishing differential, restricted
@@ -300,17 +334,18 @@ def test_node_checks_evaluate_no_point_alone(monkeypatch, ci_22):
 
 def test_verify_nodal_evaluates_each_derivative_once(monkeypatch, ci_22):
     """The node checks evaluate each form, each partial and each second
-    partial once, at all points, by eval_on_points, and never by
-    horner_on_rows: 1 + (n+1) + (n+1)(n+2)/2 evaluations per form, 15 on q^2
-    over F_101 (10 404 points in 4 charts) and 28 on each quadric of a
-    complete intersection in P^5."""
+    partial once, at all points, by one eval_forms call per derivative order
+    and form, and never by horner_on_rows: forms of 1, n+1 and
+    (n+1)(n+2)/2 polys per form, at the 10 404 points of q^2 over F_101 (4
+    charts) and at the nodes of a complete intersection of two quadrics in
+    P^5."""
     import factlab.sing_locus as sl
 
     calls = []
-    for name in ("eval_on_points", "horner_on_rows"):
-        def counting(f, rows, p, _original=getattr(sl, name), _name=name):
-            calls.append((_name, rows.shape[0]))
-            return _original(f, rows, p)
+    for name in ("eval_forms", "horner_on_rows"):
+        def counting(polys, rows, p, _original=getattr(sl, name), _name=name):
+            calls.append((_name, rows.shape[0], len(polys) if _name == "eval_forms" else None))
+            return _original(polys, rows, p)
 
         monkeypatch.setattr(sl, name, counting)
     q = parse_poly("x*y - z*w", 4, GF(101))
@@ -318,7 +353,7 @@ def test_verify_nodal_evaluates_each_derivative_once(monkeypatch, ci_22):
     assert len(sing) == 102**2 and _charts(sing) == {0, 1, 2, 3}
     calls.clear()
     verify_nodal(NodalInstance([q * q], sing))
-    assert calls == [("eval_on_points", len(sing))] * 15
+    assert calls == [("eval_forms", len(sing), size) for size in (1, 4, 10)]
     calls.clear()
     verify_nodal(NodalInstance(ci_22.defining, ci_22.sing))
-    assert calls == [("eval_on_points", len(ci_22.sing))] * 2 * 28
+    assert calls == [("eval_forms", len(ci_22.sing), size) for size in (1, 1, 6, 6, 21, 21)]
