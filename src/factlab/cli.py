@@ -90,10 +90,6 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _point_json(pt):
-    return list(map(str, pt.coords))
-
-
 # --- subcommand implementations --------------------------------------------
 
 
@@ -108,7 +104,7 @@ def cmd_sing(args) -> int:
     inst = verify_nodal(NodalInstance(polys, sing))
     report = {
         "count": len(sing),
-        "nodes": [_point_json(pt) for pt in sing],
+        "nodes": sing.rows,
         "node_flags": inst.node_flags,
         "clean": inst.clean,
         "warning": inst.isolated_warning,
@@ -133,14 +129,14 @@ def cmd_separator(args) -> int:
         sigma = load_point_set(fh.read())
     if not 0 <= args.point < len(sigma):
         raise BadParams(f"--point {args.point} is not an index into {len(sigma)} points")
-    P = sigma.points[args.point]
+    P = sigma.point(args.point)
     result = separator(sigma, P, args.xi)
     if isinstance(result, SeparatorFailure):
         report = {
             "separated": False,
-            "point": _point_json(P),
+            "point": list(map(str, P.coords)),
             "combination": [
-                [_point_json(q), str(c)]
+                [list(map(str, q.coords)), str(c)]
                 for q, c in result.combination
                 if c
             ],
@@ -149,7 +145,7 @@ def cmd_separator(args) -> int:
         return 5
     report = {
         "separated": True,
-        "point": _point_json(P),
+        "point": list(map(str, P.coords)),
         "form": result.form.to_text(),
     }
     _emit(dumps(report), args.output)

@@ -30,7 +30,7 @@ from .poly import (
     poly_sqrt,
     restrict_to_plane,
 )
-from .projgeom import PointSet, line_points
+from .projgeom import PointSet, first_copies, line_points
 from .report import dumps
 from .sing_locus import NodalInstance, singular_points, verify_nodal
 
@@ -217,7 +217,7 @@ def app_double_hypersurface(d: int, r: int, nsing: int) -> CriterionVerdict:
 
 
 _PLANE_BASIS = monomial_basis(4, 1)  # x, y, z, w: coefficient i belongs to coordinate i
-_PLANE_BLOCK = 1024  # planes per block of _candidate_planes' node count
+_PLANE_BLOCK = 1024  # node triples per block of _candidate_planes' elimination and count
 
 
 @dataclass
@@ -235,28 +235,37 @@ def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
     """Every plane carrying more than 2r nodes, when it can be found exactly.
 
     First the planes spanned by node triples, in first-triple order, each
-    read off its triple's RREF in one stack by kernel_mod_p.  If none
-    carries more than 2r nodes, then every plane that does has all its
-    nodes on one line L (three of them off a line would span it), L carries
-    more than 2r nodes, and every plane through L qualifies.  So the
-    fallback is the p+1 planes through each such secant line, in
-    enumerate_projective order of their coefficient vectors.
+    read off its triple's RREF by kernel_mod_p.  The triples are reduced
+    and their planes counted in blocks of _PLANE_BLOCK, so memory stays
+    O(_PLANE_BLOCK * |Sing|) however many triples there are; a plane found
+    again in a later block is dropped.  If none carries more than 2r nodes,
+    then every plane that does has all its nodes on one line L (three of
+    them off a line would span it), L carries more than 2r nodes, and every
+    plane through L qualifies.  So the fallback is the p+1 planes through
+    each such secant line, in enumerate_projective order of their
+    coefficient vectors.
     """
     field, p = f.field, f.field.p
-    table = np.array([pt.coords for pt in sing], dtype=np.int64).reshape(len(sing), 4)
-    triples = np.fromiter(itertools.combinations(range(len(sing)), 3), dtype=(np.intp, 3))
-    R, piv = linalg.rref_mod_p(table[triples], p)  # a module attribute: tests count its stacks
-    full = piv[:, 2] < 4
-    vecs = kernel_mod_p(R[full], piv[full], 3, p)[:, 0]
-    vecs = vecs[np.sort(np.unique(vecs, axis=0, return_index=True)[1])]
-    planes = []
-    for lo in range(0, len(vecs), _PLANE_BLOCK):  # each product reduced: int64 holds their sum
-        block = vecs[lo:lo + _PLANE_BLOCK]
-        values = sum(block[:, k, None] * table[:, k] % p for k in range(4)) % p
-        planes += block[(values == 0).sum(axis=1) > f.degree].tolist()
+    table = sing.rows
+    triples = itertools.combinations(range(len(sing)), 3)
+    planes, seen = [], set()
+    while True:
+        block = np.fromiter(itertools.islice(triples, _PLANE_BLOCK), dtype=(np.intp, 3))
+        if not len(block):
+            break
+        R, piv = linalg.rref_mod_p(table[block], p)  # a module attribute: tests count its stacks
+        full = piv[:, 2] < 4
+        vecs = kernel_mod_p(R[full], piv[full], 3, p)[:, 0]
+        vecs = vecs[first_copies(vecs, p) == np.arange(len(vecs))]
+        # each product reduced: int64 holds their sum
+        values = sum(vecs[:, k, None] * table[:, k] % p for k in range(4)) % p
+        for c in map(tuple, vecs[(values == 0).sum(axis=1) > f.degree].tolist()):
+            if c not in seen:
+                seen.add(c)
+                planes.append(c)
     if not planes:
         through_lines = set()
-        for key, (_, mask) in secant_lines(sing.points, field).items():
+        for key, (_, mask) in secant_lines(sing).items():
             if mask.bit_count() > f.degree:
                 u, v = nullspace(key, 4, field)
                 through_lines.update(line_points(u, v, field))
@@ -357,7 +366,7 @@ def hong_park_classify(f: HomoPoly, r: int) -> HongParkVerdict:
             "out_of_range", r, len(sing), None, None,
             note=f"|Sing| = {len(sing)} > (2r-1)r+1 = {cap}" + caveat,
         )
-    if not sing.points:
+    if not len(sing):
         return HongParkVerdict("factorial", r, 0, 0, None, note="smooth (mod-p evidence)")
     rep = defect(sing, 3 * r - 4)
     if rep.defect == 0:

@@ -45,7 +45,7 @@ from .fields import FieldSpec, Scalar
 from .linalg import (combine, dot, inverse_mod_p, kernel_mod_p, kernel_of_rref, nullspace,
                      rank_and_dependents, rref_subsets, solve)
 from .poly import HomoPoly, eval_poly, form_from_coeffs, monomial_basis, point_row
-from .projgeom import PointSet, ProjPoint, check_scan_cap, point_set
+from .projgeom import PointSet, ProjPoint, check_scan_cap, first_copies, point_set
 from .report import dumps
 from .scan import monomial_columns, projective_zeros
 
@@ -66,21 +66,36 @@ def check_eval_cap(size: int, n: int, xi: int) -> None:
 def evaluation_matrix(points: Sequence[Sequence[Scalar]], nvars: int, xi: int,
                       field: FieldSpec) -> Tuple[List[Tuple[int, ...]], List[List[Scalar]]]:
     """The degree-xi monomial basis in nvars variables and one row of its
-    values per coordinate tuple, in order: over F_p the stacked columns of
-    scan.monomial_columns, over QQ one exact row per point.  TooLarge above
+    values per coordinate tuple, in order: over F_p the rows of
+    evaluation_array, over QQ one exact row per point.  TooLarge above
     EVAL_CAP entries."""
+    if field.p:
+        basis, values = evaluation_array(points, nvars, xi, field.p)
+        return basis, values.tolist()
+    basis = _checked_basis(len(points), nvars, xi)
+    return basis, [point_row(c, basis, field) for c in points]
+
+
+def evaluation_array(points, nvars: int, xi: int, p: int) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
+    """evaluation_matrix over F_p as one (len(points), len(basis)) int64
+    array: the stacked columns of scan.monomial_columns at the points, given
+    as rows with entries in [0, p)."""
+    basis = _checked_basis(len(points), nvars, xi)
+    pts = np.asarray(points, dtype=np.int64).reshape(len(points), nvars)
+    return basis, np.column_stack(list(monomial_columns(basis, pts, p)))
+
+
+def _checked_basis(size: int, nvars: int, xi: int) -> List[Tuple[int, ...]]:
+    """The degree-xi monomial basis, once xi >= 0 (ValueError) and the
+    matrix on size points is within EVAL_CAP (TooLarge)."""
     if xi < 0:
         raise ValueError("xi >= 0 required")
-    check_eval_cap(len(points), nvars - 1, xi)
-    basis = monomial_basis(nvars, xi)
-    if not field.p:
-        return basis, [point_row(c, basis, field) for c in points]
-    pts = np.array(points, dtype=np.int64).reshape(len(points), nvars)
-    return basis, np.column_stack(list(monomial_columns(basis, pts, field.p))).tolist()
+    check_eval_cap(size, nvars - 1, xi)
+    return monomial_basis(nvars, xi)
 
 
 def _set_matrix(sigma: PointSet, xi: int):
-    return evaluation_matrix([pt.coords for pt in sigma], sigma.ambient_dim + 1, xi, sigma.field)
+    return evaluation_matrix(sigma.coords, sigma.ambient_dim + 1, xi, sigma.field)
 
 
 # --- defect -------------------------------------------------------------
@@ -93,9 +108,10 @@ class DefectReport:
     defect: int
     xi: int
     field: FieldSpec
-    dependent_points: List[ProjPoint]
+    dependent_points: PointSet
 
     def to_json(self) -> str:
+        deps = self.dependent_points
         return dumps(
             {
                 "size": self.size,
@@ -103,24 +119,36 @@ class DefectReport:
                 "defect": self.defect,
                 "xi": self.xi,
                 "field": self.field.spec_string(),
-                "dependent_points": [
-                    [str(c) for c in pt.coords]
-                    for pt in self.dependent_points
+                "dependent_points": deps.rows if self.field.p else [
+                    [str(c) for c in pt.coords] for pt in deps
                 ],
             }
         )
 
 
 def defect(sigma: PointSet, xi: int) -> DefectReport:
-    basis, rows = _set_matrix(sigma, xi)
-    rank, deps = rank_and_dependents(rows, len(basis), sigma.field)
+    """|sigma| - rank of the degree-xi evaluation matrix, and the points
+    whose rows lie in the span of the rows before them: point i is one
+    exactly when column i of the transposed matrix is no pivot column.
+    Over F_p the pivots come from one echelon_mod_p of the transposed int64
+    matrix; over QQ from rank_and_dependents."""
+    field = sigma.field
+    if field.p:
+        _, values = evaluation_array(sigma.rows, sigma.ambient_dim + 1, xi, field.p)
+        # the transpose made C-contiguous: echelon_mod_p's row updates run about 25% faster
+        pivot = np.zeros(len(sigma) + 1, dtype=bool)  # a zero row's pivot is len(sigma)
+        pivot[linalg.echelon_mod_p(np.ascontiguousarray(values.T)[None], field.p)[1][0]] = True
+        deps = np.flatnonzero(~pivot[:-1])
+    else:
+        basis, rows = _set_matrix(sigma, xi)
+        _, deps = rank_and_dependents(rows, len(basis), field)
     return DefectReport(
         size=len(sigma),
-        rank=rank,
-        defect=len(sigma) - rank,
+        rank=len(sigma) - len(deps),
+        defect=len(deps),
         xi=xi,
-        field=sigma.field,
-        dependent_points=[sigma.points[i] for i in deps],
+        field=field,
+        dependent_points=sigma.take(deps),
     )
 
 
@@ -254,17 +282,17 @@ _CONIC_CAP = 40  # max_on_conics refuses larger sets (TooLarge)
 _PENCIL_BLOCK = 256  # pencils per block of max_on_conics' count over F_p
 
 
-def secant_lines(pts: Sequence[ProjPoint], field: FieldSpec) -> Dict[Tuple, Tuple[Tuple[int, int], int]]:
-    """Every line through two of pts, in order of its first pair: the
-    reduced row echelon form of the pair (the same for every pair on the
+def secant_lines(sigma: PointSet) -> Dict[Tuple, Tuple[Tuple[int, int], int]]:
+    """Every line through two points of sigma, in order of its first pair:
+    the reduced row echelon form of the pair (the same for every pair on the
     line) -> (first pair, bitmask of the indices of the points on it).
 
     The line's equations are nullspace of its key's rows, which is
     nullspace of any pair on it.
     """
     lines: Dict[Tuple, Tuple[Tuple[int, int], int]] = {}
-    pairs = list(itertools.combinations(range(len(pts)), 2))  # one stack
-    for (i, j), (R, _) in zip(pairs, rref_subsets([pt.coords for pt in pts], pairs, field)):
+    pairs = list(itertools.combinations(range(len(sigma)), 2))  # one stack
+    for (i, j), (R, _) in zip(pairs, rref_subsets(sigma.coords, pairs, sigma.field)):
         key = tuple(map(tuple, R))
         pair, mask = lines.get(key, ((i, j), 0))
         lines[key] = (pair, mask | (1 << i) | (1 << j))
@@ -274,11 +302,10 @@ def secant_lines(pts: Sequence[ProjPoint], field: FieldSpec) -> Dict[Tuple, Tupl
 def max_on_lines(sigma: PointSet) -> Tuple[int, Tuple[ProjPoint, ProjPoint]]:
     """Exact max of |line ∩ sigma| over all lines, with the first pair (in
     pair order) spanning a line that attains it."""
-    pts = sigma.points
-    if len(pts) < 2:
+    if len(sigma) < 2:
         raise TooFew("need at least 2 points")
-    (i, j), mask = max(secant_lines(pts, sigma.field).values(), key=lambda v: v[1].bit_count())
-    return mask.bit_count(), (pts[i], pts[j])
+    (i, j), mask = max(secant_lines(sigma).values(), key=lambda v: v[1].bit_count())
+    return mask.bit_count(), (sigma.point(i), sigma.point(j))
 
 
 def _pencils_mod_p(table: np.ndarray, p: int) -> Tuple[int, Tuple[int, ...]]:
@@ -365,8 +392,7 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     if len(sigma) > _CONIC_CAP:
         raise TooLarge(f"|sigma| = {len(sigma)} > conic cap {_CONIC_CAP}")
     field = sigma.field
-    pts = sigma.points
-    n = len(pts)
+    n = len(sigma)
     basis2, rows = _set_matrix(sigma, 2)
 
     def conic_through(subset) -> List[HomoPoly]:
@@ -405,7 +431,7 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
 
     # line pairs i <= j of bitmasks (n <= 40 bits) at once; argmax takes the first
     # maximum in row-major order, the first pair in combinations_with_replacement order
-    lines = secant_lines(pts, field)
+    lines = secant_lines(sigma)
     masks = np.array([mask for _, mask in lines.values()], dtype=np.int64)
     counts = np.triu(np.bitwise_count(masks[:, None] | masks[None, :]))
     if counts.max() <= best:
@@ -440,13 +466,16 @@ def incidence_bound_from_intersection(
     field = sigma.field
     if not field.p:
         raise ValueError("locus verification requires a prime field")
-    p = field.p
-    rows = projective_zeros(list(generators), sigma.ambient_dim, p)
-    locus = {tuple(int(v) for v in row) for row in rows}
-    sigma_keys = {pt.coords for pt in sigma}
-    if locus != sigma_keys:
-        missing = sorted(sigma_keys - locus)
-        extra = sorted(locus - sigma_keys)
+    rows = projective_zeros(list(generators), sigma.ambient_dim, field.p)
+    # each locus row's first copy in sigma + locus: an index below size when sigma holds it
+    size = len(sigma)
+    first = first_copies(np.concatenate([sigma.rows, rows]), field.p)[size:]
+    held = np.zeros(size, dtype=bool)
+    held[first[first < size]] = True
+    extra = first >= size
+    if extra.any() or not held.all():
+        missing = sorted(map(tuple, sigma.rows[~held].tolist()))
+        extra = sorted(map(tuple, rows[extra].tolist()))
         raise LocusMismatch(
             f"locus mismatch: {len(missing)} missing, {len(extra)} extra",
             missing=missing,
@@ -506,28 +535,31 @@ def _first_base_point(sigma: PointSet, xi: int):
     vecs = nullspace(rows, len(basis), field)
     kernel = [form_from_coeffs(basis, v, field) for v in vecs]
     # with no degree-xi form through sigma every point is a base point
-    zeros = projective_zeros(kernel, 2, p) if kernel else [(1, 0, 0)]
-    monos, values = _set_matrix(sigma, xi - 1)
+    zeros = projective_zeros(kernel, 2, p) if kernel else np.array([[1, 0, 0]], dtype=np.int64)
+    monos, values = evaluation_array(sigma.rows, 3, xi - 1, p)
     at = {m: i for i, m in enumerate(monos)}
     shifted = [[at.get(tuple(e - (v == j) for v, e in enumerate(m)), 0) for m in basis]
                for j in range(3)]  # the index of m - e_j; any index where m_j = 0
-    partials = np.array(values, dtype=np.int64).reshape(len(sigma), len(monos))[:, shifted]
-    partials = partials * np.array(basis, dtype=np.int64).T % p  # (|sigma|, 3, len(basis))
+    partials = values[:, shifted] * np.array(basis, dtype=np.int64).T % p  # (|sigma|, 3, len(basis))
     grads = partials @ np.array(vecs, dtype=np.int64).reshape(-1, len(basis)).T % p
     reduced, piv = linalg.echelon_mod_p(grads.transpose(0, 2, 1), p)  # k x 3 at each point
     rank, r = (piv < 3).sum(axis=1), reduced.sum(axis=1) % p
-    index = {pt.coords: i for i, pt in enumerate(sigma)}
-    for row in zeros:
-        Q = ProjPoint(tuple(int(c) for c in row), field)
-        i = index.get(Q.coords)
-        if i is None:
-            return "base_point", Q
-        if rank[i] < 2:
-            a, b = sorted({0, 1, 2} - {max(j for j, c in enumerate(Q.coords) if c)})
-            v = [0, 0, 0]
-            v[a], v[b] = (1, -int(r[i, a]) * pow(int(r[i, b]), p - 2, p) % p) if r[i, b] else (0, 1)
-            return "base_point", (Q, tuple(v))
-    return "free", None
+    # each zero's first copy in sigma + zeros: an index below len(sigma) when it lies on sigma
+    at_sigma = first_copies(np.concatenate([sigma.rows, zeros]), p)[len(sigma):]
+    on = at_sigma < len(sigma)
+    base = ~on
+    base[on] = rank[at_sigma[on]] < 2
+    if not base.any():
+        return "free", None
+    k = int(base.argmax())
+    Q = ProjPoint(tuple(zeros[k].tolist()), field)
+    if not on[k]:
+        return "base_point", Q
+    i = at_sigma[k]
+    a, b = sorted({0, 1, 2} - {max(j for j, c in enumerate(Q.coords) if c)})
+    v = [0, 0, 0]
+    v[a], v[b] = (1, -int(r[i, a]) * pow(int(r[i, b]), p - 2, p) % p) if r[i, b] else (0, 1)
+    return "base_point", (Q, tuple(v))
 
 
 def bese_check(

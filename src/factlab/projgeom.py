@@ -1,10 +1,16 @@
 """Projective points, point sets, enumeration of P^n(F_p), and the
 point-set file format.
 
-Points are kept canonical (first nonzero coordinate scaled to 1), so
-equality and hashing are plain tuple comparisons.  Enumeration order is
-pivot position ascending, then lexicographic on the free coordinates,
-which makes scans resumable and chunkable.
+Points are kept canonical (first nonzero coordinate scaled to 1).  Over
+F_p a PointSet's one representation is rows, a read-only (N, n+1) int64
+array with one canonical point per row; the scan, the node checks, the
+evaluation matrices, the plane search and the report and file writers all
+read that array as it is.  A ProjPoint (a coordinate tuple) is built only
+where one point is named: a witness, a certificate, an error message, and
+the points of a set over QQ.  Rows are compared through first_copies, one
+stable sort of the rows' base-p keys.  Enumeration order is pivot position
+ascending, then lexicographic on the free coordinates, which makes scans
+resumable and chunkable.
 """
 
 from __future__ import annotations
@@ -13,11 +19,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import DuplicatePoint, PolySyntaxError, TooLarge, ZeroVector
 from .fields import FieldSpec, Scalar, parse_field_spec
+from .linalg import inverse_mod_p
 from .linalg import rank as matrix_rank
 
 SCAN_CAP = 10**8  # points of P^n(F_p) a scan may visit
+_KEY_LIMIT = 2**63  # an int64 row key of k entries mod p needs p**k <= this
 
 
 @dataclass(frozen=True)
@@ -42,37 +52,142 @@ def canonicalize(coords: Sequence[Scalar], field: FieldSpec) -> ProjPoint:
     return ProjPoint(tuple(field.mul(inv, c) for c in coords), field)
 
 
-@dataclass(frozen=True)
-class PointSet:
-    ambient_dim: int
-    points: Tuple[ProjPoint, ...]
-    field: FieldSpec
+def first_copies(rows: np.ndarray, p: int) -> np.ndarray:
+    """For each row of an (N, w) int64 array with entries in [0, p), the
+    index of the first row equal to it: its own index for a first copy.
 
-    def __post_init__(self):
-        size, field = self.ambient_dim + 1, self.field
-        for pt in self.points:
-            if len(pt.coords) != size:
-                raise ValueError("mixed ambient dimensions")
-            if pt.field is not field and pt.field != field:
-                raise ValueError("mixed fields")
-        if len({pt.coords for pt in self.points}) < len(self.points):
-            seen = set()
-            for pt in self.points:  # only to name the first repeat
-                if pt.coords in seen:
-                    raise DuplicatePoint(f"duplicate point {pt}")
-                seen.add(pt.coords)
+    Equal rows become neighbours under one stable argsort (the kind
+    rref_mod_p runs) of the rows' base-p keys, the earliest copy first.  A
+    key holds as many columns as p**k <= 2**63 allows: all of them for every
+    scan under SCAN_CAP; past that the groups of columns are sorted last
+    group first, one stable sort each."""
+    count, width = rows.shape
+    per = 1
+    while per < width and p ** (per + 1) <= _KEY_LIMIT:
+        per += 1
+    weights = p ** np.arange(per - 1, -1, -1, dtype=np.int64)
+    keys = np.stack([rows[:, lo:lo + per] @ weights[max(0, per - width + lo):]
+                     for lo in range(0, width, per)], axis=1)
+    order = np.argsort(keys[:, -1], kind="stable")
+    for group in range(keys.shape[1] - 2, -1, -1):
+        order = order[np.argsort(keys[order, group], kind="stable")]
+    ranked = keys[order]
+    new = np.ones(count, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = np.empty_like(order)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first
+
+
+class PointSet:
+    """Distinct points of P^n over one field, in order.
+
+    Over F_p the one representation is rows: a read-only (N, n+1) int64
+    array, one canonical point per row (entries in [0, p), 1 at the first
+    nonzero entry).  Construction checks that by one array test (ValueError,
+    naming the first bad row) and finds repeats by first_copies
+    (DuplicatePoint, naming the first repeat in order).  Over QQ the set
+    holds ProjPoints in points, and rows is None.  Iteration, points and
+    point(i) build ProjPoints over F_p: only for callers that name points.
+    point_set builds a set from ProjPoints of either field.
+    """
+
+    __slots__ = ("ambient_dim", "field", "rows", "_points")
+
+    def __init__(self, ambient_dim: int, field: FieldSpec, rows: Optional[np.ndarray] = None,
+                 points: Sequence[ProjPoint] = ()):
+        self.ambient_dim, self.field = ambient_dim, field
+        if field.p:
+            self.rows, self._points = _checked_rows(rows, ambient_dim + 1, field), None
+            return
+        self.rows, self._points = None, tuple(points)
+        seen = set()
+        for pt in self._points:
+            if pt.coords in seen:
+                raise DuplicatePoint(f"duplicate point {pt}")
+            seen.add(pt.coords)
+
+    @property
+    def points(self) -> Tuple[ProjPoint, ...]:
+        if self.rows is None:
+            return self._points
+        return tuple(ProjPoint(tuple(r), self.field) for r in self.rows.tolist())
+
+    @property
+    def coords(self):
+        """The coordinates of every point: rows over F_p, a list of tuples
+        over QQ."""
+        return [pt.coords for pt in self._points] if self.rows is None else self.rows
+
+    def point(self, i: int) -> ProjPoint:
+        if self.rows is None:
+            return self._points[i]
+        return ProjPoint(tuple(self.rows[i].tolist()), self.field)
+
+    def take(self, indices: Sequence[int]) -> "PointSet":
+        """The points at these distinct indices, in this order: a subset of
+        a checked set, so it is not checked again."""
+        subset = object.__new__(PointSet)
+        subset.ambient_dim, subset.field = self.ambient_dim, self.field
+        if self.rows is None:
+            subset.rows, subset._points = None, tuple(self._points[i] for i in indices)
+        else:
+            subset.rows, subset._points = self.rows[np.asarray(indices, dtype=np.intp)], None
+            subset.rows.flags.writeable = False
+        return subset
+
+    def _index(self, pt: ProjPoint) -> Optional[int]:
+        if self.rows is None:
+            return next((i for i, q in enumerate(self._points) if q.coords == pt.coords), None)
+        if len(pt.coords) != self.rows.shape[1]:
+            return None
+        hit = np.flatnonzero((self.rows == pt.coords).all(axis=1))
+        return int(hit[0]) if len(hit) else None
 
     def __len__(self):
-        return len(self.points)
+        return len(self._points) if self.rows is None else len(self.rows)
 
     def __iter__(self):
         return iter(self.points)
 
     def __contains__(self, pt: ProjPoint):
-        return any(q.coords == pt.coords for q in self.points)
+        return self._index(pt) is not None
+
+    def __eq__(self, other):
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        if (self.ambient_dim, self.field) != (other.ambient_dim, other.field):
+            return False
+        if self.rows is None:
+            return self._points == other._points
+        return np.array_equal(self.rows, other.rows)
+
+    def __repr__(self):
+        return f"PointSet({len(self)} points of P^{self.ambient_dim} over {self.field.spec_string()})"
 
     def without(self, pt: ProjPoint) -> "PointSet":
-        return PointSet(self.ambient_dim, tuple(q for q in self.points if q.coords != pt.coords), self.field)
+        i = self._index(pt)
+        return self if i is None else self.take([j for j in range(len(self)) if j != i])
+
+
+def _checked_rows(rows, size: int, field: FieldSpec) -> np.ndarray:
+    """rows as a read-only int64 array of canonical, distinct points of
+    width size over F_p, or ValueError / DuplicatePoint."""
+    p = field.p
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != size:
+        raise ValueError(f"point rows of shape {rows.shape}, not (N, {size})")
+    if len(rows):
+        lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+        if rows.min() < 0 or rows.max() >= p or (lead != 1).any():
+            bad = ((rows < 0) | (rows >= p)).any(axis=1) | (lead != 1)
+            raise ValueError(f"row {rows[bad.argmax()].tolist()} is not a canonical point")
+        repeat = first_copies(rows, p) != np.arange(len(rows))
+        if repeat.any():
+            row = tuple(rows[repeat.argmax()].tolist())
+            raise DuplicatePoint(f"duplicate point {ProjPoint(row, field)}")
+    rows.flags.writeable = False
+    return rows
 
 
 def point_set(points: Iterable[ProjPoint], ambient_dim: Optional[int] = None, field: Optional[FieldSpec] = None) -> PointSet:
@@ -83,7 +198,15 @@ def point_set(points: Iterable[ProjPoint], ambient_dim: Optional[int] = None, fi
         ambient_dim = pts[0].ambient_dim
     if field is None:
         field = pts[0].field
-    return PointSet(ambient_dim, pts, field)
+    for pt in pts:
+        if len(pt.coords) != ambient_dim + 1:
+            raise ValueError("mixed ambient dimensions")
+        if pt.field != field:
+            raise ValueError("mixed fields")
+    if not field.p:
+        return PointSet(ambient_dim, field, points=pts)
+    return PointSet(ambient_dim, field, np.array([pt.coords for pt in pts], dtype=np.int64)
+                    .reshape(len(pts), ambient_dim + 1))
 
 
 def projective_count(n: int, p: int) -> int:
@@ -131,13 +254,18 @@ def span_dim(points: Sequence[ProjPoint]) -> int:
 
 
 def dump_point_set(ps: PointSet) -> str:
-    lines = [f"P {ps.ambient_dim} {ps.field.spec_string()}"]
-    for pt in ps:
-        lines.append(",".join(map(str, pt.coords)))
-    return "\n".join(lines) + "\n"
+    head = f"P {ps.ambient_dim} {ps.field.spec_string()}\n"
+    if ps.rows is None:
+        return head + "".join(",".join(map(str, pt.coords)) + "\n" for pt in ps)
+    count, width = ps.rows.shape
+    return head + (",".join(["%d"] * width) + "\n") * count % tuple(ps.rows.ravel().tolist())
 
 
 def load_point_set(text: str) -> PointSet:
+    """Read the point-set file format: a header 'P <n> <fieldspec>', then one
+    comma-separated point per line.  Over F_p the points are canonicalized
+    as one array, each row times the inverse of its first nonzero entry;
+    over QQ one at a time."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("P "):
@@ -147,10 +275,16 @@ def load_point_set(text: str) -> PointSet:
         raise PolySyntaxError(f"bad header {lines[0]!r}")
     n = int(parts[1])
     field = parse_field_spec(parts[2])
-    pts = []
+    coords = []
     for ln in lines[1:]:
         vals = [field.parse_scalar(v) for v in ln.split(",")]
         if len(vals) != n + 1:
             raise PolySyntaxError(f"expected {n + 1} coordinates in {ln!r}")
-        pts.append(canonicalize(vals, field))
-    return PointSet(n, tuple(pts), field)
+        coords.append(vals)
+    if not field.p:
+        return PointSet(n, field, points=[canonicalize(vals, field) for vals in coords])
+    rows = np.array(coords, dtype=np.int64).reshape(len(coords), n + 1)
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    if not lead.all():
+        raise ZeroVector("all coordinates are zero")
+    return PointSet(n, field, rows * inverse_mod_p(lead, field.p)[:, None] % field.p)

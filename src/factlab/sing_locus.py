@@ -7,11 +7,13 @@ top of it is mod-p evidence, not a characteristic-0 proof.
 Both kinds of locus run one tail: the scan, for a complete intersection a
 Jacobian filter by scan.eval_forms, then a bulk re-check of every hit by
 scan.horner_on_rows, an evaluator independent of the scan's own and of the
-filter's.  The node checks evaluate each form, its gradient and its second
-partials at all points, one eval_forms product for each; each point's
-verdict is one corank test of its projective (bordered) Hessian by
-linalg.echelon_mod_p.  Every P^n(F_p) of more than projgeom.SCAN_CAP points
-is refused before any work (TooLarge).
+filter's.  The locus is a PointSet of the scan's int64 rows, and the node
+checks, the defect and the report writers read those rows as they are: no
+point becomes a Python object on the way.  The node checks evaluate each
+form, its gradient and its second partials at all points, one eval_forms
+product for each; each point's verdict is one corank test of its
+projective (bordered) Hessian by linalg.echelon_mod_p.  Every P^n(F_p) of
+more than projgeom.SCAN_CAP points is refused before any work (TooLarge).
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import CharDividesDegree, NotSingular, VerificationFailure
+from .errors import CharDividesDegree, DuplicatePoint, NotSingular, VerificationFailure
 from .fields import FieldSpec
 from .linalg import echelon_mod_p
 from .poly import HomoPoly, gradient, hessian, partial
-from .projgeom import PointSet, ProjPoint
+from .projgeom import PointSet
 from .scan import eval_forms, horner_on_rows, projective_zeros
 
 _BLOCK = 1 << 10  # points per slice of the node checks' elimination
@@ -50,23 +52,6 @@ class NodalInstance:
         return self.defining[0].field
 
 
-def _rows_to_pointset(rows: np.ndarray, n: int, field: FieldSpec) -> PointSet:
-    """The scan's rows as points; each row must already be canonical: entries
-    in [0, p) and 1 at its first nonzero entry (the pivot)."""
-    first = (rows != 0).argmax(axis=1)
-    canonical = ((rows >= 0) & (rows < field.p)).all(axis=1)
-    canonical &= rows[np.arange(rows.shape[0]), first] == 1
-    if not canonical.all():
-        bad = rows[np.flatnonzero(~canonical)[0]].tolist()
-        raise VerificationFailure(f"scan soundness: row {bad} is not a canonical point")
-    # each row's list gives way to its point at once, so that the lists of
-    # all rows are never alive together
-    pts = rows.tolist()
-    for i, r in enumerate(pts):
-        pts[i] = ProjPoint(tuple(r), field)
-    return PointSet(n, tuple(pts), field)
-
-
 def _rank_deficient(jacobian: List[np.ndarray], p: int) -> np.ndarray:
     """Per point, whether the Jacobian of one or two forms, given as one
     (points, n+1) array of gradients per form, has rank below the number of
@@ -89,7 +74,8 @@ def _values(polys, rows: np.ndarray, p: int) -> np.ndarray:
 
 def _locus(forms: List[HomoPoly], what: str) -> PointSet:
     """Points where every form vanishes and the Jacobian of the forms has
-    rank below their number, in scan order.
+    rank below their number, in scan order: a PointSet of the scan's own
+    rows.
 
     A hypersurface's partials alone go into the scan, which then leaves
     nothing to filter: singular_points refuses p | deg, and by Euler's
@@ -99,7 +85,8 @@ def _locus(forms: List[HomoPoly], what: str) -> PointSet:
     form, on its partials) runs once on all of them.  Every hit is
     re-verified, f included: the forms and the Jacobian are evaluated at
     all hits by scan.horner_on_rows, independently of the scan and of the
-    filter.
+    filter.  A row that PointSet refuses (not canonical, or a repeat) is a
+    scan soundness failure too.
     """
     field = forms[0].field
     p = field.p
@@ -110,11 +97,14 @@ def _locus(forms: List[HomoPoly], what: str) -> PointSet:
     else:
         rows = projective_zeros(forms, n, p)
         rows = rows[_rank_deficient([eval_forms(d, rows, p) for d in partials], p)]
-    result = _rows_to_pointset(rows, n, field)
+    try:
+        result = PointSet(n, field, rows)
+    except (ValueError, DuplicatePoint) as exc:
+        raise VerificationFailure(f"scan soundness: {exc}") from exc
     bad = _values(forms, rows, p).any(axis=1)
     bad |= ~_rank_deficient([_values(d, rows, p) for d in partials], p)
     if bad.any():
-        pt = ProjPoint(tuple(rows[np.flatnonzero(bad)[0]].tolist()), field)
+        pt = result.point(int(bad.argmax()))
         raise VerificationFailure(f"scan soundness: {pt} is not a singular point of {what}")
     return result
 
@@ -164,7 +154,7 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     Jacobian rank 2 is no node.
 
     The instance must be over a prime field (ValueError otherwise), and the
-    checks run on its points as int64 arrays mod p.  A point where a form
+    checks read inst.sing.rows as they are.  A point where a form
     does not vanish raises NotSingular, naming the first such point in
     inst.sing order.  So does a hypersurface point whose gradient does not
     vanish, as poly.node_rank does.
@@ -178,18 +168,15 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     n = inst.ambient_dim
     degree = max(g.degree for g in inst.defining)
     flags: List[bool] = []
-    if inst.sing:
-        p = inst.field.p
-        rows = np.array([pt.coords for pt in inst.sing], dtype=np.int64) % p
+    if len(inst.sing):
+        p, rows = inst.field.p, inst.sing.rows
         off = np.any([eval_forms([g], rows, p)[:, 0] for g in inst.defining], axis=0)
         if off.any():
-            first = inst.sing.points[np.flatnonzero(off)[0]]
-            raise NotSingular(f"form nonzero at {tuple(first.coords)}")
+            raise NotSingular(f"form nonzero at {tuple(rows[off.argmax()].tolist())}")
         d = [eval_forms(gradient(g), rows, p) for g in inst.defining]
         deficient = _rank_deficient(d, p)
         if len(d) == 1 and not deficient.all():
-            first = inst.sing.points[np.flatnonzero(~deficient)[0]]
-            raise NotSingular(f"gradient nonzero at {tuple(first.coords)}")
+            raise NotSingular(f"gradient nonzero at {tuple(rows[deficient.argmin()].tolist())}")
         upper = [_upper_hessian(g, rows, p) for g in inst.defining]
         square = _symmetric_index(n + 1)
         corank_one = []

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from factlab import cli, errors
 from factlab.cli import main
 from factlab.fields import GF
 from factlab.poly import parse_poly
-from factlab.projgeom import canonicalize, dump_point_set, load_point_set, point_set
+from factlab.projgeom import ProjPoint, canonicalize, dump_point_set, load_point_set, point_set
 from factlab.rng import SplitMix64
 
 
@@ -496,6 +497,58 @@ def test_sing_and_classify_output_is_pinned(tmp_path, argv, capsys):
     code, out, _ = run_cli([command, str(path), *rest], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _LOCUS_DIGESTS[argv]
+
+
+def test_fp_commands_build_no_projpoint(tmp_path, monkeypatch, capsys):
+    """Over F_p a point set is one int64 array from the scan to the report:
+    sing on the 10 404 points of q^2 (with --points-out), gen for each
+    family, classify and defect build no ProjPoint."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q2.poly").write_text(_LOCUS_FILES["double_quadric"])
+    built = []
+    init = ProjPoint.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProjPoint, "__init__", counting)
+    runs = [
+        ["sing", "q2.poly", "--points-out", "q2.points"],
+        ["defect", "q2.points", "--xi", "2"],
+        ["gen", "--family", "double_solid_eq15", "--r", "3", "--field", "Fp:101", "--seed", "1",
+         "--prefix", "ds"],
+        ["gen", "--family", "hypersurface_xgyf", "--d", "4", "--field", "Fp:31", "--seed", "1",
+         "--prefix", "hs"],
+        ["gen", "--family", "ci_plane", "--m", "3", "--k", "2", "--field", "Fp:17", "--seed", "7",
+         "--prefix", "ci"],
+        ["classify", "ds.poly", "--r", "3"],
+        ["defect", "ds.points", "--xi", "5"],
+    ]
+    for argv in runs:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, (argv, err)
+    assert json.loads(out)["defect"] == 1
+    assert not built, f"{len(built)} ProjPoints built"
+
+
+def test_sing_on_q2_traced_peak(tmp_path, capsys):
+    """The 10 404 nodes of q^2 go from scan to report as int64 rows: the
+    traced peak of sing stays below 3.5 MB (6.9 MB with one ProjPoint per
+    node), the report's own text included."""
+    path = tmp_path / "q2.poly"
+    path.write_text(_LOCUS_FILES["double_quadric"])
+    run_cli(["sing", str(path)], capsys)  # first call: imports and caches are not counted
+    tracemalloc.start()
+    try:
+        code = main(["sing", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == \
+        _LOCUS_DIGESTS["sing double_quadric"]
+    assert peak <= 3.5e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 def test_sing_with_a_huge_exponent_is_fast(tmp_path, capsys):

@@ -38,7 +38,8 @@ from factlab.lincond import (
     separator,
     swap_combine,
 )
-from factlab.linalg import kernel_of_rref, nullspace, rank, rref_subsets
+from factlab.linalg import (bareiss_rank, kernel_of_rref, nullspace, rank, rank_and_dependents,
+                            rref_subsets)
 from factlab.poly import eval_poly, form_from_coeffs, make_poly, monomial_basis, parse_poly
 from factlab.projgeom import canonicalize, dump_point_set, enumerate_projective, line_points, point_set
 from factlab.rng import SplitMix64
@@ -69,6 +70,46 @@ def test_defect_six_points_on_conic():
     rep = defect(sigma, 2)
     assert rep.size == 6 and rep.rank == 5
     assert len(rep.dependent_points) == 1
+
+
+@pytest.mark.parametrize("p", [5, 101, 2**31 - 1])
+def test_fp_defect_from_one_echelon(monkeypatch, p):
+    """Over F_p defect reads its rank and dependents off the pivots of one
+    echelon_mod_p of the transposed int64 matrix.  They are those of
+    rank_and_dependents on the list matrix; the points have entries 0..3
+    and lead 1, so the matrix is an integer matrix, and at p = 101 and
+    2^31 - 1 they are also those of bareiss_rank over QQ, prefix by prefix
+    (a point is dependent when it leaves the rank of the rows before it
+    unchanged)."""
+    def refused(*args):
+        raise AssertionError("the list elimination on the F_p path")
+
+    rng = random.Random(p)
+    F = GF(p)
+    stacks = []
+    echelon = linalg.echelon_mod_p
+    monkeypatch.setattr(lincond, "rank_and_dependents", refused)
+    monkeypatch.setattr(linalg, "echelon_mod_p", lambda a, q: stacks.append(a.shape) or echelon(a, q))
+    seen_dependents = False
+    for n, xi, size in [(2, 1, 5), (2, 2, 9), (2, 3, 14), (3, 2, 14), (3, 3, 25), (3, 2, 1), (2, 2, 0)]:
+        pts = [(1, t) + (0,) * (n - 1) for t in range(4)][:size // 3]  # collinear
+        while len(pts) < size:
+            c = (1,) + tuple(rng.randrange(4) for _ in range(n))
+            if c not in pts:
+                pts.append(c)
+        rep = defect(point_set([canonicalize(list(c), F) for c in pts], ambient_dim=n, field=F), xi)
+        basis, rows = evaluation_matrix(pts, n + 1, xi, F)
+        assert stacks.pop() == (1, len(basis), size)
+        rank, deps = rank_and_dependents(rows, len(basis), F)
+        assert (rep.size, rep.rank, rep.defect) == (size, rank, size - rank)
+        assert [pt.coords for pt in rep.dependent_points] == [pts[i] for i in deps]
+        seen_dependents |= bool(deps)
+        if p > 5:
+            _, integer_rows = evaluation_matrix(pts, n + 1, xi, QQ)
+            prefix = [bareiss_rank(integer_rows[:i]) for i in range(size + 1)]
+            assert rank == prefix[-1]
+            assert deps == [i for i in range(size) if prefix[i + 1] == prefix[i]]
+    assert seen_dependents
 
 
 def test_defect_report_json_exact():

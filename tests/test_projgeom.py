@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from factlab.errors import DuplicatePoint, TooLarge, ZeroVector
@@ -7,6 +10,7 @@ from factlab.projgeom import (
     SCAN_CAP,
     PointSet,
     canonicalize,
+    first_copies,
     check_scan_cap,
     dump_point_set,
     enumerate_projective,
@@ -106,3 +110,73 @@ def test_point_set_file_comments_and_rational():
     assert len(sigma) == 2
     assert sigma.field == QQ
     assert sigma.points[1].coords[1] == 2  # canonicalized: 1/2 scaled to 1
+
+
+def test_pointset_over_fp_holds_one_read_only_array():
+    F = GF(7)
+    rows = np.array([[1, 2, 3], [0, 1, 4], [0, 0, 1]], dtype=np.int64)
+    sigma = PointSet(2, F, rows)
+    assert sigma.rows is rows and not rows.flags.writeable
+    assert len(sigma) == 3 and sigma.point(1).coords == (0, 1, 4)
+    assert [pt.coords for pt in sigma] == [(1, 2, 3), (0, 1, 4), (0, 0, 1)]
+    assert canonicalize([2, 4, 6], F) in sigma and canonicalize([1, 1, 1], F) not in sigma
+    assert sigma.without(sigma.point(0)) == PointSet(2, F, rows[1:])
+    assert sigma.take([2, 0]).coords.tolist() == [[0, 0, 1], [1, 2, 3]]
+    assert point_set(list(sigma)) == sigma
+
+
+@pytest.mark.parametrize("rows, error, match", [
+    ([[1, 2, 3], [2, 4, 6]], ValueError, r"row \[2, 4, 6\] is not a canonical point"),
+    ([[0, 3, 1]], ValueError, r"row \[0, 3, 1\] is not a canonical point"),
+    ([[0, 0, 0]], ValueError, r"row \[0, 0, 0\] is not a canonical point"),
+    ([[1, 7, 0]], ValueError, r"row \[1, 7, 0\] is not a canonical point"),
+    ([[1, -1, 0]], ValueError, r"row \[1, -1, 0\] is not a canonical point"),
+    ([[1, 2, 3, 4]], ValueError, r"shape \(1, 4\), not \(N, 3\)"),
+    ([1, 2, 3], ValueError, r"shape \(3,\), not \(N, 3\)"),
+    ([[0, 1, 2], [1, 2, 3], [0, 1, 5], [1, 2, 3], [0, 1, 2]], DuplicatePoint,
+     r"^duplicate point \(1:2:3\)$"),
+])
+def test_pointset_refuses_bad_rows(rows, error, match):
+    """One array test per set: a row that is not canonical mod 7 (a pivot
+    other than 1, a zero row, an entry >= p or < 0), a wrong width; and a
+    repeat, named at its first repeat in input order."""
+    with pytest.raises(error, match=match):
+        PointSet(2, GF(7), np.array(rows, dtype=np.int64))
+
+
+def test_empty_pointset():
+    for field in (GF(7), QQ):
+        empty = point_set([], ambient_dim=2, field=field)
+        assert len(empty) == 0 and list(empty) == [] and empty.points == ()
+        assert load_point_set(dump_point_set(empty)) == empty
+    assert PointSet(3, GF(7), np.zeros((0, 4), dtype=np.int64)).rows.shape == (0, 4)
+
+
+@pytest.mark.parametrize("p, width", [(5, 3), (101, 4), (2**31 - 1, 2), (2**31 - 1, 3), (2**31 - 1, 6)])
+def test_first_copies_matches_list_index(p, width):
+    """One stable sort of base-p keys; at p = 2^31 - 1 a key holds two
+    columns, so widths 3 and 6 sort by several keys."""
+    rng = random.Random(p + width)
+    values = [0, 1, 2, p - 1]  # few values: many repeats
+    for count in (0, 1, 2, 50):
+        rows = [[rng.choice(values) for _ in range(width)] for _ in range(count)]
+        got = first_copies(np.array(rows, dtype=np.int64).reshape(count, width), p)
+        assert got.tolist() == [rows.index(r) for r in rows]
+
+
+def test_load_point_set_canonicalizes_fp_rows_at_once():
+    """The F_p file path, canonicalized as one array, gives the points that
+    canonicalize gives one at a time, and refuses a zero row as before."""
+    rng = random.Random(3)
+    F = GF(101)
+    raw, seen = [], set()
+    while len(raw) < 40:
+        r = [rng.randrange(-300, 300) for _ in range(4)]
+        if any(c % 101 for c in r) and canonicalize(r, F).coords not in seen:
+            seen.add(canonicalize(r, F).coords)
+            raw.append(r)
+    sigma = load_point_set("P 3 Fp:101\n" + "\n".join(",".join(map(str, r)) for r in raw) + "\n")
+    assert [pt.coords for pt in sigma] == [canonicalize(r, F).coords for r in raw]
+    assert load_point_set("P 1 Fp:7\n3,5\n1/2,3\n").coords.tolist() == [[1, 4], [1, 6]]
+    with pytest.raises(ZeroVector):
+        load_point_set("P 2 Fp:7\n1,2,3\n7,14,0\n")

@@ -1,9 +1,11 @@
-"""report.dumps is json.dumps(obj, indent=2), byte for byte."""
+"""report.dumps is json.dumps(obj, indent=2), byte for byte; a 2-D int64
+array is written as the list of its rows of decimal strings."""
 
 import json
 import math
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -52,3 +54,41 @@ def test_dumps_matches_json_indent_2(obj):
 ])
 def test_dumps_edge_cases(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
+
+
+# point rows: N in {0, 1, many}, widths 2-6, entries up to 2^31 - 2
+_ROWS = st.tuples(st.sampled_from([0, 1, 2, 9]), st.integers(2, 6)).flatmap(
+    lambda shape: st.lists(st.lists(st.integers(0, 2**31 - 2), min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])
+    .map(lambda rows: np.array(rows, dtype=np.int64).reshape(shape)))
+
+
+def _as_strings(obj):
+    """obj with every array replaced by the list of its rows of decimal strings."""
+    if isinstance(obj, np.ndarray):
+        return [[str(v) for v in row] for row in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_as_strings, obj))
+    if isinstance(obj, dict):
+        return {k: _as_strings(v) for k, v in obj.items()}
+    return obj
+
+
+_WITH_ROWS = st.recursive(st.one_of(_SCALARS, _ROWS), lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, children, max_size=4)), max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_WITH_ROWS)
+def test_dumps_writes_rows_as_decimal_strings(obj):
+    assert dumps(obj) == json.dumps(_as_strings(obj), indent=2)
+
+
+@pytest.mark.parametrize("count", [0, 1, 1000])
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
+def test_dumps_rows_edge_cases(count, width):
+    rows = (np.arange(count * width, dtype=np.int64).reshape(count, width) * 2147) % (2**31 - 1)
+    rows[:, 0] = 2**31 - 2
+    for obj in (rows, {"nodes": rows, "count": count}, [[rows], rows[:0]]):
+        assert dumps(obj) == json.dumps(_as_strings(obj), indent=2)
