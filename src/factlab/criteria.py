@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadParams, VerificationFailure
-from .linalg import kernel_mod_p, nullspace
+from .linalg import kernel_mod_p, matmul_zeros_mod_p, nullspace
 from .lincond import defect, secant_lines
 from .poly import (
     HomoPoly,
@@ -257,9 +257,8 @@ def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
         full = piv[:, 2] < 4
         vecs = kernel_mod_p(R[full], piv[full], 3, p)[:, 0]
         vecs = vecs[first_copies(vecs, p) == np.arange(len(vecs))]
-        # each product reduced: int64 holds their sum
-        values = sum(vecs[:, k, None] * table[:, k] % p for k in range(4)) % p
-        for c in map(tuple, vecs[(values == 0).sum(axis=1) > f.degree].tolist()):
+        counts = matmul_zeros_mod_p(vecs, table.T, p).sum(axis=1)
+        for c in map(tuple, vecs[counts > f.degree].tolist()):
             if c not in seen:
                 seen.add(c)
                 planes.append(c)

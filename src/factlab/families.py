@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadParams, DegenerateDraw
 from .fields import FieldSpec
-from .linalg import combine, nullspace
+from .linalg import combine, matmul_zeros_mod_p, nullspace
 from .lincond import evaluation_matrix
 from .poly import (
     HomoPoly,
@@ -101,8 +101,7 @@ def _line_section_nodes(rows: np.ndarray, smooth: np.ndarray, nlines: int, per_l
     """Coordinates, in scan order, of `nlines` disjoint complete line sections
     of the curve scanned as `rows`, each of exactly `per_line` smooth points.
     The secant through smooth rows a, b is the line a x b, and its section
-    is `rows @ (a x b % p) % p == 0`, whose int64 sums stay below 3p^2 with
-    p < 10^4 under the scan cap.
+    is the zero mask of rows times (a x b mod p), by matmul_zeros_mod_p.
 
     Complete collinear groups make the points' divisor linearly equivalent
     to nlines * H on the curve, so a residual form of degree nlines through
@@ -116,7 +115,8 @@ def _line_section_nodes(rows: np.ndarray, smooth: np.ndarray, nlines: int, per_l
     chosen = 0
     for _ in range(_LINE_SECTION_ATTEMPTS):
         i, j = rng.sample(range(len(smooth_idx)), 2)
-        on_line = rows @ (np.cross(rows[smooth_idx[i]], rows[smooth_idx[j]]) % p) % p == 0
+        line = np.cross(rows[smooth_idx[i]], rows[smooth_idx[j]]) % p
+        on_line = matmul_zeros_mod_p(rows, line[:, None], p)[:, 0]
         # a wrong count means tangency, extra rational points, or missing ones
         if on_line.sum() != per_line or (on_line & (used | ~smooth)).any():
             continue

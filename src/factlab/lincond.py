@@ -42,8 +42,8 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import (combine, dot, inverse_mod_p, kernel_mod_p, kernel_of_rref, nullspace,
-                     rank_and_dependents, rref_subsets, solve)
+from .linalg import (combine, dot, inverse_mod_p, kernel_mod_p, kernel_of_rref, matmul_mod_p,
+                     nullspace, rank_and_dependents, rref_subsets, solve)
 from .poly import HomoPoly, eval_poly, form_from_coeffs, monomial_basis, point_row
 from .projgeom import PointSet, ProjPoint, check_scan_cap, first_copies, point_set
 from .report import dumps
@@ -341,10 +341,7 @@ def _pencil_counts(R: np.ndarray, piv: np.ndarray, last: np.ndarray, table: np.n
     at e is 4 + base + the length of the run of e's key in its row."""
     m, n = len(R), len(table)
     kernel = kernel_mod_p(R, piv, 4, p).transpose(1, 0, 2)  # c1 and c2 of every pencil
-    ab = np.zeros((2, m, n), dtype=np.int64)
-    for k in range(6):  # each product reduced: six of them below p stay inside int64
-        ab += kernel[:, :, k, None] * table[:, k] % p
-    a, b = ab % p
+    a, b = matmul_mod_p(kernel.reshape(-1, 6), table.T, p).reshape(2, m, n)
     on_all = (a == 0) & (b == 0)  # the 4 points of T and the base points
     key = np.where(a != 0, b * inverse_mod_p(a, p) % p, p)
     key[on_all] = p + 1
@@ -524,12 +521,11 @@ def _first_base_point(sigma: PointSet, xi: int):
     line_points(e_a, e_b) (a < b; e_last is at Q's last nonzero coordinate)
     with grad g(Q) . v = 0 for every g.
 
-    Every gradient at every point of sigma is one product: the degree-(xi-1)
-    evaluation matrix re-indexed by d/dx_j x^m = m_j * x^(m - e_j), times the
-    kernel, exact in int64 (the scan cap's p <= 9999 and EVAL_CAP keep sums
-    below 10**15).  By Euler each gradient at Q is orthogonal to Q: rank 2
-    leaves no direction, rank <= 1 the canonical r_b * e_a - r_a * e_b for
-    the one row r the elimination leaves, or e_b when r_b = 0."""
+    Every gradient at every point of sigma is one matmul_mod_p: the
+    degree-(xi-1) evaluation matrix re-indexed by d/dx_j x^m = m_j * x^(m -
+    e_j), times the kernel.  By Euler each gradient at Q is orthogonal to Q:
+    rank 2 leaves no direction, rank <= 1 the canonical r_b * e_a - r_a * e_b
+    for the one row r the elimination leaves, or e_b when r_b = 0."""
     field, p = sigma.field, sigma.field.p
     basis, rows = _set_matrix(sigma, xi)
     vecs = nullspace(rows, len(basis), field)
@@ -541,7 +537,8 @@ def _first_base_point(sigma: PointSet, xi: int):
     shifted = [[at.get(tuple(e - (v == j) for v, e in enumerate(m)), 0) for m in basis]
                for j in range(3)]  # the index of m - e_j; any index where m_j = 0
     partials = values[:, shifted] * np.array(basis, dtype=np.int64).T % p  # (|sigma|, 3, len(basis))
-    grads = partials @ np.array(vecs, dtype=np.int64).reshape(-1, len(basis)).T % p
+    kernel_t = np.array(vecs, dtype=np.int64).reshape(-1, len(basis)).T
+    grads = matmul_mod_p(partials.reshape(-1, len(basis)), kernel_t, p).reshape(len(sigma), 3, -1)
     reduced, piv = linalg.echelon_mod_p(grads.transpose(0, 2, 1), p)  # k x 3 at each point
     rank, r = (piv < 3).sum(axis=1), reduced.sum(axis=1) % p
     # each zero's first copy in sigma + zeros: an index below len(sigma) when it lies on sigma

@@ -6,12 +6,9 @@ coordinates) without building a coordinate table: in the chart with pivot
 coordinate 1 and earlier coordinates 0, the k free coordinates run over a
 full p^k grid.  The first form's chart table T (its coefficients in the
 first free coordinate t, tabulated over the other k - 1 by nested Horner)
-gives its values on the whole grid as one matrix product V @ T, V[t, j] =
-t^j mod p, taken in float64, which is exact while D * (p-1)^2 < 2^53 for T's
-D rows (always for n >= 2, where the scan cap keeps p <= 10^4; past it, on
-P^1 over a large p, an int64 Horner pass runs instead).  T is converted and
-multiplied in blocks of columns of at most _CHUNK grid points.  A chart on
-which some form is a nonzero constant -- one term c * x_pivot^e left after
+gives its zeros on the whole grid as the zero mask of V @ T mod p
+(linalg.matmul_zeros_mod_p), where V[t, j] = t^j.  A chart on which some
+form is a nonzero constant -- one term c * x_pivot^e left after
 x_0..x_(pivot-1) = 0, with p not dividing c, as each partial of a diagonal
 form is on its own chart -- holds no zero, and is skipped before any chart
 table or grid is built; the last chart's one point (0:...:0:1) goes by each
@@ -23,11 +20,10 @@ projective_zeros and coords_table refuse, before any work, a P^n(F_p) of
 more than projgeom.SCAN_CAP points (TooLarge); the cap is a constant, not a
 setting.
 
-monomial_columns evaluates monomials on explicit int64 rows, one column
-mod p each, with exponents reduced below p.  eval_forms evaluates several
-forms at once as one exact product of those columns with the forms'
-coefficient matrix (float64 while the sum fits below 2^53, an int64 sum of
-terms past it), and eval_on_points is its one-form case;
+monomial_columns evaluates monomials on explicit int64 rows, one column mod
+p each, with exponents reduced below p.  eval_forms evaluates several forms
+at once as the product mod p of those columns with the forms' coefficients
+(linalg.matmul_mod_p), and eval_on_points is its one-form case;
 lincond.evaluation_matrix stacks a basis's columns into every evaluation
 matrix over F_p.  coords_table, eval_on_points and common_zeros are the
 term-by-term path on explicit rows: the full table and common_zeros serve
@@ -50,19 +46,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .linalg import matmul_mod_p, matmul_zeros_mod_p
 from .poly import HomoPoly, Monomial
 from .projgeom import check_scan_cap
 
-# grid points per block (or int64 slab) of the grid pass, and column entries
-# per block of eval_forms
-_CHUNK = 1 << 15
+_CHUNK = 1 << 15  # grid points per block of the grid pass, column entries of eval_forms
 _STEP = 4096  # surviving grid indices per Horner step of a further form
-_EXACT = 2**53  # float64 holds every integer below this exactly
-# multiply-adds per float64 product: BLAS splits a larger product across
-# threads, which saved nothing and cost CPU time (on a 2-vCPU machine one
-# 10404 x 10 x 10 product took 0.12-3.7 ms at twice its wall time in CPU,
-# four blocks of 2601 rows 0.12-0.14 ms on one thread)
-_PRODUCT = 1 << 18
 
 
 def coords_table(n: int, p: int) -> np.ndarray:
@@ -112,35 +101,22 @@ def eval_forms(forms: Sequence[HomoPoly], pts: np.ndarray, p: int) -> np.ndarray
     """(len(pts), len(forms)) int64 array: every form at every row of pts
     (int64 entries in [0, p)), mod p.
 
-    The monomials of all the forms become one matrix of columns
-    (monomial_columns), built once and multiplied by the (monomials, forms)
-    matrix of coefficients mod p.  In float64 the product is exact while
-    monomials * (p-1)^2 < _EXACT; rows go in blocks of at most _CHUNK
-    column entries and _PRODUCT multiply-adds.  Above that bound each form
-    is a sum of coefficient-weighted columns in int64, reduced mod p after
-    every term.
+    The monomials of all the forms become columns (monomial_columns),
+    written straight into a float64 block of at most _CHUNK column entries
+    and multiplied by the (monomials, forms) matrix of coefficients mod p
+    with linalg.matmul_mod_p, block after block of rows.
     """
     monos = sorted(set().union(*(f.terms for f in forms)))
     coeffs = np.array([[int(f.terms.get(m, 0)) % p for f in forms] for m in monos],
-                      dtype=np.int64).reshape(len(monos), len(forms))
-    if len(monos) * (p - 1) ** 2 >= _EXACT:
-        out = np.zeros((pts.shape[0], len(forms)), dtype=np.int64)
-        for col, row in zip(monomial_columns(monos, pts, p), coeffs):
-            out += col[:, None] * row
-            out %= p
-        return out
-    weights = coeffs.astype(np.float64)
+                      dtype=np.float64).reshape(len(monos), len(forms))
     out = np.empty((pts.shape[0], len(forms)), dtype=np.int64)
-    size = max(1, len(monos))
-    step = max(1, min(_CHUNK // size, _PRODUCT // (size * max(1, len(forms)))))
+    step = max(1, _CHUNK // max(1, len(monos)))
     for lo in range(0, pts.shape[0], step):
         block = pts[lo:lo + step]
         cols = np.empty((len(monos), block.shape[0]))
         for row, col in zip(cols, monomial_columns(monos, block, p)):
             row[:] = col
-        # every partial sum is an integer below _EXACT, so the product is exact
-        out[lo:lo + step] = cols.T @ weights
-    out %= p
+        out[lo:lo + step] = matmul_mod_p(cols.T, coeffs, p)
     return out
 
 
@@ -266,53 +242,24 @@ def _grid_zeros(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
     chart x_pivot = 1, over the whole grid: ascending within each block of
     columns, block after block (projective_zeros sorts its survivors).
 
-    With T the (D, G) chart table and V[t, j] = t^j mod p, the values on the
-    grid are V @ T, an exact float64 product while D * (p-1)^2 < _EXACT.  A
-    value x is 0 mod p exactly when x == rint(x * (1/p)) * p: for x = q * p
-    the product x * (1/p) lies within 0.5 of q, and for any other x the
-    right side is an exact multiple of p.  T is converted and multiplied one
-    block of columns at a time, each block's product holding at most _CHUNK
-    grid points and taking at most _PRODUCT multiply-adds, in buffers reused
-    from block to block.  Past the bound (P^1 over a large p only) the int64
-    Horner kernel runs, slab by slab.
+    With T the (D, G) chart table and V[t, j] = t^j mod p, the zeros on the
+    grid are the zero mask of V @ T mod p (linalg.matmul_zeros_mod_p), taken
+    one block of at most _CHUNK grid points at a time.
     """
     table = _chart_table(f, pivot, p)
     depth, width = table.shape
-    if depth * (p - 1) ** 2 >= _EXACT:
-        step = max(1, _CHUNK // width)
-
-        # a function, so that one slab's temporaries are freed before the next
-        def slab(lo, hi):
-            vals = _horner(table, np.arange(lo, hi, dtype=np.int64), p)
-            return np.flatnonzero(vals == 0) + lo * width
-
-        return np.concatenate([slab(lo, min(lo + step, p)) for lo in range(0, p, step)])
-    points = min(_CHUNK, max(1, _PRODUCT // depth))  # grid points per block
-    rows = min(p, points)  # below p only on P^1, where G = 1
-    cols = min(width, max(1, points // rows))
-    block = np.empty((depth, cols))
-    vals, test = np.empty(rows * cols), np.empty(rows * cols)
-    zero = np.empty(rows * cols, dtype=bool)
+    rows = min(p, _CHUNK)  # below p only on P^1, where G = 1
+    cols = min(width, max(1, _CHUNK // rows))
     found = []
     for lo in range(0, p, rows):
-        t = np.arange(lo, min(lo + rows, p), dtype=np.int64)
-        powers = np.empty((t.size, depth))
-        acc = np.ones_like(t)
-        for j in range(depth):
-            powers[:, j] = acc
-            acc = acc * t % p
+        t = np.arange(lo, min(lo + rows, p), dtype=np.int64)[:, None]
+        powers = np.array(list(monomial_columns([(j,) for j in range(depth)], t, p)), np.float64).T
         for c0 in range(0, width, cols):
             c = min(cols, width - c0)
-            np.copyto(block[:, :c], table[:, c0:c0 + c])
-            x, y, z = vals[:t.size * c], test[:t.size * c], zero[:t.size * c]
-            np.matmul(powers, block[:, :c], out=x.reshape(t.size, c))
-            np.multiply(x, 1 / p, out=y)
-            np.rint(y, out=y)
-            y *= p
-            np.equal(y, x, out=z)
-            t_hit, c_hit = np.divmod(np.flatnonzero(z), c)
+            zero = matmul_zeros_mod_p(powers, table[:, c0:c0 + c], p)
+            t_hit, c_hit = np.divmod(np.flatnonzero(zero), c)
             found.append((t_hit + lo) * width + (c_hit + c0))
-    del table, block, vals, test, zero  # before the indices are joined, at the peak
+    del table  # before the indices are joined, at the peak
     return np.concatenate(found)
 
 

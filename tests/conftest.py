@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from factlab import linalg
@@ -61,3 +63,20 @@ def rref_stack_sizes(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref_mod_p", counting)
     return sizes
+
+
+@pytest.fixture
+def product_paths(monkeypatch):
+    """Each product that linalg.matmul_mod_p or matmul_zeros_mod_p takes
+    during the test, counted by its path: "float64" blocks, or the "int64"
+    sum of terms past the bound."""
+    paths = Counter()
+    blocks_of = linalg._float_blocks
+
+    def counting(a, b, p):
+        blocks = blocks_of(a, b, p)
+        paths["int64" if blocks is None else "float64"] += 1
+        return blocks
+
+    monkeypatch.setattr(linalg, "_float_blocks", counting)
+    return paths

@@ -4,12 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import factlab.linalg as linalg
 from factlab.fields import GF, QQ
 from factlab.linalg import (
+    _EXACT,
     RowSpace,
     bareiss_rank,
     combine,
     dot,
+    matmul_mod_p,
+    matmul_zeros_mod_p,
     nullspace,
     rank,
     rank_and_dependents,
@@ -310,3 +314,101 @@ def test_rref_mod_p_ranks_match_rank(p):
         _, piv = rref_mod_p(np.array(mats, dtype=np.int64), p)
         assert (piv < k).sum(axis=1).tolist() == want
         assert [rank(m, F) for m in mats] == want
+
+
+# --- products mod p ------------------------------------------------------------
+
+# primes on both sides of the float64 bound: K (p - 1)^2 < 2^53 for every K
+# used here below 2^26 - 5, for K <= 2 at 2^26 - 5, for no K at 2^31 - 1
+_PRODUCT_PRIMES = [3, 101, 10007, 2**26 - 5, 2**31 - 1]
+
+
+def _python_product(a, b, p):
+    (m, k), n = a.shape, b.shape[1]
+    return [[sum(int(a[i, t]) * int(b[t, j]) for t in range(k)) % p for j in range(n)]
+            for i in range(m)]
+
+
+def _check_product(a, b, p):
+    """Both entry points on a and b, as int64 and as float64, against Python
+    integers; returns the residues."""
+    want = _python_product(a, b, p)
+    for dtype in (np.int64, np.float64):
+        got = matmul_mod_p(a.astype(dtype), b.astype(dtype), p)
+        assert got.dtype == np.int64 and got.shape == (a.shape[0], b.shape[1])
+        assert got.tolist() == want
+        mask = matmul_zeros_mod_p(a.astype(dtype), b.astype(dtype), p)
+        assert mask.dtype == bool and np.array_equal(mask, got == 0)
+    return got
+
+
+def _product_cases(rng, p):
+    """Seeded (a, b) pairs with entries in [0, p): several shapes, rows and
+    columns of p - 1 and of 0, and a row-column pair whose sum is a nonzero
+    multiple of p."""
+    for m, k, n in [(1, 1, 1), (1, 3, 4), (5, 2, 1), (7, 3, 6), (40, 5, 9)]:
+        a = np.array([[rng.below(p) for _ in range(k)] for _ in range(m)], dtype=np.int64)
+        b = np.array([[rng.below(p) for _ in range(n)] for _ in range(k)], dtype=np.int64)
+        a[-1], b[:, -1] = p - 1, p - 1
+        if m > 1 and k > 1 and n > 1:
+            u, v = 1 + rng.below(p - 1), 1 + rng.below(p - 1)
+            a[0], b[:, 0] = 0, 0
+            a[0, :2], b[:2, 0] = (u, v), (v, p - u)  # u v + v (p - u) = v p
+            a[1] = 0
+        yield a, b
+
+
+@pytest.mark.parametrize("p", _PRODUCT_PRIMES)
+@pytest.mark.parametrize("path", ["chosen", "int64"])
+def test_matmul_mod_p_matches_python_integers(monkeypatch, product_paths, p, path):
+    """Both entry points, int64 and float64 inputs, on both sides of the
+    exact float64 bound: the path K (p - 1)^2 chooses, and the int64 sum of
+    terms at every p when the bound is lowered (a test hook)."""
+    if path == "int64":
+        monkeypatch.setattr(linalg, "_EXACT", 1)
+    rng = SplitMix64(p)
+    zeros = 0
+    for a, b in _product_cases(rng, p):
+        zeros += (_check_product(a, b, p) == 0).sum()
+    assert zeros > 0
+    if path == "int64" or p == 2**31 - 1:
+        assert set(product_paths) == {"int64"}
+    elif p == 2**26 - 5:
+        assert set(product_paths) == {"float64", "int64"}
+    else:
+        assert set(product_paths) == {"float64"}
+
+
+@pytest.mark.parametrize("p", [2**21 - 9, 2**26 - 5])  # both prime: limits K = 2048 and 2
+def test_matmul_mod_p_at_the_float64_limit(product_paths, p):
+    """Every entry p - 1 makes the largest sum, K (p - 1)^2: the largest K
+    below 2^53 takes the float64 product, one more term the int64 sum."""
+    limit = (_EXACT - 1) // (p - 1) ** 2
+    assert limit * (p - 1) ** 2 < _EXACT <= (limit + 1) * (p - 1) ** 2
+    for k, path in ((limit, "float64"), (limit + 1, "int64")):
+        a, b = np.full((3, k), p - 1, dtype=np.int64), np.full((k, 2), p - 1, dtype=np.int64)
+        product_paths.clear()
+        assert _check_product(a, b, p).tolist() == [[k * (p - 1) ** 2 % p] * 2] * 3
+        assert set(product_paths) == {path}
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_matmul_mod_p_empty_and_one_row(p):
+    for m, k, n in [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (1, 4, 3), (1, 1, 1)]:
+        rng = SplitMix64(m * 100 + k * 10 + n)
+        a = np.array([[rng.below(p) for _ in range(k)] for _ in range(m)], dtype=np.int64)
+        b = np.array([[rng.below(p) for _ in range(n)] for _ in range(k)], dtype=np.int64)
+        got = _check_product(a.reshape(m, k), b.reshape(k, n), p)
+        if not k:
+            assert not got.any()
+
+
+def test_matmul_mod_p_blocks_of_rows():
+    """More rows than one block of _PRODUCT multiply-adds holds: the blocks
+    join in order."""
+    p = 10007
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, p, (linalg._PRODUCT // 8 + 5, 4)), rng.integers(0, p, (4, 2))
+    want = (a @ b) % p  # sums below 4 p^2: exact in int64
+    assert np.array_equal(matmul_mod_p(a, b, p), want)
+    assert np.array_equal(matmul_zeros_mod_p(a, b, p), want == 0)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import factlab.linalg as linalg
 import factlab.scan as scan
 import factlab.sing_locus as sing_locus
 from factlab import cli
@@ -16,7 +17,8 @@ from factlab.fields import GF
 from factlab.poly import (HomoPoly, eval_poly_horner, gradient, make_poly, monomial_basis,
                           parse_poly, point_row, random_homo)
 from factlab.projgeom import SCAN_CAP, enumerate_projective, projective_count
-from factlab.scan import (_CHUNK, _EXACT, _STEP, _chart_table, _grid_zeros, _horner,
+from factlab.linalg import _EXACT
+from factlab.scan import (_CHUNK, _STEP, _chart_table, _grid_zeros, _horner,
                           _horner_at, common_zeros, coords_table, eval_forms, eval_on_points,
                           horner_on_rows, monomial_columns, projective_zeros)
 
@@ -116,13 +118,13 @@ def _python_monomial(mono, row, p):
 
 @pytest.mark.parametrize("p", [2, 3, 101, 10007, _NEAR_BOUND, 2**31 - 1])
 @pytest.mark.parametrize("path", ["chosen", "int64"])
-def test_eval_forms_matches_python_integers(monkeypatch, p, path):
+def test_eval_forms_matches_python_integers(monkeypatch, product_paths, p, path):
     """Seeded dense forms of degree 1..4 at rows with 0 and p - 1 entries,
     with no rows at all, and on both sides of the exact-product bound: the
     float64 product for small p, the int64 sum of terms at p = 2^31 - 1, and
-    either at every p when the bound is lowered (a test hook)."""
+    either at every p when linalg's bound is lowered (a test hook)."""
     if path == "int64":
-        monkeypatch.setattr(scan, "_EXACT", 1)
+        monkeypatch.setattr(linalg, "_EXACT", 1)
     rng = random.Random(p)
     field = GF(p if p > 2 else 101)  # FieldSpec refuses p = 2; the coefficients are read mod p
     sides = set()
@@ -135,15 +137,16 @@ def test_eval_forms_matches_python_integers(monkeypatch, p, path):
             got = eval_forms(forms, rows, p)
             assert got.dtype == np.int64 and got.tolist() == _python_values(forms, rows, p)
             assert eval_forms(forms, rows[:0], p).shape == (0, 3)
-            sides.add(len(monomial_basis(nvars, degree)) * (p - 1) ** 2 < scan._EXACT)
+            sides.add(len(monomial_basis(nvars, degree)) * (p - 1) ** 2 < linalg._EXACT)
     if path == "int64" or p == 2**31 - 1:
-        assert sides == {False}
+        assert sides == {False} and set(product_paths) == {"int64"}
     else:
         assert sides == ({True, False} if p == _NEAR_BOUND else {True})
+        assert set(product_paths) == ({"float64", "int64"} if p == _NEAR_BOUND else {"float64"})
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
-def test_eval_forms_at_the_exact_bound(nvars):
+def test_eval_forms_at_the_exact_bound(product_paths, nvars):
     """Every column and coefficient p - 1 makes the largest sum: 2 (p - 1)^2
     < 2^53 takes the float64 product, 3 (p - 1)^2 does not."""
     p = _NEAR_BOUND
@@ -152,6 +155,7 @@ def test_eval_forms_at_the_exact_bound(nvars):
     f = make_poly(nvars, 1, {m: p - 1 for m in linear}, GF(p))
     rows = np.full((3, nvars), p - 1, dtype=np.int64)
     assert eval_forms([f, f], rows, p).tolist() == [[nvars * (p - 1) ** 2 % p] * 2] * 3
+    assert set(product_paths) == {"float64" if nvars == 2 else "int64"}
 
 
 def _dense_cases():
@@ -177,11 +181,11 @@ def test_projective_zeros_matches_table_scan_dense(n, p, polys):
     assert np.array_equal(projective_zeros(polys, n, p), want)
 
 
-def test_grid_pass_past_the_bound_on_p1(monkeypatch):
+def test_grid_pass_past_the_bound_on_p1(monkeypatch, product_paths):
     """Past D (p-1)^2 < 2^53, met only on P^1 over a large p, the grid pass
-    is the int64 Horner kernel, slab by slab: forced here by lowering the
-    bound (a test hook) on a product of linear forms and a dense form over
-    F_65537."""
+    takes linalg's int64 product, block by block: forced here by lowering
+    linalg's bound (a test hook) on a product of linear forms and a dense
+    form over F_65537."""
     p = 65537
     field = GF(p)
     rng = random.Random(p)
@@ -190,13 +194,12 @@ def test_grid_pass_past_the_bound_on_p1(monkeypatch):
     polys = [line[0] * line[1] * line[2] * _form(2, 2, field, rng, 1.0),
              _form(2, 3, field, rng, 1.0)]
     want = [common_zeros(polys[:k], coords_table(1, p), p) for k in (1, 2)]
-    horner = Counter()
-    real = scan._horner
-    monkeypatch.setattr(scan, "_horner", lambda *a: horner.update(["call"]) or real(*a))
-    monkeypatch.setattr(scan, "_EXACT", 1)
+    monkeypatch.setattr(linalg, "_EXACT", 1)
+    product_paths.clear()
     for k in (1, 2):
         assert np.array_equal(projective_zeros(polys[:k], 1, p), want[k - 1])
-    assert want[0].shape[0] >= 3 and horner["call"] >= 2 * -(-p // _CHUNK)
+    assert want[0].shape[0] >= 3 and product_paths["int64"] >= 2 * -(-p // _CHUNK)
+    assert set(product_paths) == {"int64"}
 
 
 def test_ci_scan_memory_is_bounded():

@@ -74,6 +74,32 @@ def test_no_unused_import_or_private_function():
     assert not found, found
 
 
+# the one product outside linalg, and why it is not a product mod p
+_PRODUCT_ALLOWED = {("projgeom.py", "first_copies"): "base-p weights build an exact int64 sort key"}
+
+
+def test_products_mod_p_only_in_linalg():
+    """No module but linalg multiplies arrays itself (@, np.matmul, np.dot,
+    np.einsum and their kin): every product mod p goes through
+    linalg.matmul_mod_p or matmul_zeros_mod_p, which alone know how a
+    product stays exact.  _PRODUCT_ALLOWED names each exception."""
+    def is_product(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in {"np", "numpy"}
+                and node.attr in {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"})
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if (path.name, getattr(top, "name", None)) not in _PRODUCT_ALLOWED:
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(top) if is_product(node)]
+    assert not found, f"array products outside linalg: {found}"
+
+
 def test_every_traced_target_resolves():
     """Every (module, attribute) that the benchmark's traced run wraps exists
     in the package, so a change that renames or deletes one shows here and
