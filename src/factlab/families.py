@@ -292,6 +292,20 @@ def gen_hypersurface_nonfactorial(spec: FamilySpec) -> NodalInstance:
 # --- Family 3: complete intersection through a 2-plane in P^5 -----------------
 
 
+def _syzygies(gen_vecs: Sequence[Sequence[int]], basis_s, t: int, field: FieldSpec):
+    """The kernel of (s1, s2, s3) -> sum s_i * g_i with deg s_i = t, for the
+    forms g_i with coefficient vectors gen_vecs in basis_s, and the
+    degree-t basis.  Column i * len(basis_t) + b of the Macaulay matrix is
+    x^b * g_i: the row of each product x^a * x^b is found once, and each
+    g_i's coefficients are placed by one fancy-index assignment."""
+    basis_t = monomial_basis(3, t)
+    at = {mo: i for i, mo in enumerate(monomial_basis(3, sum(basis_s[0]) + t))}
+    row = np.array([[at[tuple(map(sum, zip(a, b)))] for b in basis_t] for a in basis_s])
+    mat = np.zeros((len(at), 3, len(basis_t)), dtype=np.int64)
+    mat[row, np.arange(3)[:, None, None], np.arange(len(basis_t))] = np.array(gen_vecs)[:, :, None]
+    return nullspace(mat.reshape(len(at), -1), 3 * len(basis_t), field), basis_t
+
+
 def gen_ci_nonfactorial(spec: FamilySpec) -> NodalInstance:
     """Complete intersection F = x*A + y*B + z*C (degree m), G = x*D + y*E + z*H
     (degree k) in P^5, both containing the 2-plane {x = y = z = 0}, with
@@ -312,20 +326,6 @@ def gen_ci_nonfactorial(spec: FamilySpec) -> NodalInstance:
     s = m + k - 2
     expected = s**2 - (m - 1) * (k - 1)
 
-    def _syzygies(gens, t):
-        """Kernel of (s1,s2,s3) -> sum s_i * gens_i with deg s_i = t."""
-        basis_t = monomial_basis(3, t)
-        target = monomial_basis(3, s + t)
-        idx = {mo: i for i, mo in enumerate(target)}
-        mat = [[field.zero] * (3 * len(basis_t)) for _ in target]
-        for gi, g in enumerate(gens):
-            for bj, mo in enumerate(basis_t):
-                col = gi * len(basis_t) + bj
-                for gm, gc in g.terms.items():
-                    row = idx[tuple(a + b for a, b in zip(gm, mo))]
-                    mat[row][col] = gc
-        return nullspace(mat, 3 * len(basis_t), field), basis_t
-
     def _random_syzygy_row(kernel, basis_t, rng):
         nt = len(basis_t)
         coeffs = _random_combination(kernel, field, rng)
@@ -341,9 +341,8 @@ def gen_ci_nonfactorial(spec: FamilySpec) -> NodalInstance:
         gen_vecs = nullspace(rows, len(basis_s), field)
         if len(gen_vecs) != 3:  # non-generic Hilbert function for this (m, k)
             raise _NoDraw(f"{len(gen_vecs)} forms of degree {s} through the nodes, 3 needed")
-        gens = [form_from_coeffs(basis_s, v, field) for v in gen_vecs]
-        ker2, basis2 = _syzygies(gens, k - 1)
-        ker1, basis1 = _syzygies(gens, m - 1)
+        ker2, basis2 = _syzygies(gen_vecs, basis_s, k - 1, field)
+        ker1, basis1 = _syzygies(gen_vecs, basis_s, m - 1, field)
         if not ker1 or not ker2:
             raise _NoDraw(f"no syzygy of degree {k - 1 if not ker2 else m - 1}")
         row2 = _random_syzygy_row(ker2, basis2, rng)  # (D, E, H)

@@ -1,18 +1,20 @@
 """Exact linear algebra over F_p and QQ: one elimination per field, one
 dot product, one matrix product mod p.
 
-Matrices are lists of lists of field elements.  Every rank, RREF,
-nullspace, solve and dependents list runs on rref_mod_p over F_p, one
-numpy elimination of an int64 stack of matrices (rref_subsets passes many
-small eliminations to it as one stack), and on RowSpace over QQ.  dot and
-combine are the package's dot product and linear combination of vectors;
-inverse_mod_p and kernel_mod_p are its batched inverse and kernel mod p.
-matmul_mod_p and matmul_zeros_mod_p are its one product mod p, so only
-they know how a product stays exact: float64 BLAS reduced once while the K
-terms of a sum keep K * (p-1)^2 < 2^53 (the delayed reduction of Dumas,
-Giorgi and Pernet, ACM TOMS 35(3), 2008), an int64 sum past it.
-bareiss_rank is an independent fraction-free elimination over QQ, kept as
-the oracle tests compare against.
+Matrices are lists of lists of field elements, and over F_p also int64
+arrays, which are read as they are.  Every rank, RREF, nullspace, solve
+and dependents list runs on rref_mod_p over F_p, one numpy elimination of
+an int64 stack of matrices (rref_subsets, its entry point, passes many
+small eliminations to it as one stack), and on RowSpace over QQ; results
+come out as Python ints whatever the input.  dot and combine are the
+package's dot product and linear combination of vectors; inverse_mod_p
+and kernel_mod_p are its batched inverse and kernel mod p.  matmul_mod_p
+and matmul_zeros_mod_p are its one product mod p, so only they know how a
+product stays exact: float64 BLAS reduced once while the K terms of a sum
+keep K * (p-1)^2 < 2^53 (the delayed reduction of Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008), an int64 sum past it.  bareiss_rank is an
+independent fraction-free elimination over QQ, kept as the oracle tests
+compare against.
 """
 
 from __future__ import annotations
@@ -196,12 +198,15 @@ def matmul_zeros_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def rref_subsets(rows: Sequence[Sequence], subsets: Sequence, field: FieldSpec) -> Iterator[Tuple]:
     """rref([rows[i] for i in s]) for each s in subsets, all of one size.
-    Over F_p they are one rref_mod_p stack, indexed from one array of the
-    rows (reduced by int(x) % p), turned into lists one at a time."""
+    Over F_p, the entry point of every elimination: one rref_mod_p stack,
+    indexed from an int64 array of the rows as it is, or from lists reduced
+    by int(x) % p (so that integers past int64 stay exact), turned into
+    lists one at a time."""
     if not field.p or not len(subsets):
         yield from (rref([rows[i] for i in s], field) for s in subsets)
         return
-    table = np.array([[int(x) % field.p for x in row] for row in rows], dtype=np.int64)
+    table = rows if isinstance(rows, np.ndarray) else np.array(
+        [[int(x) % field.p for x in row] for row in rows], dtype=np.int64)
     R, piv = rref_mod_p(table[np.array(subsets, dtype=np.intp)], field.p)
     for Rs, ps in zip(R, piv):
         yield Rs.tolist(), ps[ps < R.shape[2]].tolist()
@@ -223,7 +228,7 @@ def rref(matrix: Sequence[Sequence], field: FieldSpec) -> Tuple[List[List[Scalar
     """Reduced row echelon form: the rank nonzero rows (pivots 1), then
     len(matrix) - rank zero rows, and the pivot columns.  Over F_p it is
     rref_mod_p on a stack of one matrix; over QQ, RowSpace."""
-    if not matrix:
+    if not len(matrix):
         return [], []
     if field.p:
         return next(rref_subsets(matrix, [range(len(matrix))], field))
@@ -273,7 +278,7 @@ def nullspace(matrix: Sequence[Sequence], ncols: int, field: FieldSpec) -> List[
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence, field: FieldSpec) -> Optional[List[Scalar]]:
     """One particular solution of matrix @ x = rhs, or None (free vars = 0)."""
-    if not matrix:
+    if not len(matrix):
         return None if any(rhs) else []
     ncols = len(matrix[0])
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]

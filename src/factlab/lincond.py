@@ -4,7 +4,8 @@ certificates, and the blown-up-plane base-point checker.
 
 evaluation_matrix is the package's one builder of monomial rows, which
 every evaluation matrix here and in families reads: over F_p it stacks
-scan.monomial_columns, over QQ it evaluates point by point.
+scan.monomial_columns into one int64 array, which linalg reduces as it
+is; over QQ it evaluates point by point, one list per point.
 
 The defect of a finite reduced point set at degree xi is |set| - rank of
 its evaluation matrix; defect 0 means the points impose independent linear
@@ -63,35 +64,20 @@ def check_eval_cap(size: int, n: int, xi: int) -> None:
                        f"C({n + xi}, {n}) = {entries} entries > cap {EVAL_CAP}")
 
 
-def evaluation_matrix(points: Sequence[Sequence[Scalar]], nvars: int, xi: int,
-                      field: FieldSpec) -> Tuple[List[Tuple[int, ...]], List[List[Scalar]]]:
+def evaluation_matrix(points: Sequence[Sequence[Scalar]], nvars: int, xi: int, field: FieldSpec):
     """The degree-xi monomial basis in nvars variables and one row of its
-    values per coordinate tuple, in order: over F_p the rows of
-    evaluation_array, over QQ one exact row per point.  TooLarge above
-    EVAL_CAP entries."""
-    if field.p:
-        basis, values = evaluation_array(points, nvars, xi, field.p)
-        return basis, values.tolist()
-    basis = _checked_basis(len(points), nvars, xi)
-    return basis, [point_row(c, basis, field) for c in points]
-
-
-def evaluation_array(points, nvars: int, xi: int, p: int) -> Tuple[List[Tuple[int, ...]], np.ndarray]:
-    """evaluation_matrix over F_p as one (len(points), len(basis)) int64
-    array: the stacked columns of scan.monomial_columns at the points, given
-    as rows with entries in [0, p)."""
-    basis = _checked_basis(len(points), nvars, xi)
-    pts = np.asarray(points, dtype=np.int64).reshape(len(points), nvars)
-    return basis, np.column_stack(list(monomial_columns(basis, pts, p)))
-
-
-def _checked_basis(size: int, nvars: int, xi: int) -> List[Tuple[int, ...]]:
-    """The degree-xi monomial basis, once xi >= 0 (ValueError) and the
-    matrix on size points is within EVAL_CAP (TooLarge)."""
+    values per coordinate tuple, in order: over F_p one (len(points),
+    len(basis)) int64 array, the stacked columns of scan.monomial_columns at
+    the points (rows with entries in [0, p)); over QQ one exact list per
+    point.  ValueError for xi < 0, TooLarge above EVAL_CAP entries."""
     if xi < 0:
         raise ValueError("xi >= 0 required")
-    check_eval_cap(size, nvars - 1, xi)
-    return monomial_basis(nvars, xi)
+    check_eval_cap(len(points), nvars - 1, xi)
+    basis = monomial_basis(nvars, xi)
+    if not field.p:
+        return basis, [point_row(c, basis, field) for c in points]
+    pts = np.asarray(points, dtype=np.int64).reshape(len(points), nvars)
+    return basis, np.column_stack(list(monomial_columns(basis, pts, field.p)))
 
 
 def _set_matrix(sigma: PointSet, xi: int):
@@ -134,7 +120,7 @@ def defect(sigma: PointSet, xi: int) -> DefectReport:
     matrix; over QQ from rank_and_dependents."""
     field = sigma.field
     if field.p:
-        _, values = evaluation_array(sigma.rows, sigma.ambient_dim + 1, xi, field.p)
+        _, values = _set_matrix(sigma, xi)
         # the transpose made C-contiguous: echelon_mod_p's row updates run about 25% faster
         pivot = np.zeros(len(sigma) + 1, dtype=bool)  # a zero row's pivot is len(sigma)
         pivot[linalg.echelon_mod_p(np.ascontiguousarray(values.T)[None], field.p)[1][0]] = True
@@ -188,9 +174,11 @@ def separator(sigma: PointSet, P: ProjPoint, xi: int):
         raise NotInSet(f"{P} not in the set")
     field = sigma.field
     others = sigma.without(P)
-    basis, rows = _set_matrix(others, xi)
+    basis, values = _set_matrix(others, xi)
     _, (prow,) = evaluation_matrix([P.coords], len(P.coords), xi, field)
-    for vec in nullspace(rows, len(basis), field):
+    # dot and combine add Python ints: an np.int64 sum of products near p^2 overflows
+    rows, prow = (values.tolist(), prow.tolist()) if field.p else (values, prow)
+    for vec in nullspace(values, len(basis), field):
         if dot(vec, prow, field):
             form = form_from_coeffs(basis, vec, field)
             cert = SeparatorCertificate(P, form)
@@ -198,7 +186,7 @@ def separator(sigma: PointSet, P: ProjPoint, xi: int):
                 raise VerificationFailure(f"separator for {P} failed its defining evaluations")
             return cert
     # P's row is in the span: produce the witness combination, checked
-    combo = solve([list(col) for col in zip(*rows)], prow, field)
+    combo = solve(values.T if field.p else list(zip(*rows)), prow, field)
     if combo is None or combine(combo, rows, field) != prow:
         raise VerificationFailure(f"span witness for {P} does not reproduce its row")
     return SeparatorFailure(P, list(zip(others.points, combo)))
@@ -393,8 +381,8 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     basis2, rows = _set_matrix(sigma, 2)
 
     def conic_through(subset) -> List[HomoPoly]:
-        return [form_from_coeffs(basis2, v, field)
-                for v in nullspace([rows[i] for i in subset], 6, field)]
+        matrix = rows[list(subset)] if field.p else [rows[i] for i in subset]
+        return [form_from_coeffs(basis2, v, field) for v in nullspace(matrix, 6, field)]
 
     if n <= 5:
         sols = conic_through(range(n))
@@ -402,7 +390,7 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
 
     # a 4-subset ending at the last point extends to no 5-subset
     if field.p:
-        best, witness_subset = _pencils_mod_p(np.array(rows, dtype=np.int64), field.p)
+        best, witness_subset = _pencils_mod_p(rows, field.p)
     else:  # QQ: one Python loop per pencil
         best, witness_subset = 5, tuple(range(5))
         subsets = list(itertools.combinations(range(n - 1), 4))
@@ -532,7 +520,7 @@ def _first_base_point(sigma: PointSet, xi: int):
     kernel = [form_from_coeffs(basis, v, field) for v in vecs]
     # with no degree-xi form through sigma every point is a base point
     zeros = projective_zeros(kernel, 2, p) if kernel else np.array([[1, 0, 0]], dtype=np.int64)
-    monos, values = evaluation_array(sigma.rows, 3, xi - 1, p)
+    monos, values = _set_matrix(sigma, xi - 1)
     at = {m: i for i, m in enumerate(monos)}
     shifted = [[at.get(tuple(e - (v == j) for v, e in enumerate(m)), 0) for m in basis]
                for j in range(3)]  # the index of m - e_j; any index where m_j = 0

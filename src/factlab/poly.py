@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BadChart,
@@ -344,11 +344,13 @@ def gradient(f: HomoPoly) -> List[HomoPoly]:
     return [partial(f, v) for v in range(f.nvars)]
 
 
-def hessian(f: HomoPoly) -> List[List[HomoPoly]]:
-    """The symmetric matrix of second partials partial(partial(f, i), j)."""
-    H: List[List[HomoPoly]] = [[None] * f.nvars for _ in range(f.nvars)]
-    for i, g in enumerate(gradient(f)):
-        for j in range(i, f.nvars):
+def hessian(f: Union[HomoPoly, Sequence[HomoPoly]]) -> List[List[HomoPoly]]:
+    """The symmetric matrix of second partials partial(partial(f, i), j) of
+    a form f; given f's gradient instead, it is not built again."""
+    grads = gradient(f) if isinstance(f, HomoPoly) else f
+    H: List[List[HomoPoly]] = [[None] * len(grads) for _ in grads]
+    for i, g in enumerate(grads):
+        for j in range(i, len(grads)):
             H[i][j] = H[j][i] = partial(g, j)
     return H
 
@@ -393,7 +395,8 @@ def hessian_rank_at(f: HomoPoly, point) -> int:
     point is a ProjPoint (anything with .coords).  Raises NotSingular when the
     gradient does not vanish there.
     """
-    return node_rank(gradient(f), hessian(f), tuple(point.coords))
+    grads = gradient(f)
+    return node_rank(grads, hessian(grads), tuple(point.coords))
 
 
 # --- restriction, division, roots ----------------------------------------

@@ -135,12 +135,13 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     """Fill node_flags (an ordinary double point at each singular point) and
     clean.
 
-    Each form's partials and second partials are built once and evaluated
-    once, at all points: the form, its gradient and its second partials on
-    and above the diagonal are one scan.eval_forms call each.  A point is a
-    node when its Jacobian is rank-deficient and one symmetric matrix M
-    there has corank exactly 1 (echelon_mod_p pivots; M is built from the
-    evaluated entries and reduced in slices of _BLOCK points).  At a
+    Each form's partials are built once, its second partials from them, and
+    each is evaluated once, at all points: the form, its gradient and its
+    second partials on and above the diagonal are one scan.eval_forms call
+    each.  A point is a node when its Jacobian is rank-deficient and one
+    symmetric matrix M there has corank exactly 1 (echelon_mod_p pivots; M
+    is built from the evaluated entries and reduced in slices of _BLOCK
+    points).  At a
     hypersurface point M is the projective Hessian H(f); at a
     complete-intersection point it is [[alpha*H(F) + beta*H(G), dT], [dT^T,
     0]], where alpha*dF + beta*dG = 0 and T is the transverse form (F, or G
@@ -173,11 +174,12 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
         off = np.any([eval_forms([g], rows, p)[:, 0] for g in inst.defining], axis=0)
         if off.any():
             raise NotSingular(f"form nonzero at {tuple(rows[off.argmax()].tolist())}")
-        d = [eval_forms(gradient(g), rows, p) for g in inst.defining]
+        grads = [gradient(g) for g in inst.defining]
+        d = [eval_forms(grad, rows, p) for grad in grads]
         deficient = _rank_deficient(d, p)
         if len(d) == 1 and not deficient.all():
             raise NotSingular(f"gradient nonzero at {tuple(rows[deficient.argmin()].tolist())}")
-        upper = [_upper_hessian(g, rows, p) for g in inst.defining]
+        upper = [_upper_hessian(grad, rows, p) for grad in grads]
         square = _symmetric_index(n + 1)
         corank_one = []
         for lo in range(0, len(rows), _BLOCK):
@@ -197,11 +199,12 @@ def verify_nodal(inst: NodalInstance) -> NodalInstance:
     return inst
 
 
-def _upper_hessian(g: HomoPoly, rows: np.ndarray, p: int) -> np.ndarray:
-    """(len(rows), (n+1)(n+2)/2) array: the second partials of g on and above
-    the diagonal, in np.triu_indices order, at every row, by one eval_forms
-    call."""
-    H = hessian(g)
+def _upper_hessian(grad: List[HomoPoly], rows: np.ndarray, p: int) -> np.ndarray:
+    """(len(rows), (n+1)(n+2)/2) array: the second partials of the form with
+    gradient grad on and above the diagonal, in np.triu_indices order, at
+    every row, by one eval_forms call; they are taken from grad, which is
+    not built again."""
+    H = hessian(grad)
     return eval_forms([H[i][j] for i, j in zip(*np.triu_indices(len(H)))], rows, p)
 
 

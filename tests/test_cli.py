@@ -382,6 +382,24 @@ def test_bese_above_conic_cap_still_scans(tmp_path, capsys):
     assert ["k=2: |sigma| = 41 > conic cap 40", "unknown"] in report["hypothesis_detail"]
 
 
+@pytest.mark.parametrize("text, code", [
+    ("P 2 QQ\n1,3,7\n1,1/2,31\n1,11,-64\n1,20,83\n0,1,2/3\n1,57,90\n1,-2,5/7\n", 2),
+    ("P 2 Fp:10007\n1,3,7\n1,5,31\n1,11,64\n1,20,83\n1,41,2\n1,57,90\n", 3),
+])
+def test_bese_no_scan_checks_the_hypotheses_alone(tmp_path, capsys, text, code):
+    """--no-scan is the only way to run bese on a QQ point file (exit 2
+    without it) or on a plane past the scan cap (exit 3 without it, as
+    P^2(F_10007) has 100 150 057 points)."""
+    path = tmp_path / "plane.points"
+    path.write_text(text)
+    assert run_cli(["bese", str(path), "--xi", "3"], capsys)[:2] == (code, "")
+    code, out, _ = run_cli(["bese", str(path), "--xi", "3", "--no-scan"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["scan_result"] == "not_scanned" and report["witness"] is None
+    assert report["hypotheses_hold"] == "yes" and len(report["hypothesis_detail"]) == 4
+
+
 def test_byte_identical_determinism(fixture_files, capsys):
     base, prefix = fixture_files
     outputs = []

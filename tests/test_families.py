@@ -2,20 +2,24 @@ from types import SimpleNamespace
 
 import pytest
 
+import factlab.families as families
 from factlab.errors import BadParams, DegenerateDraw
 from factlab.families import (
     FamilySpec,
     _curve_smooth_points,
     _line_section_nodes,
+    _syzygies,
     _verified,
     gen_double_solid_nonfactorial,
     gen_hypersurface_nonfactorial,
 )
 from factlab.fields import GF
-from factlab.lincond import defect
-from factlab.poly import eval_poly, gradient, random_homo
+from factlab.linalg import nullspace
+from factlab.lincond import defect, evaluation_matrix
+from factlab.poly import eval_poly, form_from_coeffs, gradient, monomial_basis, random_homo
 from factlab.projgeom import enumerate_projective, line_points
 from factlab.rng import SplitMix64
+from factlab.scan import coords_table
 
 
 def test_family_spec_validation():
@@ -176,3 +180,44 @@ def test_hypersurface_wrong_family_rejected(hypersurface_d3):
     spec = FamilySpec("double_solid_eq15", GF(101), seed=1, r=2)
     with pytest.raises(BadParams):
         gen_hypersurface_nonfactorial(spec)
+
+
+def _syzygy_matrix_oracle(gens, s, t, field):
+    """The Macaulay matrix of (s1, s2, s3) -> sum s_i * gens_i in degree t,
+    built term by term from the forms: column i * len(basis_t) + b holds
+    x^b * gens_i."""
+    basis_t = monomial_basis(3, t)
+    idx = {mo: i for i, mo in enumerate(monomial_basis(3, s + t))}
+    mat = [[field.zero] * (3 * len(basis_t)) for _ in idx]
+    for gi, g in enumerate(gens):
+        for bj, mo in enumerate(basis_t):
+            for gm, gc in g.terms.items():
+                mat[idx[tuple(a + b for a, b in zip(gm, mo))]][gi * len(basis_t) + bj] = gc
+    return mat
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (3, 3)])
+def test_syzygy_matrix_matches_the_term_by_term_oracle(monkeypatch, m, k):
+    """_syzygies places the generators' coefficient vectors by exponent
+    arithmetic; in both degrees k - 1 and m - 1 its Macaulay matrix is the
+    one built term by term from the generator forms, and its kernel is that
+    matrix's nonzero nullspace."""
+    field = GF(101)
+    s = m + k - 2
+    rng = SplitMix64(10 * m + k)
+    table = coords_table(2, field.p)
+    basis_s = monomial_basis(3, s)
+    gen_vecs = []
+    while len(gen_vecs) != 3:
+        nodes = table[rng.sample(range(len(table)), s * s - (m - 1) * (k - 1))]
+        gen_vecs = nullspace(evaluation_matrix(nodes, 3, s, field)[1], len(basis_s), field)
+    gens = [form_from_coeffs(basis_s, v, field) for v in gen_vecs]
+    matrices = []
+    monkeypatch.setattr(families, "nullspace",
+                        lambda mat, ncols, f: matrices.append(mat) or nullspace(mat, ncols, f))
+    for t in (k - 1, m - 1):
+        kernel, basis_t = _syzygies(gen_vecs, basis_s, t, field)
+        oracle = _syzygy_matrix_oracle(gens, s, t, field)
+        assert basis_t == monomial_basis(3, t)
+        assert matrices.pop().tolist() == oracle
+        assert kernel and kernel == nullspace(oracle, 3 * len(basis_t), field)

@@ -156,6 +156,8 @@ def _seeded_matrix(rng, p):
 
 @pytest.mark.parametrize("p", [5, 101, 2**31 - 1, 0])
 def test_rref_nullspace_solve_match_gauss_jordan_oracle(p):
+    """Over F_p the matrix is also given as an int64 array, which linalg
+    reads as it is: the same answers as on its lists, in Python ints."""
     F = GF(p) if p else QQ
     rng = SplitMix64(40 + p % 97)
     for trial in range(40):
@@ -175,6 +177,12 @@ def test_rref_nullspace_solve_match_gauss_jordan_oracle(p):
         # the last row is the sum of two others: break its equation
         bad = rhs[:-1] + [rhs[-1] + 1]
         assert solve(m, bad, F) is None
+        if p:
+            a = np.array(m, dtype=np.int64)
+            got = [rref(a, F), rank(a, F), nullspace(a, ncols, F), solve(a, rhs, F), solve(a, bad, F)]
+            assert got == [(R, pivots), r, ns, x, None]
+            (Ra, pa), _, nsa, xa, _ = got
+            assert {type(v) for v in itertools.chain(pa, xa, *Ra, *nsa)} == {int}
 
 
 def test_unreduced_entries_give_the_answers_of_the_reduced_rows():

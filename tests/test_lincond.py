@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 import factlab.linalg as linalg
@@ -40,7 +41,8 @@ from factlab.lincond import (
 )
 from factlab.linalg import (bareiss_rank, kernel_of_rref, nullspace, rank, rank_and_dependents,
                             rref_subsets)
-from factlab.poly import eval_poly, form_from_coeffs, make_poly, monomial_basis, parse_poly
+from factlab.poly import (eval_poly, eval_poly_horner, form_from_coeffs, make_poly, monomial_basis,
+                          parse_poly)
 from factlab.projgeom import canonicalize, dump_point_set, enumerate_projective, line_points, point_set
 from factlab.rng import SplitMix64
 
@@ -146,6 +148,58 @@ def test_separator_success_and_failure():
         row = point_row(q.coords, basis, sigma.field)
         acc = [(a + c * v) % 7 for a, v in zip(acc, row)]
     assert acc == target
+
+
+@pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
+def test_fp_evaluation_matrix_is_an_int64_array_of_point_rows(p):
+    """Over F_p evaluation_matrix returns one int64 array whose rows are
+    point_row's; over QQ it keeps point_row's lists."""
+    F = GF(p)
+    rng = SplitMix64(p)
+    for nvars, xi, size in [(3, 0, 4), (3, 2, 7), (4, 3, 5), (2, 5, 1), (3, 2, 0)]:
+        pts = [tuple(rng.below(p) for _ in range(nvars)) for _ in range(size)]
+        basis, values = evaluation_matrix(pts, nvars, xi, F)
+        assert basis == monomial_basis(nvars, xi)
+        assert isinstance(values, np.ndarray) and values.dtype == np.int64
+        assert values.shape == (size, len(basis))
+        assert values.tolist() == [point_row(c, basis, F) for c in pts]
+    basis, rows = evaluation_matrix([(1, 2, 3)], 3, 2, QQ)
+    assert rows == [point_row((1, 2, 3), basis, QQ)]
+
+
+def test_separators_over_the_largest_field_check_by_horner(monkeypatch):
+    """Over F_(2^31 - 1) separator and all_separators add their rows as
+    Python ints (with np.int64 a sum of three products near p^2 overflows):
+    dot and combine see no other type, every certificate form, checked with
+    eval_poly_horner, vanishes on the set but at its point, at xi = 2 and 3
+    on 9 seeded points of P^3, and on 6 points of a conic at xi = 2 every
+    span witness rebuilds its point's row."""
+    p = 2**31 - 1
+    F = GF(p)
+    rng = SplitMix64(31)
+    seen = set()
+    real_dot, real_combine = lincond.dot, lincond.combine
+    monkeypatch.setattr(lincond, "dot", lambda u, v, field: seen.update(map(type, [*u, *v]))
+                        or real_dot(u, v, field))
+    monkeypatch.setattr(lincond, "combine", lambda c, rows, field: seen.update(
+        map(type, [*c, *itertools.chain(*rows)])) or real_combine(c, rows, field))
+    space = point_set([canonicalize([1] + [rng.below(p) for _ in range(3)], F) for _ in range(9)])
+    conic = point_set([canonicalize([1, t, t * t % p], F) for t in (rng.below(p) for _ in range(6))])
+    for xi in (2, 3):
+        seps = all_separators(space, xi)
+        assert list(seps) == [q.coords for q in space]
+        for cert in seps.values():
+            assert [eval_poly_horner(cert.form, q.coords) != 0 for q in space] == [
+                q == cert.point for q in space]
+    basis = monomial_basis(3, 2)
+    for pt in conic:
+        fail = separator(conic, pt, 2)
+        assert isinstance(fail, SeparatorFailure)
+        acc = [0] * len(basis)
+        for q, c in fail.combination:
+            acc = [(a + c * v) % p for a, v in zip(acc, point_row(q.coords, basis, F))]
+        assert acc == point_row(pt.coords, basis, F)
+    assert seen == {int}
 
 
 def test_separator_not_in_set():

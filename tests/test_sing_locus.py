@@ -333,12 +333,14 @@ def test_node_checks_evaluate_no_point_alone(monkeypatch, ci_22):
 
 
 def test_verify_nodal_evaluates_each_derivative_once(monkeypatch, ci_22):
-    """The node checks evaluate each form, each partial and each second
-    partial once, at all points, by one eval_forms call per derivative order
-    and form, and never by horner_on_rows: forms of 1, n+1 and
-    (n+1)(n+2)/2 polys per form, at the 10 404 points of q^2 over F_101 (4
-    charts) and at the nodes of a complete intersection of two quadrics in
-    P^5."""
+    """The node checks build and evaluate each form, each partial and each
+    second partial once, at all points, by one eval_forms call per
+    derivative order and form, and never by horner_on_rows: forms of 1, n+1
+    and (n+1)(n+2)/2 polys per form, at the 10 404 points of q^2 over F_101
+    (4 charts) and at the nodes of a complete intersection of two quadrics
+    in P^5.  The second partials are taken from the gradient, so each form
+    costs (n+1) + (n+1)(n+2)/2 poly.partial calls."""
+    import factlab.poly as poly
     import factlab.sing_locus as sl
 
     calls = []
@@ -351,9 +353,15 @@ def test_verify_nodal_evaluates_each_derivative_once(monkeypatch, ci_22):
     q = parse_poly("x*y - z*w", 4, GF(101))
     sing = singular_points(q * q)
     assert len(sing) == 102**2 and _charts(sing) == {0, 1, 2, 3}
+    partials = []
+    original = poly.partial
+    monkeypatch.setattr(poly, "partial", lambda f, v: partials.append(v) or original(f, v))
     calls.clear()
     verify_nodal(NodalInstance([q * q], sing))
     assert calls == [("eval_forms", len(sing), size) for size in (1, 4, 10)]
+    assert len(partials) == 4 + 10
     calls.clear()
+    partials.clear()
     verify_nodal(NodalInstance(ci_22.defining, ci_22.sing))
     assert calls == [("eval_forms", len(ci_22.sing), size) for size in (1, 1, 6, 6, 21, 21)]
+    assert len(partials) == 2 * (6 + 21)

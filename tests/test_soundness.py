@@ -100,6 +100,36 @@ def test_products_mod_p_only_in_linalg():
     assert not found, f"array products outside linalg: {found}"
 
 
+# the scan's evaluators and the products mod p: the re-check names none of them
+_SCAN_EVALUATORS = {"monomial_columns", "eval_forms", "eval_on_points", "matmul_mod_p",
+                    "matmul_zeros_mod_p", "_chart_table", "_horner", "_horner_at"}
+
+
+def test_recheck_shares_no_evaluator_with_the_scan():
+    """Every scan hit is re-checked by an evaluator independent of the scan:
+    scan.horner_on_rows and its recursion _horner_rows name none of the
+    scan's evaluators or products, and sing_locus._locus reaches
+    horner_on_rows through its module's functions."""
+    def functions(name):
+        tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    scan = functions("scan.py")
+    shared = {name: names(scan[name]) & _SCAN_EVALUATORS for name in ("horner_on_rows", "_horner_rows")}
+    assert shared == {"horner_on_rows": set(), "_horner_rows": set()}
+    sing = functions("sing_locus.py")
+    reached, todo = set(), ["_locus"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        todo += sorted(names(sing[name]) & set(sing) - reached)
+    assert "horner_on_rows" in set().union(*(names(sing[name]) for name in reached))
+
+
 def test_every_traced_target_resolves():
     """Every (module, attribute) that the benchmark's traced run wraps exists
     in the package, so a change that renames or deletes one shows here and
