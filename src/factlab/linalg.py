@@ -1,12 +1,14 @@
 """Exact linear algebra over F_p and QQ: one elimination per field, one
 dot product, one matrix product mod p.
 
-Matrices are lists of lists of field elements, and over F_p also int64
-arrays, which are read as they are.  Every rank, RREF, nullspace, solve
-and dependents list runs on rref_mod_p over F_p, one numpy elimination of
-an int64 stack of matrices (rref_subsets, its entry point, passes many
-small eliminations to it as one stack), and on RowSpace over QQ; results
-come out as Python ints whatever the input.  dot and combine are the
+Matrices are lists of lists of field elements, or arrays as
+lincond.evaluation_matrix builds them (int64 over F_p, dtype object
+holding Fractions over QQ), which are read as they are.  Every rank, RREF,
+nullspace, solve and dependents list runs on rref_mod_p over F_p, one
+numpy elimination of an int64 stack of matrices (rref_subsets, its entry
+point, passes many small eliminations to it as one stack), and on
+RowSpace over QQ; results come out as lists of Python ints or Fractions
+whatever the input.  dot and combine are the
 package's dot product and linear combination of vectors; inverse_mod_p
 and kernel_mod_p are its batched inverse and kernel mod p.  matmul_mod_p
 and matmul_zeros_mod_p are its one product mod p, so only they know how a

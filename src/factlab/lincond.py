@@ -3,9 +3,12 @@ the certificate combiner, exact line/conic incidence counts, intersection
 certificates, and the blown-up-plane base-point checker.
 
 evaluation_matrix is the package's one builder of monomial rows, which
-every evaluation matrix here and in families reads: over F_p it stacks
-scan.monomial_columns into one int64 array, which linalg reduces as it
-is; over QQ it evaluates point by point, one list per point.
+every evaluation matrix here and in families reads.  It returns one
+(points, monomials) array on both fields: over F_p the stacked int64
+columns of scan.monomial_columns, over QQ an object array of Fractions
+evaluated point by point.  Consumers hand it to linalg as it is; a field
+test is left only where the arithmetic differs (elimination, defect's
+pivots, the pencil count).
 
 The defect of a finite reduced point set at degree xi is |set| - rank of
 its evaluation matrix; defect 0 means the points impose independent linear
@@ -66,22 +69,23 @@ def check_eval_cap(size: int, n: int, xi: int) -> None:
 
 def evaluation_matrix(points: Sequence[Sequence[Scalar]], nvars: int, xi: int, field: FieldSpec):
     """The degree-xi monomial basis in nvars variables and one row of its
-    values per coordinate tuple, in order: over F_p one (len(points),
-    len(basis)) int64 array, the stacked columns of scan.monomial_columns at
-    the points (rows with entries in [0, p)); over QQ one exact list per
-    point.  ValueError for xi < 0, TooLarge above EVAL_CAP entries."""
+    values per coordinate tuple, in order, as one (len(points), len(basis))
+    array: over F_p int64, the stacked columns of scan.monomial_columns at
+    the points (entries in [0, p)); over QQ dtype object, point_row's
+    Fractions.  ValueError for xi < 0, TooLarge above EVAL_CAP entries."""
     if xi < 0:
         raise ValueError("xi >= 0 required")
     check_eval_cap(len(points), nvars - 1, xi)
     basis = monomial_basis(nvars, xi)
     if not field.p:
-        return basis, [point_row(c, basis, field) for c in points]
+        return basis, np.array([point_row(c, basis, field) for c in points],
+                               dtype=object).reshape(len(points), len(basis))
     pts = np.asarray(points, dtype=np.int64).reshape(len(points), nvars)
     return basis, np.column_stack(list(monomial_columns(basis, pts, field.p)))
 
 
 def _set_matrix(sigma: PointSet, xi: int):
-    return evaluation_matrix(sigma.coords, sigma.ambient_dim + 1, xi, sigma.field)
+    return evaluation_matrix(sigma.rows, sigma.ambient_dim + 1, xi, sigma.field)
 
 
 # --- defect -------------------------------------------------------------
@@ -97,7 +101,6 @@ class DefectReport:
     dependent_points: PointSet
 
     def to_json(self) -> str:
-        deps = self.dependent_points
         return dumps(
             {
                 "size": self.size,
@@ -105,9 +108,7 @@ class DefectReport:
                 "defect": self.defect,
                 "xi": self.xi,
                 "field": self.field.spec_string(),
-                "dependent_points": deps.rows if self.field.p else [
-                    [str(c) for c in pt.coords] for pt in deps
-                ],
+                "dependent_points": self.dependent_points.rows,
             }
         )
 
@@ -177,7 +178,7 @@ def separator(sigma: PointSet, P: ProjPoint, xi: int):
     basis, values = _set_matrix(others, xi)
     _, (prow,) = evaluation_matrix([P.coords], len(P.coords), xi, field)
     # dot and combine add Python ints: an np.int64 sum of products near p^2 overflows
-    rows, prow = (values.tolist(), prow.tolist()) if field.p else (values, prow)
+    rows, prow = values.tolist(), prow.tolist()
     for vec in nullspace(values, len(basis), field):
         if dot(vec, prow, field):
             form = form_from_coeffs(basis, vec, field)
@@ -186,7 +187,7 @@ def separator(sigma: PointSet, P: ProjPoint, xi: int):
                 raise VerificationFailure(f"separator for {P} failed its defining evaluations")
             return cert
     # P's row is in the span: produce the witness combination, checked
-    combo = solve(values.T if field.p else list(zip(*rows)), prow, field)
+    combo = solve(values.T, prow, field)
     if combo is None or combine(combo, rows, field) != prow:
         raise VerificationFailure(f"span witness for {P} does not reproduce its row")
     return SeparatorFailure(P, list(zip(others.points, combo)))
@@ -280,7 +281,7 @@ def secant_lines(sigma: PointSet) -> Dict[Tuple, Tuple[Tuple[int, int], int]]:
     """
     lines: Dict[Tuple, Tuple[Tuple[int, int], int]] = {}
     pairs = list(itertools.combinations(range(len(sigma)), 2))  # one stack
-    for (i, j), (R, _) in zip(pairs, rref_subsets(sigma.coords, pairs, sigma.field)):
+    for (i, j), (R, _) in zip(pairs, rref_subsets(sigma.rows, pairs, sigma.field)):
         key = tuple(map(tuple, R))
         pair, mask = lines.get(key, ((i, j), 0))
         lines[key] = (pair, mask | (1 << i) | (1 << j))
@@ -381,8 +382,7 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     basis2, rows = _set_matrix(sigma, 2)
 
     def conic_through(subset) -> List[HomoPoly]:
-        matrix = rows[list(subset)] if field.p else [rows[i] for i in subset]
-        return [form_from_coeffs(basis2, v, field) for v in nullspace(matrix, 6, field)]
+        return [form_from_coeffs(basis2, v, field) for v in nullspace(rows[list(subset)], 6, field)]
 
     if n <= 5:
         sols = conic_through(range(n))
@@ -496,7 +496,7 @@ class BeseReport:
                 "hypothesis_detail": self.hypothesis_detail,
                 "scan_result": self.scan_result,
                 "witness": wit,
-                "scan_label": "F_p-rational scan",
+                "scan_label": None if self.scan_result == "not_scanned" else "F_p-rational scan",
             }
         )
 

@@ -1,16 +1,18 @@
 """Projective points, point sets, enumeration of P^n(F_p), and the
 point-set file format.
 
-Points are kept canonical (first nonzero coordinate scaled to 1).  Over
-F_p a PointSet's one representation is rows, a read-only (N, n+1) int64
-array with one canonical point per row; the scan, the node checks, the
+Points are kept canonical (first nonzero coordinate scaled to 1).  A
+PointSet's one representation, on both fields, is rows: a read-only (N,
+n+1) array with one canonical point per row, int64 over F_p and dtype
+object holding Fractions over QQ.  The scan, the node checks, the
 evaluation matrices, the plane search and the report and file writers all
-read that array as it is.  A ProjPoint (a coordinate tuple) is built only
-where one point is named: a witness, a certificate, an error message, and
-the points of a set over QQ.  Rows are compared through first_copies, one
-stable sort of the rows' base-p keys.  Enumeration order is pivot position
-ascending, then lexicographic on the free coordinates, which makes scans
-resumable and chunkable.
+read that array as it is; a field test is left only where the arithmetic
+differs (repeat detection and canonical scaling).  A ProjPoint (a
+coordinate tuple) is built only where one point is named: a witness, a
+certificate, an error message.  Over F_p rows are compared through
+first_copies, one stable sort of the rows' base-p keys.  Enumeration order
+is pivot position ascending, then lexicographic on the free coordinates,
+which makes scans resumable and chunkable.
 """
 
 from __future__ import annotations
@@ -82,46 +84,26 @@ def first_copies(rows: np.ndarray, p: int) -> np.ndarray:
 class PointSet:
     """Distinct points of P^n over one field, in order.
 
-    Over F_p the one representation is rows: a read-only (N, n+1) int64
-    array, one canonical point per row (entries in [0, p), 1 at the first
-    nonzero entry).  Construction checks that by one array test (ValueError,
-    naming the first bad row) and finds repeats by first_copies
-    (DuplicatePoint, naming the first repeat in order).  Over QQ the set
-    holds ProjPoints in points, and rows is None.  Iteration, points and
-    point(i) build ProjPoints over F_p: only for callers that name points.
-    point_set builds a set from ProjPoints of either field.
+    The one representation is rows: a read-only (N, n+1) array, one
+    canonical point per row (1 at the first nonzero entry), int64 with
+    entries in [0, p) over F_p and dtype object holding Fractions over QQ.
+    Construction checks that by one array test (ValueError, naming the
+    first bad row) and finds repeats (DuplicatePoint, naming the first
+    repeat in order).  Iteration, points and point(i) build ProjPoints: only
+    for callers that name points.  point_set builds a set from ProjPoints.
     """
 
-    __slots__ = ("ambient_dim", "field", "rows", "_points")
+    __slots__ = ("ambient_dim", "field", "rows")
 
-    def __init__(self, ambient_dim: int, field: FieldSpec, rows: Optional[np.ndarray] = None,
-                 points: Sequence[ProjPoint] = ()):
+    def __init__(self, ambient_dim: int, field: FieldSpec, rows):
         self.ambient_dim, self.field = ambient_dim, field
-        if field.p:
-            self.rows, self._points = _checked_rows(rows, ambient_dim + 1, field), None
-            return
-        self.rows, self._points = None, tuple(points)
-        seen = set()
-        for pt in self._points:
-            if pt.coords in seen:
-                raise DuplicatePoint(f"duplicate point {pt}")
-            seen.add(pt.coords)
+        self.rows = _checked_rows(rows, ambient_dim + 1, field)
 
     @property
     def points(self) -> Tuple[ProjPoint, ...]:
-        if self.rows is None:
-            return self._points
         return tuple(ProjPoint(tuple(r), self.field) for r in self.rows.tolist())
 
-    @property
-    def coords(self):
-        """The coordinates of every point: rows over F_p, a list of tuples
-        over QQ."""
-        return [pt.coords for pt in self._points] if self.rows is None else self.rows
-
     def point(self, i: int) -> ProjPoint:
-        if self.rows is None:
-            return self._points[i]
         return ProjPoint(tuple(self.rows[i].tolist()), self.field)
 
     def take(self, indices: Sequence[int]) -> "PointSet":
@@ -129,23 +111,18 @@ class PointSet:
         a checked set, so it is not checked again."""
         subset = object.__new__(PointSet)
         subset.ambient_dim, subset.field = self.ambient_dim, self.field
-        if self.rows is None:
-            subset.rows, subset._points = None, tuple(self._points[i] for i in indices)
-        else:
-            subset.rows, subset._points = self.rows[np.asarray(indices, dtype=np.intp)], None
-            subset.rows.flags.writeable = False
+        subset.rows = self.rows[np.asarray(indices, dtype=np.intp)]
+        subset.rows.flags.writeable = False
         return subset
 
     def _index(self, pt: ProjPoint) -> Optional[int]:
-        if self.rows is None:
-            return next((i for i, q in enumerate(self._points) if q.coords == pt.coords), None)
         if len(pt.coords) != self.rows.shape[1]:
             return None
         hit = np.flatnonzero((self.rows == pt.coords).all(axis=1))
         return int(hit[0]) if len(hit) else None
 
     def __len__(self):
-        return len(self._points) if self.rows is None else len(self.rows)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.points)
@@ -158,8 +135,6 @@ class PointSet:
             return NotImplemented
         if (self.ambient_dim, self.field) != (other.ambient_dim, other.field):
             return False
-        if self.rows is None:
-            return self._points == other._points
         return np.array_equal(self.rows, other.rows)
 
     def __repr__(self):
@@ -171,21 +146,29 @@ class PointSet:
 
 
 def _checked_rows(rows, size: int, field: FieldSpec) -> np.ndarray:
-    """rows as a read-only int64 array of canonical, distinct points of
-    width size over F_p, or ValueError / DuplicatePoint."""
+    """rows as a read-only array of canonical, distinct points of width
+    size, or ValueError / DuplicatePoint.  Over F_p repeats are found by
+    first_copies, over QQ by a set of row tuples."""
     p = field.p
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64 if p else object)
     if rows.ndim != 2 or rows.shape[1] != size:
         raise ValueError(f"point rows of shape {rows.shape}, not (N, {size})")
     if len(rows):
-        lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-        if rows.min() < 0 or rows.max() >= p or (lead != 1).any():
-            bad = ((rows < 0) | (rows >= p)).any(axis=1) | (lead != 1)
-            raise ValueError(f"row {rows[bad.argmax()].tolist()} is not a canonical point")
-        repeat = first_copies(rows, p) != np.arange(len(rows))
-        if repeat.any():
-            row = tuple(rows[repeat.argmax()].tolist())
-            raise DuplicatePoint(f"duplicate point {ProjPoint(row, field)}")
+        bad = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] != 1
+        if bad.any() or p and (rows.min() < 0 or rows.max() >= p):
+            if p:
+                bad |= ((rows < 0) | (rows >= p)).any(axis=1)
+            row = rows[bad.argmax()].tolist()
+            raise ValueError(f"row [{', '.join(map(str, row))}] is not a canonical point")
+        if p:
+            repeat = first_copies(rows, p) != np.arange(len(rows))
+            first = int(repeat.argmax()) if repeat.any() else None
+        else:
+            index: dict = {}
+            first = next((i for i, r in enumerate(map(tuple, rows.tolist()))
+                          if index.setdefault(r, i) != i), None)
+        if first is not None:
+            raise DuplicatePoint(f"duplicate point {ProjPoint(tuple(rows[first].tolist()), field)}")
     rows.flags.writeable = False
     return rows
 
@@ -203,10 +186,8 @@ def point_set(points: Iterable[ProjPoint], ambient_dim: Optional[int] = None, fi
             raise ValueError("mixed ambient dimensions")
         if pt.field != field:
             raise ValueError("mixed fields")
-    if not field.p:
-        return PointSet(ambient_dim, field, points=pts)
-    return PointSet(ambient_dim, field, np.array([pt.coords for pt in pts], dtype=np.int64)
-                    .reshape(len(pts), ambient_dim + 1))
+    rows = np.array([pt.coords for pt in pts], dtype=np.int64 if field.p else object)
+    return PointSet(ambient_dim, field, rows.reshape(len(pts), ambient_dim + 1))
 
 
 def projective_count(n: int, p: int) -> int:
@@ -254,18 +235,16 @@ def span_dim(points: Sequence[ProjPoint]) -> int:
 
 
 def dump_point_set(ps: PointSet) -> str:
-    head = f"P {ps.ambient_dim} {ps.field.spec_string()}\n"
-    if ps.rows is None:
-        return head + "".join(",".join(map(str, pt.coords)) + "\n" for pt in ps)
     count, width = ps.rows.shape
-    return head + (",".join(["%d"] * width) + "\n") * count % tuple(ps.rows.ravel().tolist())
+    return (f"P {ps.ambient_dim} {ps.field.spec_string()}\n"
+            + (",".join(["%s"] * width) + "\n") * count % tuple(ps.rows.ravel().tolist()))
 
 
 def load_point_set(text: str) -> PointSet:
-    """Read the point-set file format: a header 'P <n> <fieldspec>', then one
-    comma-separated point per line.  Over F_p the points are canonicalized
-    as one array, each row times the inverse of its first nonzero entry;
-    over QQ one at a time."""
+    """Read the point-set file format: a header 'P <n> <fieldspec>' with n >=
+    1, then one comma-separated point per line.  The points are
+    canonicalized as one array, each row scaled by its first nonzero entry:
+    times its inverse mod p over F_p, divided by it over QQ."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("P "):
@@ -274,6 +253,8 @@ def load_point_set(text: str) -> PointSet:
     if len(parts) != 3:
         raise PolySyntaxError(f"bad header {lines[0]!r}")
     n = int(parts[1])
+    if n < 1:
+        raise PolySyntaxError(f"bad header {lines[0]!r}: points of P^n need n >= 1, not {n}")
     field = parse_field_spec(parts[2])
     coords = []
     for ln in lines[1:]:
@@ -281,10 +262,10 @@ def load_point_set(text: str) -> PointSet:
         if len(vals) != n + 1:
             raise PolySyntaxError(f"expected {n + 1} coordinates in {ln!r}")
         coords.append(vals)
-    if not field.p:
-        return PointSet(n, field, points=[canonicalize(vals, field) for vals in coords])
-    rows = np.array(coords, dtype=np.int64).reshape(len(coords), n + 1)
-    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    rows = np.array(coords, dtype=np.int64 if field.p else object).reshape(len(coords), n + 1)
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)][:, None]
     if not lead.all():
         raise ZeroVector("all coordinates are zero")
-    return PointSet(n, field, rows * inverse_mod_p(lead, field.p)[:, None] % field.p)
+    if field.p:
+        return PointSet(n, field, rows * inverse_mod_p(lead, field.p) % field.p)
+    return PointSet(n, field, rows / lead)

@@ -3,20 +3,20 @@
 dumps(obj) is json.dumps(obj, indent=2), byte for byte, at C speed on the
 shapes reports take: dicts with str keys, lists and tuples, str, int, bool
 and None.  Strings go through json's C encode_basestring_ascii, and a list
-of scalars is written by one str.join.  A 2-D int64 array is a list of
-points over F_p (a PointSet's rows): it is written as the list of its rows,
-each the list of its entries' decimal strings, by one %-format over the
-flattened array, with no Python object per point.  Anything else (a float,
-a non-str key, a subclass such as OrderedDict) goes back to
-json.dumps(sub, indent=2), with its newlines re-indented to the depth where
-it sits.  That re-indent is exact: with ensure_ascii every newline inside a
-string is escaped, so each newline of the fallback's text is one of its own
-line breaks.
+of scalars is written by one str.join.  A 2-D array of exact numbers (int64,
+or dtype object holding ints and Fractions) is a list of points, a
+PointSet's rows on either field: it is written as the list of its rows,
+each the list of its entries' decimal strings ("1/2" for a Fraction), by
+one "%s"-format over the flattened array, with no Python object per point.
+Anything else (a float, a non-str key, a subclass such as OrderedDict)
+goes back to json.dumps(sub, indent=2), with its newlines re-indented to
+the depth where it sits.  That re-indent is exact: with ensure_ascii every
+newline inside a string is escaped, so each newline of the fallback's text
+is one of its own line breaks.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from json.encoder import encode_basestring_ascii
 
@@ -41,7 +41,7 @@ def _encode(obj, nl: str) -> str:
         if not obj:
             return "[]"
         return "[" + inner + ("," + inner).join(_items(obj, inner)) + nl + "]"
-    if kind is np.ndarray and obj.ndim == 2 and obj.dtype == np.int64:
+    if kind is np.ndarray and obj.ndim == 2 and obj.dtype in (np.int64, object):
         return _rows(obj, nl)
     if kind is dict and all(type(k) is str for k in obj):
         if not obj:
@@ -52,14 +52,14 @@ def _encode(obj, nl: str) -> str:
 
 
 def _rows(rows: np.ndarray, nl: str) -> str:
-    """rows as json.dumps writes rows.tolist() with every entry a decimal
-    string, at the depth of nl."""
+    """rows as json.dumps writes rows.tolist() with every entry as its str,
+    a decimal string, at the depth of nl."""
     count, width = rows.shape
     if not count:
         return "[]"
     inner = nl + "  "
     cell = inner + "  "
-    row = "[" + cell + ("," + cell).join(['"%d"'] * width) + inner + "]" if width else "[]"
+    row = "[" + cell + ("," + cell).join(['"%s"'] * width) + inner + "]" if width else "[]"
     return "[" + inner + ("," + inner).join([row] * count) % tuple(rows.ravel().tolist()) + nl + "]"
 
 
@@ -71,14 +71,8 @@ def _scalar_writer(items):
 
 def _items(seq, nl: str):
     """The items of a list, encoded, each on a line that starts with nl.  A
-    list of scalars of one type takes one map; so does each row of a list of
-    such lists (points), all rows at the same depth."""
+    list of scalars of one type takes one map."""
     write = _scalar_writer(seq)
     if write:
         return map(write, seq)
-    if all(type(x) in (list, tuple) and x for x in seq):
-        write = _scalar_writer(itertools.chain.from_iterable(seq))
-        if write:
-            pre, sep, post = "[" + nl + "  ", "," + nl + "  ", nl + "]"
-            return [pre + sep.join(map(write, row)) + post for row in seq]
     return [_encode(x, nl) for x in seq]

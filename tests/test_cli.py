@@ -397,7 +397,27 @@ def test_bese_no_scan_checks_the_hypotheses_alone(tmp_path, capsys, text, code):
     assert code == 0
     report = json.loads(out)
     assert report["scan_result"] == "not_scanned" and report["witness"] is None
+    assert report["scan_label"] is None  # no scan ran, so none is named
+    scanned = "P 2 Fp:101\n1,3,7\n1,5,31\n1,11,64\n1,20,83\n1,41,2\n1,57,90\n"
+    path.write_text(scanned)
+    code, out, _ = run_cli(["bese", str(path), "--xi", "3"], capsys)
+    assert code == 0 and json.loads(out)["scan_label"] == "F_p-rational scan"
     assert report["hypotheses_hold"] == "yes" and len(report["hypothesis_detail"]) == 4
+
+
+@pytest.mark.parametrize("field", ["Fp:7", "QQ"])
+@pytest.mark.parametrize("dim", ["-1", "-3", "0"])
+def test_point_file_refuses_a_dimension_below_1(tmp_path, capsys, field, dim):
+    """A point file's header names P^n with n >= 1, as a polynomial file
+    names at least 2 variables: a smaller n exits 2 naming the header, for
+    each command that reads point files, before any point is read."""
+    header = f"P {dim} {field}"
+    path = tmp_path / "low.points"
+    path.write_text(header + "\n1\n")
+    error = f"error: bad header {header!r}: points of P^n need n >= 1, not {dim}\n"
+    for argv in (["defect", "--xi", "1"], ["separator", "--xi", "1", "--point", "0"],
+                 ["bese", "--xi", "3", "--no-scan"]):
+        assert run_cli(argv[:1] + [str(path)] + argv[1:], capsys) == (2, "", error)
 
 
 def test_byte_identical_determinism(fixture_files, capsys):

@@ -384,6 +384,37 @@ def test_classify_finds_the_witness_on_a_singular_line_beyond_p_31():
     assert verdict.witness.ell.to_text() == "x" and verdict.witness.verify(f)
 
 
+@pytest.mark.parametrize("fixture", ["double_solid_r2", "double_solid_r3"])
+def test_structure_checker_refuses_altered_witnesses(request, fixture):
+    """StructureWitness.verify refuses a witness with one coefficient of
+    ell, g_r or g_{2r-1} changed, at every monomial of its degree (a term
+    of the form or not)."""
+    f = request.getfixturevalue(fixture).defining[0]
+    w = detect_nodal_surface_form(f, singular_points(f))
+    assert w.verify(f)
+    for part in ("ell", "g_r", "g_2r1"):
+        form = getattr(w, part)
+        for m in poly.monomial_basis(4, form.degree):
+            bumped = form + make_poly(4, form.degree, {m: 1}, f.field)
+            altered = criteria.StructureWitness(**{**vars(w), part: bumped})
+            assert not altered.verify(f), (part, m)
+
+
+def test_structure_checker_refuses_another_candidate_plane():
+    """With ell swapped for any of the other 37 candidate planes through
+    the singular line x = y = 0 over F_37, the witness is refused."""
+    F = GF(37)
+    x, y = parse_poly("x", 4, F), parse_poly("y", 4, F)
+    a, b, c, d = (random_homo(4, deg, F, 35014 + i) for i, deg in enumerate((4, 4, 8, 8)))
+    f = (x * a + y * b) * (x * a + y * b) - x * (x * c + y * d)
+    sing = singular_points(f)
+    w = detect_nodal_surface_form(f, sing)
+    planes = [ell for ell in _candidate_planes(f, sing) if ell != w.ell]
+    assert w.verify(f) and len(planes) == 37
+    for ell in planes:
+        assert not criteria.StructureWitness(ell, w.g_r, w.g_2r1).verify(f), ell.to_text()
+
+
 def test_classify_names_singular_points_that_are_not_nodes():
     # x^2*a + x*y*b + y^2*c is singular along the line x = y = 0: 6 points
     # over F_5, none an ordinary double point

@@ -150,10 +150,45 @@ def test_separator_success_and_failure():
     assert acc == target
 
 
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "QQ"])
+def test_separator_checker_refuses_altered_certificates(field):
+    """SeparatorCertificate.verify refuses a certificate changed in one
+    place.  From the good degree-3 separator F_P of each point P of seven
+    seeded points of P^2: F_P + c * F_Q for Q the first, a middle and the
+    last point of the others (nonzero at Q, still nonzero at P), and each
+    form of a basis of the cubics through the whole set (zero at P)."""
+    rng = random.Random(41)
+    pts, seen = [], set()
+    while len(pts) < 7:
+        c = [rng.randint(-20, 20) for _ in range(3)]
+        if not any(c):
+            continue
+        q = canonicalize(c, field)
+        if q.coords not in seen:
+            seen.add(q.coords)
+            pts.append(q)
+    sigma = point_set(pts)
+    basis, values = evaluation_matrix(sigma.rows, 3, 3, field)
+    through_all = [form_from_coeffs(basis, v, field) for v in nullspace(values, len(basis), field)]
+    assert len(through_all) == len(basis) - len(sigma)
+    seps = {pt.coords: separator(sigma, pt, 3) for pt in sigma}
+    assert all(isinstance(c, SeparatorCertificate) and c.verify(sigma) for c in seps.values())
+    c = field.of_int(3)
+    for P in sigma:
+        good = seps[P.coords].form
+        others = [q for q in sigma if q != P]
+        for Q in (others[0], others[len(others) // 2], others[-1]):
+            altered = good + seps[Q.coords].form.scale(c)
+            assert eval_poly(altered, Q.coords) and eval_poly(altered, P.coords)
+            assert not SeparatorCertificate(P, altered).verify(sigma), (P, Q)
+        for form in through_all:
+            assert not SeparatorCertificate(P, form).verify(sigma), P
+
+
 @pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
 def test_fp_evaluation_matrix_is_an_int64_array_of_point_rows(p):
     """Over F_p evaluation_matrix returns one int64 array whose rows are
-    point_row's; over QQ it keeps point_row's lists."""
+    point_row's; over QQ one object array whose rows are point_row's."""
     F = GF(p)
     rng = SplitMix64(p)
     for nvars, xi, size in [(3, 0, 4), (3, 2, 7), (4, 3, 5), (2, 5, 1), (3, 2, 0)]:
@@ -164,7 +199,8 @@ def test_fp_evaluation_matrix_is_an_int64_array_of_point_rows(p):
         assert values.shape == (size, len(basis))
         assert values.tolist() == [point_row(c, basis, F) for c in pts]
     basis, rows = evaluation_matrix([(1, 2, 3)], 3, 2, QQ)
-    assert rows == [point_row((1, 2, 3), basis, QQ)]
+    assert isinstance(rows, np.ndarray) and rows.dtype == object and rows.shape == (1, len(basis))
+    assert rows.tolist() == [point_row((1, 2, 3), basis, QQ)]
 
 
 def test_separators_over_the_largest_field_check_by_horner(monkeypatch):

@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,8 +123,44 @@ def test_pointset_over_fp_holds_one_read_only_array():
     assert [pt.coords for pt in sigma] == [(1, 2, 3), (0, 1, 4), (0, 0, 1)]
     assert canonicalize([2, 4, 6], F) in sigma and canonicalize([1, 1, 1], F) not in sigma
     assert sigma.without(sigma.point(0)) == PointSet(2, F, rows[1:])
-    assert sigma.take([2, 0]).coords.tolist() == [[0, 0, 1], [1, 2, 3]]
+    assert sigma.take([2, 0]).rows.tolist() == [[0, 0, 1], [1, 2, 3]]
     assert point_set(list(sigma)) == sigma
+
+
+_CONTRACT_ROWS = {
+    "GF7": [[1, 2, 3], [0, 1, 4], [0, 0, 1], [1, 5, 6]],
+    "QQ": [[1, Fraction(1, 2), 3], [0, 1, Fraction(-4, 3)], [0, 0, 1], [1, -5, Fraction(2, 7)]],
+}
+
+
+@pytest.mark.parametrize("field, name", [(GF(7), "GF7"), (QQ, "QQ")])
+def test_pointset_contract_on_both_fields(field, name):
+    """One PointSet contract over F_7 and over QQ: rows is one read-only
+    array (int64, or dtype object holding Fractions), and len, point(i),
+    iteration, in, without, take and == read it; a non-canonical row and a
+    repeat are refused by name; the file format round-trips."""
+    pts = [canonicalize(c, field) for c in _CONTRACT_ROWS[name]]
+    sigma = point_set(pts)
+    rows = sigma.rows
+    assert rows.dtype == (np.int64 if field.p else object) and rows.shape == (4, 3)
+    assert rows.tolist() == [list(pt.coords) for pt in pts]
+    with pytest.raises(ValueError):
+        rows[0, 1] = 0
+    assert len(sigma) == 4 and sigma.point(1) == pts[1] and sigma.points == tuple(pts)
+    assert list(sigma) == pts
+    outside = canonicalize([1, 1, 1], field)
+    assert pts[2] in sigma and outside not in sigma
+    assert sigma.without(pts[0]) == point_set(pts[1:]) and sigma.without(outside) is sigma
+    subset = sigma.take([3, 0])
+    assert subset == point_set([pts[3], pts[0]]) and not subset.rows.flags.writeable
+    assert sigma != point_set(pts[::-1]) and sigma != point_set(pts[:3])
+    assert load_point_set(dump_point_set(sigma)) == sigma
+    doubled = np.array([[2 * x for x in pts[3].coords]], dtype=rows.dtype)
+    named = ", ".join(map(str, doubled[0].tolist()))
+    with pytest.raises(ValueError, match=rf"^row \[{re.escape(named)}\] is not a canonical point$"):
+        PointSet(2, field, np.concatenate([rows, doubled]))
+    with pytest.raises(DuplicatePoint, match=rf"^duplicate point {re.escape(str(pts[1]))}$"):
+        PointSet(2, field, np.concatenate([rows, rows[1:2], rows[:1]]))
 
 
 @pytest.mark.parametrize("rows, error, match", [
@@ -177,6 +215,6 @@ def test_load_point_set_canonicalizes_fp_rows_at_once():
             raw.append(r)
     sigma = load_point_set("P 3 Fp:101\n" + "\n".join(",".join(map(str, r)) for r in raw) + "\n")
     assert [pt.coords for pt in sigma] == [canonicalize(r, F).coords for r in raw]
-    assert load_point_set("P 1 Fp:7\n3,5\n1/2,3\n").coords.tolist() == [[1, 4], [1, 6]]
+    assert load_point_set("P 1 Fp:7\n3,5\n1/2,3\n").rows.tolist() == [[1, 4], [1, 6]]
     with pytest.raises(ZeroVector):
         load_point_set("P 2 Fp:7\n1,2,3\n7,14,0\n")

@@ -1,5 +1,6 @@
-"""report.dumps is json.dumps(obj, indent=2), byte for byte; a 2-D int64
-array is written as the list of its rows of decimal strings."""
+"""report.dumps is json.dumps(obj, indent=2), byte for byte; a 2-D array of
+exact numbers (int64, or dtype object holding Fractions) is written as the
+list of its rows of decimal strings."""
 
 import json
 import math
@@ -56,11 +57,14 @@ def test_dumps_edge_cases(obj):
     assert dumps(obj) == json.dumps(obj, indent=2)
 
 
-# point rows: N in {0, 1, many}, widths 2-6, entries up to 2^31 - 2
-_ROWS = st.tuples(st.sampled_from([0, 1, 2, 9]), st.integers(2, 6)).flatmap(
-    lambda shape: st.lists(st.lists(st.integers(0, 2**31 - 2), min_size=shape[1], max_size=shape[1]),
+# point rows: N in {0, 1, many}, widths 2-6, entries up to 2^31 - 2 (F_p)
+# or Fractions in an array of dtype object (QQ)
+_ENTRIES = ((st.integers(0, 2**31 - 2), np.int64),
+            (st.fractions(max_denominator=10**6).map(lambda x: x * 10**9), object))
+_ROWS = st.tuples(st.sampled_from([0, 1, 2, 9]), st.integers(2, 6), st.sampled_from(_ENTRIES)).flatmap(
+    lambda shape: st.lists(st.lists(shape[2][0], min_size=shape[1], max_size=shape[1]),
                            min_size=shape[0], max_size=shape[0])
-    .map(lambda rows: np.array(rows, dtype=np.int64).reshape(shape)))
+    .map(lambda rows: np.array(rows, dtype=shape[2][1]).reshape(shape[:2])))
 
 
 def _as_strings(obj):

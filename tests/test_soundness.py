@@ -4,6 +4,7 @@ sits at module level, where a cycle or a missing module shows at once."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -148,6 +149,25 @@ def test_every_traced_target_resolves():
         if not callable(scope.get(name)):
             missing.append(f"{module_name}.{attr}")
     assert not missing, missing
+
+
+def test_every_mutant_targets_text_that_occurs_once():
+    """Every entry of the standing mutation list (mutants/mutants.json, run
+    by mutants/run.py) names a module of the package whose source holds its
+    old text exactly once, and its replacement still parses, so an edit
+    that moves or rewrites a mutated line shows here and the list cannot go
+    stale unseen."""
+    entries = json.loads((PACKAGE.parents[1] / "mutants" / "mutants.json").read_text())
+    assert entries and len({e["name"] for e in entries}) == len(entries)
+    stale = []
+    for entry in entries:
+        assert set(entry) == {"name", "module", "old", "new", "why"} and entry["why"]
+        source = (PACKAGE / f"{entry['module']}.py").read_text()
+        if source.count(entry["old"]) != 1 or entry["old"] == entry["new"]:
+            stale.append(entry["name"])
+            continue
+        ast.parse(source.replace(entry["old"], entry["new"]))
+    assert not stale, stale
 
 
 def test_failed_certificate_refused_under_optimize():
