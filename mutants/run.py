@@ -6,7 +6,9 @@ Each entry of mutants.json names a module of src/factlab/, a piece of its
 text that occurs exactly once, the text that replaces it and why that
 change is a fault the tests must catch.  For each entry the runner copies
 the checkout to a temporary directory, applies the one replacement there
-(never in the checkout), and runs the tier-1 suite in the copy with -x.
+(never in the checkout), and runs the tier-1 suite in the copy with -x,
+the acceptance gates last: a gate runs a whole generator or command, so a
+mutant is named by the narrowest test that catches it.
 
 A mutant is killed by an assertion when the first failing test fails on an
 assert or a pytest check (pytest.raises that does not raise), and by a
@@ -36,6 +38,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 STALENESS_TEST = "tests/test_soundness.py::test_every_mutant_targets_text_that_occurs_once"
+ACCEPTANCE = "/test_acceptance.py"
 TIMEOUT_S = 900  # per mutant; the whole suite takes under a minute
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
 _FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.MULTILINE)
@@ -78,8 +81,10 @@ def run(entry: dict):
         shutil.copytree(ROOT, copy, ignore=_IGNORE)
         apply(copy, entry)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        tests = sorted((f"tests/{path.name}" for path in (copy / "tests").glob("test_*.py")),
+                       key=lambda name: (name.endswith(ACCEPTANCE), name))
         argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                "--deselect", STALENESS_TEST]
+                "--deselect", STALENESS_TEST, *tests]
         try:
             proc = subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.PIPE,
                                   stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT_S)

@@ -67,7 +67,11 @@ def load_poly_file(path: str) -> List[HomoPoly]:
     parts = lines[0].split()
     if len(parts) != 3:
         raise PolySyntaxError(f"bad header {lines[0]!r}")
-    nvars = int(parts[1])
+    try:
+        nvars = int(parts[1])
+    except ValueError:
+        raise PolySyntaxError(f"bad header {lines[0]!r}: the number of variables must be an integer, "
+                              f"not {parts[1]!r}") from None
     if nvars < 2:
         raise PolySyntaxError(f"need at least 2 variables (forms on P^n, n >= 1), not {nvars}")
     field = parse_field_spec(parts[2])

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadParams, VerificationFailure
-from .linalg import kernel_mod_p, matmul_zeros_mod_p, nullspace
+from .linalg import matmul_zeros_mod_p, nullspace
 from .lincond import defect, secant_lines
 from .poly import (
     HomoPoly,
@@ -235,7 +235,7 @@ def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
     """Every plane carrying more than 2r nodes, when it can be found exactly.
 
     First the planes spanned by node triples, in first-triple order, each
-    read off its triple's RREF by kernel_mod_p.  The triples are reduced
+    read off its triple's RREF by linalg.kernel.  The triples are reduced
     and their planes counted in blocks of _PLANE_BLOCK, so memory stays
     O(_PLANE_BLOCK * |Sing|) however many triples there are; a plane found
     again in a later block is dropped.  If none carries more than 2r nodes,
@@ -255,7 +255,7 @@ def _candidate_planes(f: HomoPoly, sing: PointSet) -> List[HomoPoly]:
             break
         R, piv = linalg.rref_mod_p(table[block], p)  # a module attribute: tests count its stacks
         full = piv[:, 2] < 4
-        vecs = kernel_mod_p(R[full], piv[full], 3, p)[:, 0]
+        vecs = linalg.kernel(R[full], piv[full], 3, field)[:, 0]
         vecs = vecs[first_copies(vecs, p) == np.arange(len(vecs))]
         counts = matmul_zeros_mod_p(vecs, table.T, p).sum(axis=1)
         for c in map(tuple, vecs[counts > f.degree].tolist()):

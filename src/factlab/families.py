@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadParams, DegenerateDraw
 from .fields import FieldSpec
-from .linalg import combine, matmul_zeros_mod_p, nullspace
+from .linalg import matmul, matmul_zeros_mod_p, nullspace
 from .lincond import evaluation_matrix
 from .poly import (
     HomoPoly,
@@ -127,10 +127,10 @@ def _line_section_nodes(rows: np.ndarray, smooth: np.ndarray, nlines: int, per_l
     raise _NoDraw(f"{chosen} of {nlines} secant sections found in {_LINE_SECTION_ATTEMPTS} tries")
 
 
-def _random_combination(kernel: Sequence[Sequence], field: FieldSpec, rng: SplitMix64) -> List:
+def _random_combination(kernel: np.ndarray, field: FieldSpec, rng: SplitMix64) -> np.ndarray:
     """Seeded combination of the kernel vectors: one rng.below(p) per vector,
     drawn in kernel order."""
-    return combine([rng.below(field.p) for _ in kernel], kernel, field)
+    return matmul([[rng.below(field.p) for _ in kernel]], kernel, field)[0]
 
 
 def _random_form_through(
@@ -144,10 +144,10 @@ def _random_form_through(
     vanishing at the given coordinate tuples."""
     basis, rows = evaluation_matrix(points, nvars, degree, field)
     kernel = nullspace(rows, len(basis), field)
-    if not kernel:
+    if not len(kernel):
         raise _NoDraw(f"no residual form of degree {degree} through {len(points)} nodes")
     coeffs = _random_combination(kernel, field, rng)
-    if not any(coeffs):
+    if not coeffs.any():
         # last resort inside the draw: take the first kernel vector
         coeffs = kernel[0]
     return form_from_coeffs(basis, coeffs, field)
@@ -292,7 +292,7 @@ def gen_hypersurface_nonfactorial(spec: FamilySpec) -> NodalInstance:
 # --- Family 3: complete intersection through a 2-plane in P^5 -----------------
 
 
-def _syzygies(gen_vecs: Sequence[Sequence[int]], basis_s, t: int, field: FieldSpec):
+def _syzygies(gen_vecs: np.ndarray, basis_s, t: int, field: FieldSpec):
     """The kernel of (s1, s2, s3) -> sum s_i * g_i with deg s_i = t, for the
     forms g_i with coefficient vectors gen_vecs in basis_s, and the
     degree-t basis.  Column i * len(basis_t) + b of the Macaulay matrix is
@@ -302,7 +302,7 @@ def _syzygies(gen_vecs: Sequence[Sequence[int]], basis_s, t: int, field: FieldSp
     at = {mo: i for i, mo in enumerate(monomial_basis(3, sum(basis_s[0]) + t))}
     row = np.array([[at[tuple(map(sum, zip(a, b)))] for b in basis_t] for a in basis_s])
     mat = np.zeros((len(at), 3, len(basis_t)), dtype=np.int64)
-    mat[row, np.arange(3)[:, None, None], np.arange(len(basis_t))] = np.array(gen_vecs)[:, :, None]
+    mat[row, np.arange(3)[:, None, None], np.arange(len(basis_t))] = gen_vecs[:, :, None]
     return nullspace(mat.reshape(len(at), -1), 3 * len(basis_t), field), basis_t
 
 
@@ -343,8 +343,8 @@ def gen_ci_nonfactorial(spec: FamilySpec) -> NodalInstance:
             raise _NoDraw(f"{len(gen_vecs)} forms of degree {s} through the nodes, 3 needed")
         ker2, basis2 = _syzygies(gen_vecs, basis_s, k - 1, field)
         ker1, basis1 = _syzygies(gen_vecs, basis_s, m - 1, field)
-        if not ker1 or not ker2:
-            raise _NoDraw(f"no syzygy of degree {k - 1 if not ker2 else m - 1}")
+        if not len(ker1) or not len(ker2):
+            raise _NoDraw(f"no syzygy of degree {k - 1 if not len(ker2) else m - 1}")
         row2 = _random_syzygy_row(ker2, basis2, rng)  # (D, E, H)
         row1 = _random_syzygy_row(ker1, basis1, rng)  # (A, B, C)
         if any(g.is_zero() for g in row1 + row2):

@@ -6,9 +6,10 @@ evaluation_matrix is the package's one builder of monomial rows, which
 every evaluation matrix here and in families reads.  It returns one
 (points, monomials) array on both fields: over F_p the stacked int64
 columns of scan.monomial_columns, over QQ an object array of Fractions
-evaluated point by point.  Consumers hand it to linalg as it is; a field
-test is left only where the arithmetic differs (elimination, defect's
-pivots, the pencil count).
+evaluated point by point.  That is the one field test here: everything
+else hands the arrays to linalg as they are (its eliminations, kernels,
+products and ratio keys) and reads its answers, arrays of the same two
+kinds, with no field test of its own.
 
 The defect of a finite reduced point set at degree xi is |set| - rank of
 its evaluation matrix; defect 0 means the points impose independent linear
@@ -25,7 +26,6 @@ is one int64 product, their ranks one echelon_mod_p stack.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -46,8 +46,7 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import (combine, dot, inverse_mod_p, kernel_mod_p, kernel_of_rref, matmul_mod_p,
-                     nullspace, rank_and_dependents, rref_subsets, solve)
+from .linalg import matmul, matmul_mod_p, nullspace, rank_and_dependents, rref_subsets, solve
 from .poly import HomoPoly, eval_poly, form_from_coeffs, monomial_basis, point_row
 from .projgeom import PointSet, ProjPoint, check_scan_cap, first_copies, point_set
 from .report import dumps
@@ -115,26 +114,15 @@ class DefectReport:
 
 def defect(sigma: PointSet, xi: int) -> DefectReport:
     """|sigma| - rank of the degree-xi evaluation matrix, and the points
-    whose rows lie in the span of the rows before them: point i is one
-    exactly when column i of the transposed matrix is no pivot column.
-    Over F_p the pivots come from one echelon_mod_p of the transposed int64
-    matrix; over QQ from rank_and_dependents."""
-    field = sigma.field
-    if field.p:
-        _, values = _set_matrix(sigma, xi)
-        # the transpose made C-contiguous: echelon_mod_p's row updates run about 25% faster
-        pivot = np.zeros(len(sigma) + 1, dtype=bool)  # a zero row's pivot is len(sigma)
-        pivot[linalg.echelon_mod_p(np.ascontiguousarray(values.T)[None], field.p)[1][0]] = True
-        deps = np.flatnonzero(~pivot[:-1])
-    else:
-        basis, rows = _set_matrix(sigma, xi)
-        _, deps = rank_and_dependents(rows, len(basis), field)
+    whose rows lie in the span of the rows before them (rank_and_dependents)."""
+    basis, values = _set_matrix(sigma, xi)
+    rank, deps = rank_and_dependents(values, len(basis), sigma.field)
     return DefectReport(
         size=len(sigma),
-        rank=len(sigma) - len(deps),
+        rank=rank,
         defect=len(deps),
         xi=xi,
-        field=field,
+        field=sigma.field,
         dependent_points=sigma.take(deps),
     )
 
@@ -176,21 +164,19 @@ def separator(sigma: PointSet, P: ProjPoint, xi: int):
     field = sigma.field
     others = sigma.without(P)
     basis, values = _set_matrix(others, xi)
-    _, (prow,) = evaluation_matrix([P.coords], len(P.coords), xi, field)
-    # dot and combine add Python ints: an np.int64 sum of products near p^2 overflows
-    rows, prow = values.tolist(), prow.tolist()
-    for vec in nullspace(values, len(basis), field):
-        if dot(vec, prow, field):
-            form = form_from_coeffs(basis, vec, field)
-            cert = SeparatorCertificate(P, form)
-            if not cert.verify(sigma):
-                raise VerificationFailure(f"separator for {P} failed its defining evaluations")
-            return cert
+    _, prow = evaluation_matrix([P.coords], len(P.coords), xi, field)
+    kernel = nullspace(values, len(basis), field)
+    hits = np.flatnonzero(matmul(kernel, prow.T, field))  # the kernel forms nonzero at P
+    if len(hits):
+        cert = SeparatorCertificate(P, form_from_coeffs(basis, kernel[hits[0]], field))
+        if not cert.verify(sigma):
+            raise VerificationFailure(f"separator for {P} failed its defining evaluations")
+        return cert
     # P's row is in the span: produce the witness combination, checked
-    combo = solve(values.T, prow, field)
-    if combo is None or combine(combo, rows, field) != prow:
+    combo = solve(values.T, prow[0], field)
+    if combo is None or (matmul([combo], values, field) != prow).any():
         raise VerificationFailure(f"span witness for {P} does not reproduce its row")
-    return SeparatorFailure(P, list(zip(others.points, combo)))
+    return SeparatorFailure(P, list(zip(others.points, combo.tolist())))
 
 
 def all_separators(sigma: PointSet, xi: int) -> Dict[Tuple, SeparatorCertificate]:
@@ -268,7 +254,7 @@ def swap_combine(
 # --- incidence counts -------------------------------------------------------
 
 _CONIC_CAP = 40  # max_on_conics refuses larger sets (TooLarge)
-_PENCIL_BLOCK = 256  # pencils per block of max_on_conics' count over F_p
+_PENCIL_BLOCK = 256  # pencils per block of max_on_conics' count
 
 
 def secant_lines(sigma: PointSet) -> Dict[Tuple, Tuple[Tuple[int, int], int]]:
@@ -281,7 +267,7 @@ def secant_lines(sigma: PointSet) -> Dict[Tuple, Tuple[Tuple[int, int], int]]:
     """
     lines: Dict[Tuple, Tuple[Tuple[int, int], int]] = {}
     pairs = list(itertools.combinations(range(len(sigma)), 2))  # one stack
-    for (i, j), (R, _) in zip(pairs, rref_subsets(sigma.rows, pairs, sigma.field)):
+    for (i, j), R in zip(pairs, rref_subsets(sigma.rows, pairs, sigma.field)[0].tolist()):
         key = tuple(map(tuple, R))
         pair, mask = lines.get(key, ((i, j), 0))
         lines[key] = (pair, mask | (1 << i) | (1 << j))
@@ -297,19 +283,20 @@ def max_on_lines(sigma: PointSet) -> Tuple[int, Tuple[ProjPoint, ProjPoint]]:
     return mask.bit_count(), (sigma.point(i), sigma.point(j))
 
 
-def _pencils_mod_p(table: np.ndarray, p: int) -> Tuple[int, Tuple[int, ...]]:
-    """max_on_conics' 5-subset candidates over F_p, from the (n, 6) int64
-    array of the points' conic rows: the largest count, and the first
-    5-subset T + (e,) in (lex T, ascending e) order that holds more than
-    five points and attains it; (5, the first five indices) when none does.
+def _pencils(table: np.ndarray, field: FieldSpec) -> Tuple[int, Tuple[int, ...]]:
+    """max_on_conics' 5-subset candidates, from the (n, 6) array of the
+    points' conic rows: the largest count, and the first 5-subset T + (e,)
+    in (lex T, ascending e) order that holds more than five points and
+    attains it; (5, the first five indices) when none does.  A 4-subset
+    ending at the last point extends to no 5-subset.
     """
     n = len(table)
     subsets = np.fromiter(itertools.combinations(range(n - 1), 4), dtype=(np.intp, 4))
-    R, piv = linalg.rref_mod_p(table[subsets], p)  # a module attribute: tests count its stacks
+    R, piv = rref_subsets(table, subsets, field)
     best, witness = 5, tuple(range(5))
     for lo in range(0, len(subsets), _PENCIL_BLOCK):
         pencil = np.flatnonzero(piv[lo:lo + _PENCIL_BLOCK, 3] < 6) + lo  # no four collinear
-        count = _pencil_counts(R[pencil], piv[pencil], subsets[pencil, 3], table, p)
+        count = _pencil_counts(R[pencil], piv[pencil], subsets[pencil, 3], table, field)
         top = count.max(initial=0)
         if top > best:  # argmax is the first in row-major order: lex T, then ascending e
             k, e = divmod(int(count.argmax()), n)
@@ -318,22 +305,22 @@ def _pencils_mod_p(table: np.ndarray, p: int) -> Tuple[int, Tuple[int, ...]]:
 
 
 def _pencil_counts(R: np.ndarray, piv: np.ndarray, last: np.ndarray, table: np.ndarray,
-                   p: int) -> np.ndarray:
+                   field: FieldSpec) -> np.ndarray:
     """(len(R), n) array: for each 4-subset T with RREF R (rank 4, pivot
     columns piv) and last index last, the number of points on the conic
     through T and e at each e > last that is no base point, and 0 at every
     other e.
 
-    Each point q is keyed by its parameter b/a, for [a : b] = [c1(q) :
-    c2(q)], or by p for [0 : 1], with one batched inverse; the points of T
-    and the base points, where a = b = 0, share the key p + 1.  The count
-    at e is 4 + base + the length of the run of e's key in its row."""
+    Each point q is keyed by linalg.ratio_ids of its parameter b/a, for
+    [a : b] = [c1(q) : c2(q)], or by -1 for [0 : 1]; the points of T and
+    the base points, where a = b = 0, share the key -2.  The count at e is
+    4 + base + the length of the run of e's key in its row."""
     m, n = len(R), len(table)
-    kernel = kernel_mod_p(R, piv, 4, p).transpose(1, 0, 2)  # c1 and c2 of every pencil
-    a, b = matmul_mod_p(kernel.reshape(-1, 6), table.T, p).reshape(2, m, n)
+    pencils = linalg.kernel(R, piv, 4, field).transpose(1, 0, 2)  # c1 and c2 of every pencil
+    a, b = matmul(pencils.reshape(-1, 6), table.T, field).reshape(2, m, n)
     on_all = (a == 0) & (b == 0)  # the 4 points of T and the base points
-    key = np.where(a != 0, b * inverse_mod_p(a, p) % p, p)
-    key[on_all] = p + 1
+    key = linalg.ratio_ids(a, b, field)
+    key[on_all] = -2
     # equal keys of a row are one run after a stable sort, the kind that
     # rref_mod_p runs: a quicksort or np.unique pages in about 0.4 MB more of
     # numpy's sort code, which shows in a short process's peak RSS
@@ -367,11 +354,10 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
     That is C(n, 4) eliminations of 4 x 6 matrices, run as one stack,
     instead of C(n, 5) of 5 x 6 ones.
 
-    Over F_p the pencils are counted as int64 arrays (_pencils_mod_p):
-    after the one elimination, blocks of _PENCIL_BLOCK pencils evaluate
-    both members at all n points and count equal parameters per pencil, so
-    the count's temporaries are O(_PENCIL_BLOCK * n) next to the stack.
-    Over QQ it is one Python loop per pencil.
+    The pencils are counted as arrays (_pencils): after the one
+    elimination, blocks of _PENCIL_BLOCK pencils evaluate both members at
+    all n points and count equal parameters per pencil, so the count's
+    temporaries are O(_PENCIL_BLOCK * n) next to the stack.
     """
     if sigma.ambient_dim != 2:
         raise WrongAmbient("conic counting lives in P^2")
@@ -388,32 +374,7 @@ def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
         sols = conic_through(range(n))
         return n, (sols[0] if sols else None)
 
-    # a 4-subset ending at the last point extends to no 5-subset
-    if field.p:
-        best, witness_subset = _pencils_mod_p(rows, field.p)
-    else:  # QQ: one Python loop per pencil
-        best, witness_subset = 5, tuple(range(5))
-        subsets = list(itertools.combinations(range(n - 1), 4))
-        for T, (R, pivots) in zip(subsets, rref_subsets(rows, subsets, field)):
-            if len(pivots) != 4:  # the four points are collinear
-                continue
-            c1, c2 = kernel_of_rref(R, pivots, 6, field)
-            base, params, bucket = 0, {}, Counter()
-            for q in range(n):
-                if q in T:
-                    continue
-                a, b = dot(c1, rows[q], field), dot(c2, rows[q], field)
-                if not a and not b:
-                    base += 1
-                    continue
-                params[q] = (field.one, field.div(b, a)) if a else (field.zero, field.one)
-                bucket[params[q]] += 1
-            for e in range(T[-1] + 1, n):
-                if e in params:
-                    count = 4 + base + bucket[params[e]]
-                    if count > best:
-                        best, witness_subset = count, T + (e,)
-
+    best, witness_subset = _pencils(rows, field)
     # line pairs i <= j of bitmasks (n <= 40 bits) at once; argmax takes the first
     # maximum in row-major order, the first pair in combinations_with_replacement order
     lines = secant_lines(sigma)
@@ -525,8 +486,7 @@ def _first_base_point(sigma: PointSet, xi: int):
     shifted = [[at.get(tuple(e - (v == j) for v, e in enumerate(m)), 0) for m in basis]
                for j in range(3)]  # the index of m - e_j; any index where m_j = 0
     partials = values[:, shifted] * np.array(basis, dtype=np.int64).T % p  # (|sigma|, 3, len(basis))
-    kernel_t = np.array(vecs, dtype=np.int64).reshape(-1, len(basis)).T
-    grads = matmul_mod_p(partials.reshape(-1, len(basis)), kernel_t, p).reshape(len(sigma), 3, -1)
+    grads = matmul_mod_p(partials.reshape(-1, len(basis)), vecs.T, p).reshape(len(sigma), 3, -1)
     reduced, piv = linalg.echelon_mod_p(grads.transpose(0, 2, 1), p)  # k x 3 at each point
     rank, r = (piv < 3).sum(axis=1), reduced.sum(axis=1) % p
     # each zero's first copy in sigma + zeros: an index below len(sigma) when it lies on sigma

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .errors import (
     BadChart,
     FieldMismatch,
@@ -168,7 +170,12 @@ def zero_poly(nvars: int, degree: int, field: FieldSpec) -> HomoPoly:
 
 def form_from_coeffs(basis: Sequence[Monomial], coeffs: Sequence[Scalar],
                      field: FieldSpec) -> HomoPoly:
-    """The form sum coeffs[i] * basis[i]; nvars and degree are read from basis[0]."""
+    """The form sum coeffs[i] * basis[i]; nvars and degree are read from
+    basis[0].  An array's entries become Python numbers: an np.int64
+    coefficient would break HomoPoly arithmetic (pow(np.int64(3), 5, 7)
+    raises TypeError)."""
+    if isinstance(coeffs, np.ndarray):
+        coeffs = coeffs.tolist()
     return make_poly(len(basis[0]), sum(basis[0]), dict(zip(basis, coeffs)), field)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,12 +148,18 @@ class PointSet:
 
 def _checked_rows(rows, size: int, field: FieldSpec) -> np.ndarray:
     """rows as a read-only array of canonical, distinct points of width
-    size, or ValueError / DuplicatePoint.  Over F_p repeats are found by
-    first_copies, over QQ by a set of row tuples."""
+    size, or ValueError / DuplicatePoint.  Over QQ every entry must be an
+    int or a Fraction.  Over F_p repeats are found by first_copies, over QQ
+    by a set of row tuples."""
     p = field.p
     rows = np.asarray(rows, dtype=np.int64 if p else object)
     if rows.ndim != 2 or rows.shape[1] != size:
         raise ValueError(f"point rows of shape {rows.shape}, not (N, {size})")
+    if not p:
+        exact = [all(isinstance(x, (int, Fraction)) for x in row) for row in rows.tolist()]
+        if not all(exact):
+            row = ", ".join(map(str, rows[exact.index(False)].tolist()))
+            raise ValueError(f"row [{row}] holds an entry that is not an int or a Fraction")
     if len(rows):
         bad = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)] != 1
         if bad.any() or p and (rows.min() < 0 or rows.max() >= p):
@@ -213,9 +220,10 @@ def enumerate_projective(n: int, p: int) -> Iterator[ProjPoint]:
 
 def line_points(u: Sequence[int], v: Sequence[int], field: FieldSpec) -> List[Tuple[int, ...]]:
     """The p+1 points of the line through u and v over F_p, as canonical
-    coordinate tuples: v, then u + t*v for t = 0, ..., p-1.  On plain ints,
-    since canonicalize's field calls would double the cost of a pencil."""
-    p = field.p
+    coordinate tuples: v, then u + t*v for t = 0, ..., p-1.  On plain ints
+    (an array's entries are read as such), since canonicalize's field calls
+    would double the cost of a pencil."""
+    p, u, v = field.p, np.asarray(u).tolist(), np.asarray(v).tolist()
     points = []
     for c in [v] + [[(a + t * b) % p for a, b in zip(u, v)] for t in range(p)]:
         inv = pow(next(x for x in c if x % p), p - 2, p)
@@ -252,7 +260,11 @@ def load_point_set(text: str) -> PointSet:
     parts = lines[0].split()
     if len(parts) != 3:
         raise PolySyntaxError(f"bad header {lines[0]!r}")
-    n = int(parts[1])
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise PolySyntaxError(f"bad header {lines[0]!r}: n of P^n must be an integer, "
+                              f"not {parts[1]!r}") from None
     if n < 1:
         raise PolySyntaxError(f"bad header {lines[0]!r}: points of P^n need n >= 1, not {n}")
     field = parse_field_spec(parts[2])

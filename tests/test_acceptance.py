@@ -233,7 +233,7 @@ def test_acceptance_10_certificate_combiner(double_solid_r2):
     G = None
     for _ in range(100):
         coeffs = [0] * len(basis)
-        for vec in ker:
+        for vec in ker.tolist():
             c = rng.below(101)
             for j, v in enumerate(vec):
                 coeffs[j] = (coeffs[j] + c * v) % 101

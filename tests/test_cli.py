@@ -406,15 +406,24 @@ def test_bese_no_scan_checks_the_hypotheses_alone(tmp_path, capsys, text, code):
 
 
 @pytest.mark.parametrize("field", ["Fp:7", "QQ"])
-@pytest.mark.parametrize("dim", ["-1", "-3", "0"])
+@pytest.mark.parametrize("dim", ["-1", "-3", "0", "x"])
 def test_point_file_refuses_a_dimension_below_1(tmp_path, capsys, field, dim):
     """A point file's header names P^n with n >= 1, as a polynomial file
-    names at least 2 variables: a smaller n exits 2 naming the header, for
-    each command that reads point files, before any point is read."""
+    names at least 2 variables: a smaller n, or one that is no integer,
+    exits 2 naming the header, for each command that reads point files,
+    before any point is read.  sing names a polynomial file's header whose
+    number of variables is no integer the same way."""
     header = f"P {dim} {field}"
     path = tmp_path / "low.points"
     path.write_text(header + "\n1\n")
-    error = f"error: bad header {header!r}: points of P^n need n >= 1, not {dim}\n"
+    if dim == "x":
+        error = f"error: bad header {header!r}: n of P^n must be an integer, not 'x'\n"
+        poly = tmp_path / "bad.poly"
+        poly.write_text(f"F x {field}\nx^2\n")
+        named = f"error: bad header 'F x {field}': the number of variables must be an integer, not 'x'\n"
+        assert run_cli(["sing", str(poly)], capsys) == (2, "", named)
+    else:
+        error = f"error: bad header {header!r}: points of P^n need n >= 1, not {dim}\n"
     for argv in (["defect", "--xi", "1"], ["separator", "--xi", "1", "--point", "0"],
                  ["bese", "--xi", "3", "--no-scan"]):
         assert run_cli(argv[:1] + [str(path)] + argv[1:], capsys) == (2, "", error)

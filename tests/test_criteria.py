@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -22,6 +23,7 @@ from factlab.criteria import (
     prop_3r4_certify,
     theorem_main_certify,
 )
+from factlab.cli import main as cli_main
 from factlab.errors import BadParams, VerificationFailure
 from factlab.fields import GF, QQ
 from factlab.linalg import rank, rref
@@ -78,6 +80,21 @@ def _least_mu_oracle(n, lam, size, xi):
         if xi == n * a // L and size * L <= lam * a and (n - 1) * a >= lam * L:
             return "main_bullet3", Fraction(a, L)
     return None, None
+
+
+def test_main_bullet2_stops_below_its_strict_upper_bound(capsys):
+    """Bullet 2 asks for mu < (xi+4)/3: at |Sigma|/lambda = (xi+4)/3 itself,
+    floor(3*mu - 3) would be xi + 1.  At n = 2, lambda = 3, xi = 5, so mu =
+    3, |Sigma| = 9 is past bullet 2 (and bullet 3), while 8 points take it
+    with mu = 8/3; the criteria command answers both with exit 0."""
+    for size, cid, mu in ((9, "main_bullet1", None), (8, "main_bullet2", "8/3")):
+        argv = ["criteria", "--theorem", "main", "--n", "2", "--lambda", "3", "--size", str(size),
+                "--xi", "5"]
+        assert cli_main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["criterion_id"], report["applies"]) == (cid, mu is not None)
+        assert report["parameters"].get("mu") == mu
+        assert _least_mu_oracle(2, 3, size, 5) == ((cid, Fraction(mu)) if mu else (None, None))
 
 
 def test_main_least_mu_matches_exact_oracle():
@@ -298,7 +315,7 @@ def test_plane_search_refuses_qq(monkeypatch):
 
 def test_candidate_planes_make_no_python_evaluation(monkeypatch, double_solid_r3):
     """The triple planes are read off one stack and counted as int64
-    arrays: no kernel_of_rref or eval_poly per triple."""
+    arrays: no RowSpace, dot or eval_poly per triple."""
     cases = [(double_solid_r3.defining[0], double_solid_r3.sing)]
     cases += [(make_poly(4, 4, {(4, 0, 0, 0): 1}, GF(p)), _plane_heavy_nodes(p, 11, random.Random(p)))
               for p in (7, 13)]
@@ -308,7 +325,7 @@ def test_candidate_planes_make_no_python_evaluation(monkeypatch, double_solid_r3
     def refused(*args):
         raise AssertionError("Python arithmetic per triple in the plane search")
 
-    for owner, name in [(linalg, "kernel_of_rref"), (criteria, "kernel_of_rref"),
+    for owner, name in [(linalg, "RowSpace"), (linalg, "dot"),
                         (poly, "eval_poly"), (criteria, "eval_poly")]:
         monkeypatch.setattr(owner, name, refused, raising=False)
     assert [_candidate_planes(f, sing) for f, sing in cases] == want

@@ -10,8 +10,9 @@ from factlab.linalg import (
     _EXACT,
     RowSpace,
     bareiss_rank,
-    combine,
     dot,
+    kernel,
+    matmul,
     matmul_mod_p,
     matmul_zeros_mod_p,
     nullspace,
@@ -138,8 +139,17 @@ def _gauss_jordan(matrix, p):
     return rows, pivots
 
 
+def _lists(answer):
+    """An answer of linalg with each array as nested lists, to compare."""
+    if isinstance(answer, tuple):
+        return tuple(map(_lists, answer))
+    return answer.tolist() if isinstance(answer, np.ndarray) else answer
+
+
 def _dot(row, vec, p):
-    s = sum(Fraction(a) * Fraction(b) for a, b in zip(row, vec))
+    """row . vec exactly, on Python numbers: an np.int64 entry would keep
+    its width inside a Fraction."""
+    s = sum(Fraction(a) * Fraction(b) for a, b in zip(row, np.asarray(vec, dtype=object)))
     return s % p if p else s
 
 
@@ -157,14 +167,15 @@ def _seeded_matrix(rng, p):
 @pytest.mark.parametrize("p", [5, 101, 2**31 - 1, 0])
 def test_rref_nullspace_solve_match_gauss_jordan_oracle(p):
     """Over F_p the matrix is also given as an int64 array, which linalg
-    reads as it is: the same answers as on its lists, in Python ints."""
+    reads as it is: the same answers as on its lists.  Answers are arrays,
+    int64 over F_p and Fractions in dtype object over QQ; pivots are ints."""
     F = GF(p) if p else QQ
     rng = SplitMix64(40 + p % 97)
     for trial in range(40):
         m = _seeded_matrix(rng, p)
         ncols = len(m[0])
         R, pivots = rref(m, F)
-        assert (R, pivots) == _gauss_jordan(m, p)
+        assert (R.tolist(), pivots) == _gauss_jordan(m, p)
         r = rank(m, F)
         assert r == len(pivots) < len(m)
         ns = nullspace(m, ncols, F)
@@ -177,22 +188,27 @@ def test_rref_nullspace_solve_match_gauss_jordan_oracle(p):
         # the last row is the sum of two others: break its equation
         bad = rhs[:-1] + [rhs[-1] + 1]
         assert solve(m, bad, F) is None
+        assert {type(v) for v in pivots} <= {int}
         if p:
             a = np.array(m, dtype=np.int64)
             got = [rref(a, F), rank(a, F), nullspace(a, ncols, F), solve(a, rhs, F), solve(a, bad, F)]
-            assert got == [(R, pivots), r, ns, x, None]
+            assert _lists(tuple(got)) == _lists(((R, pivots), r, ns, x, None))
             (Ra, pa), _, nsa, xa, _ = got
-            assert {type(v) for v in itertools.chain(pa, xa, *Ra, *nsa)} == {int}
+            assert {v.dtype for v in (R, ns, x, Ra, nsa, xa)} == {np.dtype(np.int64)}
+            assert {type(v) for v in pa} <= {int}
+        else:
+            assert {v.dtype for v in (R, ns, x)} == {np.dtype(object)}
+            assert {type(v) for v in itertools.chain(R.flat, ns.flat, x.flat)} == {Fraction}
 
 
 def test_unreduced_entries_give_the_answers_of_the_reduced_rows():
     F = GF(101)
-    assert rref([[101, 1], [0, 0]], F) == ([[0, 1], [0, 0]], [1])
-    assert nullspace([[101, 1]], 2, F) == [[1, 0]]
-    assert solve([[-101, 2]], [1], F) == [0, 51]
+    assert _lists(rref([[101, 1], [0, 0]], F)) == ([[0, 1], [0, 0]], [1])
+    assert nullspace([[101, 1]], 2, F).tolist() == [[1, 0]]
+    assert solve([[-101, 2]], [1], F).tolist() == [0, 51]
     # entries past int64 are reduced before they reach numpy
     big = [[2**70 + 3, -1], [0, 2**64 * 101]]
-    assert rref(big, F) == _gauss_jordan(big, 101)
+    assert _lists(rref(big, F)) == _gauss_jordan(big, 101)
     assert rank([[2**70 + 3, 2**80]], F) == 1
     rng = SplitMix64(9)
     for trial in range(30):
@@ -201,19 +217,20 @@ def test_unreduced_entries_give_the_answers_of_the_reduced_rows():
         # entries shifted by -101, 0 or 101, so some are negative or ≡ 0 but not 0
         shifted = [[x + 101 * (rng.below(3) - 1) for x in row] for row in m]
         shifted_rhs = [b - 101 * rng.below(2) for b in rhs]
-        assert rref(shifted, F) == rref(m, F)
+        assert _lists(rref(shifted, F)) == _lists(rref(m, F))
         ns = nullspace(shifted, len(m[0]), F)
-        assert ns == nullspace(m, len(m[0]), F)
+        assert ns.tolist() == nullspace(m, len(m[0]), F).tolist()
         assert all(_dot(row, v, 101) == 0 for row in shifted for v in ns)
-        assert solve(shifted, shifted_rhs, F) == solve(m, rhs, F)
+        assert _lists(solve(shifted, shifted_rhs, F)) == _lists(solve(m, rhs, F))
 
 
 def test_dot_and_combine_reduce_unreduced_and_negative_entries():
+    """dot, and matmul's linear combination of rows, reduce their entries."""
     F = GF(5)
     # 7*(-1) + (-3)*4 + 12*10 = 101
     assert dot([7, -3, 12], [-1, 4, 10], F) == 1
-    assert combine([3, -2], [[7, -1, 0], [-4, 6, 5]], F) == [4, 0, 0]
-    assert dot([], [], F) == 0 and combine([], [], F) == []
+    assert matmul([[3, -2]], [[7, -1, 0], [-4, 6, 5]], F).tolist() == [[4, 0, 0]]
+    assert dot([], [], F) == 0 and matmul([[]], [], F).tolist() == [[]]
 
 
 def test_dot_and_combine_past_two_to_the_63():
@@ -222,14 +239,40 @@ def test_dot_and_combine_past_two_to_the_63():
     big = [p - 1] * 8  # each product is (p-1)^2 = 1 mod p; the sum exceeds 2^63
     assert sum(x * x for x in big) > 2**63
     assert dot(big, big, F) == 8
-    assert combine(big, [[p - 1, 2]] * 8, F) == [8, (-16) % p]
+    assert matmul([big], [[p - 1, 2]] * 8, F).tolist() == [[8, (-16) % p]]
 
 
 def test_dot_and_combine_over_rationals():
     u = [Fraction(1, 2), 3]
     assert dot(u, [Fraction(2, 3), Fraction(-1, 4)], QQ) == Fraction(-5, 12)
     assert isinstance(dot([], [], QQ), Fraction)
-    assert combine(u, [[2, Fraction(1, 3)], [0, -1]], QQ) == [1, Fraction(-17, 6)]
+    assert matmul([u], [[2, Fraction(1, 3)], [0, -1]], QQ).tolist() == [[1, Fraction(-17, 6)]]
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1, 0])
+def test_kernel_of_a_stack_of_rrefs(p):
+    """kernel on a stack of RREFs of one rank: per matrix one vector per
+    free column, 1 there and 0 at the other free columns, in the kernel of
+    the matrix; int64 over F_p, Fractions in dtype object over QQ."""
+    F = GF(p) if p else QQ
+    rng = SplitMix64(60 + p % 89)
+    for m, n, r in [(3, 5, 2), (4, 6, 4), (2, 3, 0), (1, 4, 1), (5, 6, 3)]:
+        mats = []
+        while len(mats) < 6:
+            B, C = _random_matrix(rng, m, r, p), _random_matrix(rng, r, n, p)
+            mat = [[sum(B[i][t] * C[t][j] for t in range(r)) for j in range(n)] for i in range(m)]
+            if rank(mat, F) == r:
+                mats.append(mat)
+        R, piv = rref_subsets([row for mat in mats for row in mat],
+                              [range(k * m, (k + 1) * m) for k in range(len(mats))], F)
+        K = kernel(R, piv, r, F)
+        assert K.shape == (len(mats), n - r, n) and K.dtype == (np.int64 if p else object)
+        for mat, vecs, ps in zip(mats, K, piv.tolist()):
+            free = [j for j in range(n) if j not in ps[:r]]
+            assert [[v[j] for j in free] for v in vecs.tolist()] == np.eye(n - r, dtype=int).tolist()
+            assert all(_dot(row, v, p) == 0 for row in mat for v in vecs)
+        if not p:
+            assert {type(v) for v in K.flat} <= {Fraction}
 
 
 def _stack_cases(rng, p):
@@ -292,9 +335,14 @@ def test_rref_subsets_match_rref_of_each_subset(p):
     rows[5] = [0] * 4
     for size in (1, 2, 3, 5):
         subsets = list(itertools.combinations(range(7), size))
-        got = list(rref_subsets(rows, subsets, F))
-        assert got == [rref([rows[i] for i in s], F) for s in subsets]
-    assert list(rref_subsets(rows, [], F)) == []
+        R, piv = rref_subsets(rows, subsets, F)
+        assert R.shape == (len(subsets), size, 4) and piv.shape == (len(subsets), size)
+        for s, Rs, ps in zip(subsets, R, piv):
+            rows_s, pivots = _gauss_jordan([rows[i] for i in s], p)
+            assert (Rs.tolist(), ps.tolist()) == (rows_s, pivots + [4] * (size - len(pivots)))
+            assert _lists(rref([rows[i] for i in s], F)) == (rows_s, pivots)
+    R, piv = rref_subsets(rows, [], F)
+    assert R.shape == (0, 0, 4) and piv.shape == (0, 0)
 
 
 @pytest.mark.parametrize("p", [3, 101, 65521, 2**31 - 1])

@@ -39,8 +39,7 @@ from factlab.lincond import (
     separator,
     swap_combine,
 )
-from factlab.linalg import (bareiss_rank, kernel_of_rref, nullspace, rank, rank_and_dependents,
-                            rref_subsets)
+from factlab.linalg import bareiss_rank, nullspace, rank, rank_and_dependents, rref_subsets
 from factlab.poly import (eval_poly, eval_poly_horner, form_from_coeffs, make_poly, monomial_basis,
                           parse_poly)
 from factlab.projgeom import canonicalize, dump_point_set, enumerate_projective, line_points, point_set
@@ -77,21 +76,19 @@ def test_defect_six_points_on_conic():
 @pytest.mark.parametrize("p", [5, 101, 2**31 - 1])
 def test_fp_defect_from_one_echelon(monkeypatch, p):
     """Over F_p defect reads its rank and dependents off the pivots of one
-    echelon_mod_p of the transposed int64 matrix.  They are those of
-    rank_and_dependents on the list matrix; the points have entries 0..3
-    and lead 1, so the matrix is an integer matrix, and at p = 101 and
-    2^31 - 1 they are also those of bareiss_rank over QQ, prefix by prefix
-    (a point is dependent when it leaves the rank of the rows before it
-    unchanged)."""
+    echelon_mod_p of the transposed int64 matrix, with no full RREF and no
+    RowSpace.  They are those of rank_and_dependents on the list matrix,
+    and a point is dependent exactly when it leaves the rank (rref_mod_p)
+    of the rows before it unchanged; the points have entries 0..3 and lead
+    1, so the matrix is an integer matrix, and at p = 101 and 2^31 - 1 they
+    are also those of bareiss_rank over QQ, prefix by prefix."""
     def refused(*args):
-        raise AssertionError("the list elimination on the F_p path")
+        raise AssertionError("a list elimination or a full RREF on the F_p path")
 
     rng = random.Random(p)
     F = GF(p)
     stacks = []
     echelon = linalg.echelon_mod_p
-    monkeypatch.setattr(lincond, "rank_and_dependents", refused)
-    monkeypatch.setattr(linalg, "echelon_mod_p", lambda a, q: stacks.append(a.shape) or echelon(a, q))
     seen_dependents = False
     for n, xi, size in [(2, 1, 5), (2, 2, 9), (2, 3, 14), (3, 2, 14), (3, 3, 25), (3, 2, 1), (2, 2, 0)]:
         pts = [(1, t) + (0,) * (n - 1) for t in range(4)][:size // 3]  # collinear
@@ -99,11 +96,18 @@ def test_fp_defect_from_one_echelon(monkeypatch, p):
             c = (1,) + tuple(rng.randrange(4) for _ in range(n))
             if c not in pts:
                 pts.append(c)
-        rep = defect(point_set([canonicalize(list(c), F) for c in pts], ambient_dim=n, field=F), xi)
+        sigma = point_set([canonicalize(list(c), F) for c in pts], ambient_dim=n, field=F)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "rref_mod_p", refused)
+            patch.setattr(linalg, "RowSpace", refused)
+            patch.setattr(linalg, "echelon_mod_p", lambda a, q: stacks.append(a.shape) or echelon(a, q))
+            rep = defect(sigma, xi)
         basis, rows = evaluation_matrix(pts, n + 1, xi, F)
-        assert stacks.pop() == (1, len(basis), size)
-        rank, deps = rank_and_dependents(rows, len(basis), F)
+        assert stacks.pop() == (1, len(basis), size) and not stacks
+        rank, deps = rank_and_dependents(rows.tolist(), len(basis), F)
         assert (rep.size, rep.rank, rep.defect) == (size, rank, size - rank)
+        ranks = [linalg.rank(rows[:i], F) for i in range(size + 1)]
+        assert deps == [i for i in range(size) if ranks[i + 1] == ranks[i]]
         assert [pt.coords for pt in rep.dependent_points] == [pts[i] for i in deps]
         seen_dependents |= bool(deps)
         if p > 5:
@@ -203,22 +207,21 @@ def test_fp_evaluation_matrix_is_an_int64_array_of_point_rows(p):
     assert rows.tolist() == [point_row((1, 2, 3), basis, QQ)]
 
 
-def test_separators_over_the_largest_field_check_by_horner(monkeypatch):
-    """Over F_(2^31 - 1) separator and all_separators add their rows as
-    Python ints (with np.int64 a sum of three products near p^2 overflows):
-    dot and combine see no other type, every certificate form, checked with
-    eval_poly_horner, vanishes on the set but at its point, at xi = 2 and 3
-    on 9 seeded points of P^3, and on 6 points of a conic at xi = 2 every
-    span witness rebuilds its point's row."""
+def test_separators_over_the_largest_field_check_by_horner(monkeypatch, product_paths):
+    """Over F_(2^31 - 1) separator and all_separators multiply their arrays
+    by linalg.matmul alone, which keeps every sum exact (an np.int64 sum of
+    three products near p^2 overflows): each product is matmul_mod_p's
+    int64 sum of terms reduced one by one.  Every certificate form, checked
+    with eval_poly_horner, vanishes on the set but at its point, at xi = 2
+    and 3 on 9 seeded points of P^3, and on 6 points of a conic at xi = 2
+    every span witness rebuilds its point's row."""
     p = 2**31 - 1
     F = GF(p)
     rng = SplitMix64(31)
     seen = set()
-    real_dot, real_combine = lincond.dot, lincond.combine
-    monkeypatch.setattr(lincond, "dot", lambda u, v, field: seen.update(map(type, [*u, *v]))
-                        or real_dot(u, v, field))
-    monkeypatch.setattr(lincond, "combine", lambda c, rows, field: seen.update(
-        map(type, [*c, *itertools.chain(*rows)])) or real_combine(c, rows, field))
+    real_matmul = lincond.matmul
+    monkeypatch.setattr(lincond, "matmul", lambda a, b, field: seen.add(field)
+                        or real_matmul(a, b, field))
     space = point_set([canonicalize([1] + [rng.below(p) for _ in range(3)], F) for _ in range(9)])
     conic = point_set([canonicalize([1, t, t * t % p], F) for t in (rng.below(p) for _ in range(6))])
     for xi in (2, 3):
@@ -235,7 +238,7 @@ def test_separators_over_the_largest_field_check_by_horner(monkeypatch):
         for q, c in fail.combination:
             acc = [(a + c * v) % p for a, v in zip(acc, point_row(q.coords, basis, F))]
         assert acc == point_row(pt.coords, basis, F)
-    assert seen == {int}
+    assert seen == {F} and set(product_paths) == {"int64"}
 
 
 def test_separator_not_in_set():
@@ -263,7 +266,7 @@ def test_separator_witness_refused_unless_it_reproduces_the_row(monkeypatch, tmp
     index = next(i for i, pt in enumerate(sigma)
                  if isinstance(separator(sigma, pt, 2), SeparatorFailure))
     monkeypatch.setattr(lincond, "solve",
-                        lambda matrix, rhs, field: witness and [0] * len(matrix[0]))
+                        lambda matrix, rhs, field: witness and np.zeros(len(matrix[0]), dtype=np.int64))
     with pytest.raises(VerificationFailure, match="span witness"):
         separator(sigma, sigma.points[index], 2)
     path = tmp_path / "conic.points"
@@ -281,7 +284,7 @@ def _quadric_through(sigma, miss, rng):
     p = field.p
     for _ in range(100):
         coeffs = [0] * len(basis)
-        for vec in ker:
+        for vec in ker.tolist():
             c = rng.below(p)
             for j, v in enumerate(vec):
                 coeffs[j] = (coeffs[j] + c * v) % p
@@ -490,8 +493,9 @@ def _bese_oracle(sigma, xi):
             witnesses.append((Q, v))
             candidates.append(_gradient_row(Q.coords, v, basis, p))
     subsets = [tuple(range(len(rows))) + (len(rows) + k,) for k in range(len(candidates))]
-    for witness, (_, pivots) in zip(witnesses, rref_subsets(rows + candidates, subsets, sigma.field)):
-        if len(pivots) == base:
+    _, piv = rref_subsets(rows + candidates, subsets, sigma.field)
+    for witness, rank_k in zip(witnesses, (piv < len(basis)).sum(axis=1)):
+        if rank_k == base:
             return "base_point", witness
     return "free", None
 
@@ -546,7 +550,7 @@ def test_fp_bese_builds_no_gradient_form(monkeypatch):
         raise AssertionError("per-point Python evaluation on the F_p bese path")
 
     for owner, name in [(poly, "gradient"), (poly, "partial"), (poly, "point_row"),
-                        (lincond, "point_row"), (linalg, "dot"), (lincond, "dot")]:
+                        (lincond, "point_row"), (linalg, "dot")]:
         monkeypatch.setattr(owner, name, refused)
     assert [(rep.scan_result, rep.witness)
             for rep in (bese_check(s, xi) for s, xi in _bese_cases())] == want
@@ -628,7 +632,8 @@ def _lines_oracle(sigma):
     n = len(pts)
     pairs = list(itertools.combinations(range(n), 2))
     triples = [(i, j, k) for i, j in pairs for k in range(n)]
-    ranks = [len(pivots) for _, pivots in rref_subsets([q.coords for q in pts], triples, sigma.field)]
+    _, piv = rref_subsets([q.coords for q in pts], triples, sigma.field)
+    ranks = (piv < sigma.ambient_dim + 1).sum(axis=1).tolist()
     best, witness = 0, None
     for t, (i, j) in enumerate(pairs):
         count = ranks[t * n:(t + 1) * n].count(2)
@@ -653,6 +658,20 @@ def test_max_on_lines_matches_triple_oracle():
     assert max_on_lines(sigma) == _lines_oracle(sigma) and max_on_lines(sigma)[0] == 5
 
 
+def _kernel_of_rref(R, pivots, ncols, field):
+    """Basis of the right nullspace of a matrix whose reduced row echelon
+    form is R with these pivot columns, on lists: one vector per free
+    column, the reference for linalg.kernel."""
+    basis = []
+    for fcol in sorted(set(range(ncols)) - set(pivots)):
+        v = [field.zero] * ncols
+        v[fcol] = field.one
+        for i, pcol in enumerate(pivots):
+            v[pcol] = field.neg(R[i][fcol])
+        basis.append(v)
+    return basis
+
+
 def _conics_oracle(sigma):
     """max_on_conics by a nullspace for every 5-subset, a polynomial product
     for every pair of secant lines, and a max line plus a residual line."""
@@ -666,8 +685,10 @@ def _conics_oracle(sigma):
     def through(table, subsets, ncols, basis):
         """The forms through each subset of the table's rows, one list per
         subset; all subsets are reduced as one stack."""
-        return [[form_from_coeffs(basis, v, field) for v in kernel_of_rref(R, pivots, ncols, field)]
-                for R, pivots in rref_subsets(table, subsets, field)]
+        R, piv = rref_subsets(table, subsets, field)
+        return [[form_from_coeffs(basis, v, field)
+                 for v in _kernel_of_rref(Rs.tolist(), ps[ps < ncols].tolist(), ncols, field)]
+                for Rs, ps in zip(R, piv)]
 
     def line_form(p, q):
         return form_from_coeffs(basis1, nullspace([p.coords, q.coords], 3, field)[0], field)
@@ -830,8 +851,8 @@ def test_fp_evaluation_matrices_make_no_python_power(monkeypatch):
 
 
 def test_fp_max_on_conics_counts_pencils_as_arrays(monkeypatch):
-    """Over F_p the pencils are counted as int64 arrays: no FieldSpec.div or
-    inv per point and no dot or kernel_of_rref per pencil.  The one witness
+    """Over F_p the pencils are counted as int64 arrays: no FieldSpec.div,
+    inv or neg per point and no dot or RowSpace per pencil.  The one witness
     conic is still built by nullspace."""
     plane = _seeded_plane_set(random.Random(15), 101, 15, "conic")
     want = max_on_conics(plane)
@@ -839,8 +860,8 @@ def test_fp_max_on_conics_counts_pencils_as_arrays(monkeypatch):
     def refused(*args):
         raise AssertionError("Python arithmetic per pencil on the F_p path")
 
-    for owner, name in [(type(F101), "div"), (type(F101), "inv"), (linalg, "dot"),
-                        (lincond, "dot"), (lincond, "kernel_of_rref")]:
+    for owner, name in [(type(F101), "div"), (type(F101), "inv"), (type(F101), "neg"),
+                        (linalg, "dot"), (linalg, "RowSpace")]:
         monkeypatch.setattr(owner, name, refused)
     assert max_on_conics(plane) == want
 

@@ -137,8 +137,9 @@ _CONTRACT_ROWS = {
 def test_pointset_contract_on_both_fields(field, name):
     """One PointSet contract over F_7 and over QQ: rows is one read-only
     array (int64, or dtype object holding Fractions), and len, point(i),
-    iteration, in, without, take and == read it; a non-canonical row and a
-    repeat are refused by name; the file format round-trips."""
+    iteration, in, without, take and == read it; a non-canonical row, a
+    repeat and over QQ a row with an inexact entry are refused by name; the
+    file format round-trips."""
     pts = [canonicalize(c, field) for c in _CONTRACT_ROWS[name]]
     sigma = point_set(pts)
     rows = sigma.rows
@@ -161,6 +162,10 @@ def test_pointset_contract_on_both_fields(field, name):
         PointSet(2, field, np.concatenate([rows, doubled]))
     with pytest.raises(DuplicatePoint, match=rf"^duplicate point {re.escape(str(pts[1]))}$"):
         PointSet(2, field, np.concatenate([rows, rows[1:2], rows[:1]]))
+    if not field.p:
+        inexact = r"^row \[0, 1, 0\.25\] holds an entry that is not an int or a Fraction$"
+        with pytest.raises(ValueError, match=inexact):
+            PointSet(2, field, [[1, 0, 0], [0, 1, 0.25], [1, 0.5, 0]])
 
 
 @pytest.mark.parametrize("rows, error, match", [

@@ -19,8 +19,9 @@ from factlab.poly import (HomoPoly, eval_poly_horner, gradient, make_poly, monom
 from factlab.projgeom import SCAN_CAP, enumerate_projective, projective_count
 from factlab.linalg import _EXACT
 from factlab.scan import (_CHUNK, _STEP, _chart_table, _grid_zeros, _horner,
-                          _horner_at, common_zeros, coords_table, eval_forms, eval_on_points,
-                          horner_on_rows, monomial_columns, projective_zeros)
+                          _horner_at, _nonzero_constant, _zeros_at, common_zeros, coords_table,
+                          eval_forms, eval_on_points, horner_on_rows, monomial_columns,
+                          projective_zeros)
 
 
 def _form(nvars, degree, field, rng, density):
@@ -572,3 +573,29 @@ def test_recheck_exit_5(tmp_path, optimize, body):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 5, proc.stderr
     assert "scan soundness" in proc.stderr
+
+
+def test_nonzero_constant_needs_one_term_on_the_chart():
+    """A form is a nonzero constant on the chart x_pivot = 1 (earlier
+    coordinates 0) only when one term c * x_pivot^e survives there: a
+    second surviving term makes it no constant, whatever the term order."""
+    F = GF(7)
+    assert _nonzero_constant(make_poly(3, 2, {(0, 2, 0): 3, (1, 1, 0): 1}, F), 1, 7)
+    assert not _nonzero_constant(make_poly(3, 2, {(0, 2, 0): 3, (0, 1, 1): 1}, F), 1, 7)
+    assert not _nonzero_constant(make_poly(3, 2, {(2, 0, 0): 1, (0, 2, 0): 1}, F), 0, 7)
+    assert not _nonzero_constant(make_poly(3, 2, {(0, 1, 1): 1}, F), 1, 7)
+    assert not _nonzero_constant(make_poly(3, 2, {(1, 1, 0): 1}, F), 1, 7)
+
+
+def test_zeros_at_reads_every_block_of_indices():
+    """_zeros_at evaluates _STEP indices at a time: on all 101^2 indices of
+    the chart x = 1 of P^2(F_101), more than two blocks, the zeros of y + 11x
+    (the grid line y = 90, indices 90 * 101 + z) lie in the last block only,
+    and _zeros_at finds them all, as _grid_zeros does on the whole grid."""
+    p = 101
+    f = make_poly(3, 1, {(0, 1, 0): 1, (1, 0, 0): 11}, GF(p))
+    idx = np.arange(p * p)
+    assert len(idx) > 2 * _STEP and 90 * p >= 2 * _STEP
+    want = np.arange(90 * p, 91 * p)
+    assert _zeros_at(f, 0, idx, p).tolist() == want.tolist()
+    assert sorted(_grid_zeros(f, 0, p).tolist()) == want.tolist()

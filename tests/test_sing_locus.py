@@ -2,6 +2,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from factlab.errors import CharDividesDegree, NotSingular
@@ -23,6 +24,7 @@ from factlab.projgeom import ProjPoint, enumerate_projective, point_set
 from factlab.rng import SplitMix64
 from factlab.sing_locus import (
     NodalInstance,
+    _rank_deficient,
     ci_singular_points,
     singular_points,
     verify_nodal,
@@ -365,3 +367,16 @@ def test_verify_nodal_evaluates_each_derivative_once(monkeypatch, ci_22):
     verify_nodal(NodalInstance(ci_22.defining, ci_22.sing))
     assert calls == [("eval_forms", len(ci_22.sing), size) for size in (1, 1, 6, 6, 21, 21)]
     assert len(partials) == 2 * (6 + 21)
+
+
+def test_rank_deficient_reads_every_2x2_minor():
+    """Two gradients have rank 2 when any 2 x 2 minor is nonzero mod p: at
+    each point below, the only nonzero minor uses columns (j, j + 1), (0, 2)
+    or (0, 3); dependent gradients and a zero one have rank below 2, and one
+    form's Jacobian is deficient exactly where its gradient is 0."""
+    a = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [1, 0, 0, 0],
+                  [1, 2, 3, 4], [0, 0, 0, 0]])
+    b = np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1],
+                  [2, 4, 6, 8], [1, 2, 3, 4]])
+    assert _rank_deficient([a, b], 7).tolist() == [False] * 5 + [True, True]
+    assert _rank_deficient([a], 7).tolist() == [False] * 6 + [True]

@@ -101,6 +101,39 @@ def test_products_mod_p_only_in_linalg():
     assert not found, f"array products outside linalg: {found}"
 
 
+# the field forks outside linalg, fields and projgeom, and why each stays
+_FIELD_FORKS = {
+    # monomial values mod p (scan.monomial_columns) against exact point_row
+    ("lincond.py", "evaluation_matrix"),
+    # seeded draws differ by field: rng.below(p) against small signed integers
+    ("poly.py", "random_homo"),
+}
+
+
+def test_field_arithmetic_is_chosen_in_linalg():
+    """linalg alone picks the arithmetic by the field (fields defines it and
+    projgeom scales and compares points with it): elsewhere an if or
+    conditional expression whose test reads .p is a refusal, an if whose
+    body only raises, or sits in a function _FIELD_FORKS names."""
+    def reads_p(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "p" for n in ast.walk(node.test))
+
+    def refusal(node):
+        return (isinstance(node, ast.If) and not node.orelse
+                and all(isinstance(stmt, ast.Raise) for stmt in node.body))
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in {"linalg.py", "fields.py", "projgeom.py"}:
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if (path.name, getattr(top, "name", None)) not in _FIELD_FORKS:
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(top)
+                          if isinstance(node, (ast.If, ast.IfExp)) and reads_p(node)
+                          and not refusal(node)]
+    assert not found, f"field forks outside linalg: {found}"
+
+
 # the scan's evaluators and the products mod p: the re-check names none of them
 _SCAN_EVALUATORS = {"monomial_columns", "eval_forms", "eval_on_points", "matmul_mod_p",
                     "matmul_zeros_mod_p", "_chart_table", "_horner", "_horner_at"}
