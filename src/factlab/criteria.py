@@ -80,11 +80,14 @@ def theorem_main_certify(n: int, lam: int, size: int, xi: int) -> CriterionVerdi
         raise BadParams("need n >= 2, lambda >= 2, size >= 0, xi >= 0")
     params: Dict[str, object] = {"n": n, "lambda": lam, "size": size, "xi": xi}
 
-    # bullet 1: xi = floor(3*lambda/2 - 3) and |Sigma| < lambda*ceil(lambda/2)
-    b1_xi = floor(Fraction(3 * lam, 2) - 3)
+    # bullet 1: xi = ceil(3*lambda/2) - 3 and |Sigma| < lambda*ceil(lambda/2).
+    # At odd lambda = 2r - 1 this is the 3r-4 proposition (xi = 3r - 4,
+    # |Sigma| < (2r-1)r); the floor, one lower there, is refuted by three
+    # collinear points at lambda = 3, xi = 1, which have defect 1.
+    b1_xi = ceil(Fraction(3 * lam, 2)) - 3
     b1_cap = lam * ceil(Fraction(lam, 2))
     ineqs1 = [
-        (f"xi = floor(3*lambda/2 - 3) = {b1_xi}", xi == b1_xi),
+        (f"xi = ceil(3*lambda/2) - 3 = {b1_xi}", xi == b1_xi),
         (f"|Sigma| = {size} < lambda*ceil(lambda/2) = {b1_cap}", size < b1_cap),
     ]
     if xi == b1_xi and size < b1_cap:

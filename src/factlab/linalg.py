@@ -5,22 +5,23 @@ Matrices come in as arrays, int64 over F_p and dtype object holding
 Fractions over QQ (the arrays lincond.evaluation_matrix and PointSet.rows
 hold), or as lists of lists, which over F_p are reduced by int(x) % p so
 that integers past int64 stay exact.  Answers go out as arrays of the same
-two kinds: every RREF, kernel, solution and product.  Over F_p every
+two kinds: every RREF, kernel, dual basis and product.  Over F_p every
 elimination is rref_mod_p (or echelon_mod_p, its first half), one numpy
 elimination of an int64 stack of matrices; over QQ it is RowSpace, one
 matrix at a time, written into an object stack.  rref_subsets is the entry
 point of both: many small eliminations as one stack.  kernel reads the
 kernels of a whole stack of RREFs on both fields (only the negation
-differs, mod p or not); nullspace and solve run on one matrix, and
-rank_and_dependents on the transpose.  matmul is the one product in the
-field, and ratio_ids the one key of a ratio b/a.  Over F_p the product is
-matmul_mod_p, and matmul_zeros_mod_p its zero mask, so only they know how
-a product stays exact: float64 BLAS reduced once while the K terms of a sum
-keep K * (p-1)^2 < 2^53 (the delayed reduction of Dumas, Giorgi and Pernet,
-ACM TOMS 35(3), 2008), an int64 sum past it.  inverse_mod_p is the batched
-inverse mod p, and dot the scalar product poly.eval_poly takes.
-bareiss_rank is an independent fraction-free elimination over QQ, kept as
-the oracle tests compare against.
+differs, mod p or not); nullspace runs on one matrix, duals on one matrix
+beside its identity, and rank_and_dependents on the transpose.  matmul is
+the one product in the field, and ratio_ids the one key of a ratio b/a.
+Over F_p the product is matmul_mod_p, and matmul_zeros_mod_p its zero
+mask, so only they know how a product stays exact: float64 BLAS reduced
+once while the K terms of a sum keep K * (p-1)^2 < 2^53 (the delayed
+reduction of Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), an int64 sum
+past it.  inverse_mod_p is the batched inverse mod p, and dot the scalar
+product poly.eval_poly takes.  bareiss_rank is an independent
+fraction-free elimination over QQ, kept as the oracle tests compare
+against.
 """
 
 from __future__ import annotations
@@ -291,16 +292,19 @@ def nullspace(matrix: Sequence[Sequence], ncols: int, field: FieldSpec) -> np.nd
     return kernel(R, piv, int((piv < ncols).sum()), field)[0]
 
 
-def solve(matrix: Sequence[Sequence], rhs: Sequence, field: FieldSpec) -> Optional[np.ndarray]:
-    """One particular solution of matrix @ x = rhs (free variables 0), or None."""
+def duals(matrix, field: FieldSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, X, Y) read off the one RREF [R | E] of [M | I_N], for M an N x B
+    matrix, so that E @ M = R: Q the pivot columns of M (r = len(Q) is its
+    rank), X = E[:r] with X @ M[:, Q] = I_r, and Y = E[r:], the row
+    relations in RREF, with Y @ M = 0.  Row i of M lies in the span of the
+    others exactly when column i of Y is nonzero; otherwise M[:, Q] @ X
+    maps e_i to itself, as e_i is orthogonal to every relation.  The
+    identity takes M's dtype, so both fields run the same stack."""
     table = _table(matrix, field)
-    ncols = table.shape[1]
-    R, pivots = rref(np.concatenate([table, _table(np.reshape(rhs, (-1, 1)), field, 1)], axis=1), field)
-    if ncols in pivots:
-        return None
-    x = np.full(ncols, field.zero, dtype=R.dtype)
-    x[pivots] = R[:len(pivots), ncols]
-    return x
+    size, ncols = table.shape
+    R, piv = _rref_stack(np.concatenate([table, np.eye(size, dtype=table.dtype)], axis=1)[None], field)
+    rank = int((piv[0] < ncols).sum())
+    return piv[0, :rank], R[0, :rank, ncols:], R[0, rank:, ncols:]
 
 
 def matmul(a, b, field: FieldSpec) -> np.ndarray:

@@ -13,7 +13,10 @@ kinds, with no field test of its own.
 
 The defect of a finite reduced point set at degree xi is |set| - rank of
 its evaluation matrix; defect 0 means the points impose independent linear
-conditions on degree-xi forms.
+conditions on degree-xi forms.  A separator for each point is the
+certificate of that: every separator, or the span witness of a point that
+has none, is read off one linalg.duals of the evaluation matrix, its dual
+basis and its row relations, and checked before it is returned.
 
 The kernel of the evaluation matrix is the space of degree-xi forms through
 the set, and its rows span exactly the annihilator of that kernel.  So the
@@ -46,7 +49,7 @@ from .errors import (
     XiTooSmall,
 )
 from .fields import FieldSpec, Scalar
-from .linalg import matmul, matmul_mod_p, nullspace, rank_and_dependents, rref_subsets, solve
+from .linalg import duals, matmul, matmul_mod_p, nullspace, rank_and_dependents, rref_subsets
 from .poly import HomoPoly, eval_poly, form_from_coeffs, monomial_basis, point_row
 from .projgeom import PointSet, ProjPoint, check_scan_cap, first_copies, point_set
 from .report import dumps
@@ -158,34 +161,49 @@ class SeparatorFailure:
 
 def separator(sigma: PointSet, P: ProjPoint, xi: int):
     """Degree-xi certificate separating P from the rest of sigma, or the
-    linear combination proving P's row is spanned by the others."""
-    if P not in sigma:
+    linear combination proving P's row is spanned by the others: both read
+    off one linalg.duals of sigma's evaluation matrix (_dual_answer)."""
+    j = sigma.index(P)
+    if j is None:
         raise NotInSet(f"{P} not in the set")
-    field = sigma.field
-    others = sigma.without(P)
-    basis, values = _set_matrix(others, xi)
-    _, prow = evaluation_matrix([P.coords], len(P.coords), xi, field)
-    kernel = nullspace(values, len(basis), field)
-    hits = np.flatnonzero(matmul(kernel, prow.T, field))  # the kernel forms nonzero at P
-    if len(hits):
-        cert = SeparatorCertificate(P, form_from_coeffs(basis, kernel[hits[0]], field))
+    basis, values = _set_matrix(sigma, xi)
+    return _dual_answer(sigma, j, basis, values, duals(values, sigma.field))
+
+
+def _dual_answer(sigma: PointSet, j: int, basis, values, dual):
+    """Point j's answer from dual = linalg.duals(values): with column j of
+    the relations Y zero, the dual form, coefficients X[:, j] on the pivot
+    monomials Q, which is 1 at point j and 0 at every other point; else the
+    first relation y with y_j != 0 gives row j = sum of -y_i / y_j * row i.
+    The form is checked by SeparatorCertificate.verify, the combination by
+    rebuilding row j with one product, before either is returned."""
+    field, (Q, X, Y), P = sigma.field, dual, sigma.point(j)
+    hits = np.flatnonzero(Y[:, j])
+    if not len(hits):
+        coeffs = np.full(len(basis), field.zero, dtype=X.dtype)
+        coeffs[Q] = X[:, j]
+        cert = SeparatorCertificate(P, form_from_coeffs(basis, coeffs, field))
         if not cert.verify(sigma):
             raise VerificationFailure(f"separator for {P} failed its defining evaluations")
         return cert
-    # P's row is in the span: produce the witness combination, checked
-    combo = solve(values.T, prow[0], field)
-    if combo is None or (matmul([combo], values, field) != prow).any():
+    y = Y[hits[0]].tolist()
+    scale = field.neg(field.inv(y.pop(j)))
+    combo = [field.mul(scale, c) for c in y]
+    if (matmul([combo], np.delete(values, j, axis=0), field) != values[j]).any():
         raise VerificationFailure(f"span witness for {P} does not reproduce its row")
-    return SeparatorFailure(P, list(zip(others.points, combo.tolist())))
+    return SeparatorFailure(P, list(zip(sigma.without(P).points, combo)))
 
 
 def all_separators(sigma: PointSet, xi: int) -> Dict[Tuple, SeparatorCertificate]:
-    out = {}
-    for pt in sigma:
-        cert = separator(sigma, pt, xi)
+    """Every point's separator from one linalg.duals of sigma's evaluation
+    matrix; ValueError naming the first point that has none."""
+    basis, values = _set_matrix(sigma, xi)
+    dual, out = duals(values, sigma.field), {}
+    for j in range(len(sigma)):
+        cert = _dual_answer(sigma, j, basis, values, dual)
         if isinstance(cert, SeparatorFailure):
-            raise ValueError(f"no degree-{xi} separator for {pt}")
-        out[pt.coords] = cert
+            raise ValueError(f"no degree-{xi} separator for {cert.point}")
+        out[cert.point.coords] = cert
     return out
 
 
@@ -288,19 +306,22 @@ def _pencils(table: np.ndarray, field: FieldSpec) -> Tuple[int, Tuple[int, ...]]
     points' conic rows: the largest count, and the first 5-subset T + (e,)
     in (lex T, ascending e) order that holds more than five points and
     attains it; (5, the first five indices) when none does.  A 4-subset
-    ending at the last point extends to no 5-subset.
+    ending at the last point extends to no 5-subset.  The 4-subsets are
+    reduced and counted in blocks of _PENCIL_BLOCK, so no stack of all
+    C(n-1, 4) RREFs is held at once.
     """
     n = len(table)
     subsets = np.fromiter(itertools.combinations(range(n - 1), 4), dtype=(np.intp, 4))
-    R, piv = rref_subsets(table, subsets, field)
     best, witness = 5, tuple(range(5))
     for lo in range(0, len(subsets), _PENCIL_BLOCK):
-        pencil = np.flatnonzero(piv[lo:lo + _PENCIL_BLOCK, 3] < 6) + lo  # no four collinear
-        count = _pencil_counts(R[pencil], piv[pencil], subsets[pencil, 3], table, field)
+        block = subsets[lo:lo + _PENCIL_BLOCK]
+        R, piv = rref_subsets(table, block, field)
+        pencil = np.flatnonzero(piv[:, 3] < 6)  # no four collinear
+        count = _pencil_counts(R[pencil], piv[pencil], block[pencil, 3], table, field)
         top = count.max(initial=0)
         if top > best:  # argmax is the first in row-major order: lex T, then ascending e
             k, e = divmod(int(count.argmax()), n)
-            best, witness = int(top), tuple(subsets[pencil[k]].tolist()) + (e,)
+            best, witness = int(top), tuple(block[pencil[k]].tolist()) + (e,)
     return best, witness
 
 
@@ -336,56 +357,40 @@ def _pencil_counts(R: np.ndarray, piv: np.ndarray, last: np.ndarray, table: np.n
     return count
 
 
-def max_on_conics(sigma: PointSet) -> Tuple[int, Optional[HomoPoly]]:
+def max_on_conics(sigma: PointSet) -> Tuple[int, HomoPoly]:
     """Exact max of |conic ∩ sigma| over all conics of P^2, with a witness.
 
-    Candidates, each replacing the witness only when it holds strictly more
-    points: the first five points (any five lie on a conic), the conic
-    through each 5-subset with no four collinear (in lex order), and each
-    product of two secant lines.  A line with one more point needs no
-    candidate of its own: that point and a point of the line span a secant
-    line.
+    When sigma lies on a conic (its conic rows have rank < 6, as any five
+    points do), the count is |sigma| and the witness the first form of that
+    kernel.  Otherwise the candidates, each replacing the witness only when
+    it holds strictly more points, are the first five points and the conic
+    through each 5-subset with no four collinear (in lex order).  A line
+    pair needs no candidate of its own: if one line holds three points of
+    sigma and the other two more off it, five of them with no four
+    collinear span that pair; and a line with at most one more point beats
+    every such pair only when it holds all of sigma, which then lies on a
+    conic.
 
     The 5-subsets are counted through pencils.  For each 4-subset T with no
     four collinear, the conics through T form a pencil spanned by c1, c2.
     Every other point q has a parameter [c1(q) : c2(q)], or is a base point
     of the pencil when both vanish.  The conic through T and a non-base
     point e holds T, the base points and every point with e's parameter.
-    That is C(n, 4) eliminations of 4 x 6 matrices, run as one stack,
-    instead of C(n, 5) of 5 x 6 ones.
-
-    The pencils are counted as arrays (_pencils): after the one
-    elimination, blocks of _PENCIL_BLOCK pencils evaluate both members at
-    all n points and count equal parameters per pencil, so the count's
-    temporaries are O(_PENCIL_BLOCK * n) next to the stack.
+    That is C(n, 4) eliminations of 4 x 6 matrices instead of C(n, 5) of
+    5 x 6 ones, reduced and counted as arrays in blocks of _PENCIL_BLOCK
+    pencils (_pencils), so the temporaries are O(_PENCIL_BLOCK * n).
     """
     if sigma.ambient_dim != 2:
         raise WrongAmbient("conic counting lives in P^2")
     if len(sigma) > _CONIC_CAP:
         raise TooLarge(f"|sigma| = {len(sigma)} > conic cap {_CONIC_CAP}")
     field = sigma.field
-    n = len(sigma)
     basis2, rows = _set_matrix(sigma, 2)
-
-    def conic_through(subset) -> List[HomoPoly]:
-        return [form_from_coeffs(basis2, v, field) for v in nullspace(rows[list(subset)], 6, field)]
-
-    if n <= 5:
-        sols = conic_through(range(n))
-        return n, (sols[0] if sols else None)
-
+    through = nullspace(rows, 6, field)
+    if len(through):
+        return len(sigma), form_from_coeffs(basis2, through[0], field)
     best, witness_subset = _pencils(rows, field)
-    # line pairs i <= j of bitmasks (n <= 40 bits) at once; argmax takes the first
-    # maximum in row-major order, the first pair in combinations_with_replacement order
-    lines = secant_lines(sigma)
-    masks = np.array([mask for _, mask in lines.values()], dtype=np.int64)
-    counts = np.triu(np.bitwise_count(masks[:, None] | masks[None, :]))
-    if counts.max() <= best:
-        return best, conic_through(witness_subset)[0]
-    keys, basis1 = list(lines), monomial_basis(3, 1)
-    l1, l2 = (form_from_coeffs(basis1, nullspace(keys[k], 3, field)[0], field)
-              for k in divmod(int(counts.argmax()), len(keys)))
-    return int(counts.max()), l1 * l2
+    return best, form_from_coeffs(basis2, nullspace(rows[list(witness_subset)], 6, field)[0], field)
 
 
 # --- set-theoretic intersection certificates ---------------------------------

@@ -116,7 +116,7 @@ class PointSet:
         subset.rows.flags.writeable = False
         return subset
 
-    def _index(self, pt: ProjPoint) -> Optional[int]:
+    def index(self, pt: ProjPoint) -> Optional[int]:
         if len(pt.coords) != self.rows.shape[1]:
             return None
         hit = np.flatnonzero((self.rows == pt.coords).all(axis=1))
@@ -129,7 +129,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, pt: ProjPoint):
-        return self._index(pt) is not None
+        return self.index(pt) is not None
 
     def __eq__(self, other):
         if not isinstance(other, PointSet):
@@ -142,7 +142,7 @@ class PointSet:
         return f"PointSet({len(self)} points of P^{self.ambient_dim} over {self.field.spec_string()})"
 
     def without(self, pt: ProjPoint) -> "PointSet":
-        i = self._index(pt)
+        i = self.index(pt)
         return self if i is None else self.take([j for j in range(len(self)) if j != i])
 
 

@@ -156,7 +156,8 @@ def test_separator_subcommand(fixture_files, capsys):
     code, out, _ = run_cli(
         ["separator", prefix + ".points", "--xi", "1", "--point", "0"], capsys
     )
-    assert code == 5 and json.loads(out)["separated"] is False
+    assert code == 5 and out, "exit 5 without a span witness on stdout"
+    assert json.loads(out)["separated"] is False
 
 
 _QQ_SET = "P 2 QQ\n1,2,3\n1,0,1/2\n0,1,-1\n1,1,1\n"
@@ -184,7 +185,7 @@ def _pt(*coords):
           "combination": [[_pt(1, 2, 3), "1/3"], [_pt(1, 0, "1/2"), "2/3"],
                           [_pt(0, 1, -1), "1/3"]]}),
         (_QQ_SET, ["separator", "--xi", "2", "--point", "0"], 0,
-         {"separated": True, "point": _pt(1, 2, 3), "form": "-1/2*x^2 - 1/2*x*y + x*z"}),
+         {"separated": True, "point": _pt(1, 2, 3), "form": "-1/3*x^2 - 1/3*x*y + 2/3*x*z"}),
     ],
     ids=["empty", "one-point-xi0", "one-point-separator", "qq-defect", "qq-no-separator",
          "qq-separator"],
@@ -281,7 +282,7 @@ def test_criteria_subcommand(capsys):
     code, out, _ = run_cli(
         [
             "criteria", "--theorem", "main",
-            "--n", "3", "--lambda", "9", "--size", "44", "--xi", "10",
+            "--n", "3", "--lambda", "9", "--size", "44", "--xi", "11",
         ],
         capsys,
     )
@@ -300,10 +301,10 @@ def test_criteria_calls_the_engine_through_its_module(monkeypatch, capsys):
         return engine(*args)
 
     monkeypatch.setattr(crit, "theorem_main_certify", wrapped)
-    argv = ["criteria", "--theorem", "main", "--n", "3", "--lambda", "9", "--size", "44", "--xi", "10"]
+    argv = ["criteria", "--theorem", "main", "--n", "3", "--lambda", "9", "--size", "44", "--xi", "11"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0 and json.loads(out)["criterion_id"] == "main_bullet1"
-    assert calls == [(3, 9, 44, 10)]
+    assert calls == [(3, 9, 44, 11)]
 
 
 def test_criteria_bad_params_exit_2(capsys):

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import ceil, comb, floor, lcm
+from math import ceil, comb, lcm
 
 import pytest
 
@@ -27,15 +27,16 @@ from factlab.cli import main as cli_main
 from factlab.errors import BadParams, VerificationFailure
 from factlab.fields import GF, QQ
 from factlab.linalg import rank, rref
+from factlab.lincond import defect
 from factlab.poly import make_poly, parse_poly, random_homo
 from factlab.projgeom import canonicalize, point_set
 from factlab.sing_locus import singular_points
 
 
 def test_main_bullet1():
-    v = theorem_main_certify(3, 9, 44, 10)
+    v = theorem_main_certify(3, 9, 44, 11)
     assert v.applies and v.criterion_id == "main_bullet1"
-    assert v.certified_degree == 10
+    assert v.certified_degree == 11
 
 
 def test_main_no_bullet():
@@ -54,18 +55,22 @@ def test_main_mu_bullet():
 
 
 def test_main_monotone_in_size():
-    base = theorem_main_certify(3, 9, 44, 10)
+    base = theorem_main_certify(3, 9, 44, 11)
     assert base.applies
     for size in range(0, 44):
-        assert theorem_main_certify(3, 9, size, 10).applies
+        assert theorem_main_certify(3, 9, size, 11).applies
 
 
 def _least_mu_oracle(n, lam, size, xi):
     """(criterion_id, least mu) by trying every mu = a/L, L = lcm(3, lambda,
-    n, n-1), against the bullets as the paper states them.  Each bound on mu
-    has denominator 3, lambda, n or n-1, so the least admissible mu is on
-    this grid; mu < (xi+4)/3 in bullet 2 and mu < (xi+1)/n in bullet 3."""
-    if xi == floor(Fraction(3 * lam, 2) - 3) and size < lam * ceil(Fraction(lam, 2)):
+    n, n-1), against the bullets as the paper states them, bullet 1 with
+    its degree read as ceil(3*lambda/2) - 3: the floor of 3*lambda/2 - 3,
+    one lower at odd lambda, is refuted there by collinear points and
+    grids (test_engines_never_apply_where_the_defect_is_positive).  Each
+    bound on mu has denominator 3, lambda, n or n-1, so the least
+    admissible mu is on this grid; mu < (xi+4)/3 in bullet 2 and
+    mu < (xi+1)/n in bullet 3."""
+    if xi == ceil(Fraction(3 * lam, 2)) - 3 and size < lam * ceil(Fraction(lam, 2)):
         return "main_bullet1", None
     L = lcm(3, lam, n, n - 1)
     # integer forms: with mu = a/L, floor(k*mu) = k*a // L
@@ -137,7 +142,7 @@ def test_main_bad_params():
 
 def test_verdict_inequalities_consistent():
     for v in (
-        theorem_main_certify(3, 9, 44, 10),
+        theorem_main_certify(3, 9, 44, 11),
         app_double_solid(2, 5),
         app_hypersurface(6, 16),
         prop_3r4_certify(5, 0, 44),
@@ -160,6 +165,57 @@ def test_prop_3r4():
     assert not prop_3r4_certify(5, 0, 45).applies
     v = prop_3r4_certify(3, 1, 9)
     assert v.applies and v.certified_degree == 4
+
+
+def _proved_incidence_sets():
+    """(point set, least lambda) over F_101 for plane configurations whose
+    lambda-incidence hypothesis (at most lambda*k points on any degree-k
+    curve) is proved for every lambda >= least lambda:
+
+    - m collinear points: a curve that contains the line holds m <= lambda
+      of them, and one that does not holds at most k (Bezout);
+    - the a x b grid (1 : s : t), s < a <= b, t < b, the crossings of the
+      lines y = s*x with the lines z = t*x: a degree-k curve that contains
+      j <= k of the a lines meets each other one in at most k - j points,
+      so it holds at most j*b + (a - j)(k - j) <= k*lambda when lambda >= b.
+    """
+    F = GF(101)
+    sets = [(point_set([canonicalize([1, t, 0], F) for t in range(m)]), max(m, 2))
+            for m in range(2, 10)]
+    sets += [(point_set([canonicalize([1, s, t], F) for s in range(a) for t in range(b)]), b)
+             for b in range(2, 7) for a in range(2, b + 1)]
+    return sets
+
+
+def test_engines_never_apply_where_the_defect_is_positive():
+    """theorem_main_certify (n = 2..4) and prop_3r4_certify on collinear
+    sets and grids, at every lambda from the least their incidence allows
+    to 3 above it: wherever an engine applies, the exact defect at its
+    degree is 0.  A plane set has the same defect in every P^n, as forms
+    on P^n restrict onto every degree-xi form of the plane, so the defect
+    is taken in P^2.  Bullet 1 read as xi = floor(3*lambda/2 - 3) fails
+    here: three collinear points apply at lambda = 3, xi = 1 with defect 1,
+    and so does the 2 x 5 grid at lambda = 5, xi = 4 (Cayley-Bacharach)."""
+    defects, applied = {}, Counter()
+
+    def check(verdict, sigma, xi):
+        if verdict.applies:
+            key = (id(sigma), xi)
+            if key not in defects:
+                defects[key] = defect(sigma, xi).defect
+            assert defects[key] == 0, (verdict.criterion_id, sigma.rows.tolist(), xi)
+            applied[verdict.criterion_id] += 1
+
+    for sigma, least in _proved_incidence_sets():
+        for lam in range(least, least + 4):
+            for n, xi in itertools.product(range(2, 5), range(2 * lam)):
+                check(theorem_main_certify(n, lam, len(sigma), xi), sigma, xi)
+            if lam % 2:
+                r = (lam + 1) // 2
+                for eps in range(r):
+                    check(prop_3r4_certify(r, eps, len(sigma)), sigma, 3 * r - 4 - eps)
+    assert min(applied[cid] for cid in ("main_bullet1", "main_bullet2", "main_bullet3",
+                                        "prop_3r4")) >= 10, applied
 
 
 def test_app_double_solid_examples():

@@ -11,6 +11,7 @@ from factlab.linalg import (
     RowSpace,
     bareiss_rank,
     dot,
+    duals,
     kernel,
     matmul,
     matmul_mod_p,
@@ -21,7 +22,6 @@ from factlab.linalg import (
     rref,
     rref_mod_p,
     rref_subsets,
-    solve,
 )
 from factlab.rng import SplitMix64
 
@@ -102,18 +102,24 @@ def test_nullspace_empty_matrix():
     assert len(ns) == 3
 
 
-def test_solve():
+def test_duals():
+    """[M | I] reduced once: the pivot columns Q of M, X with X @ M[:, Q] =
+    I and the row relations Y in RREF; row 2 = row 0 + row 1 is the one
+    relation, and without row 2 there is none."""
     F = GF(7)
-    m = [[1, 1], [1, 2]]
-    x = solve(m, [3, 5], F)
-    assert x is not None
-    assert [(m[i][0] * x[0] + m[i][1] * x[1]) % 7 for i in range(2)] == [3, 5]
-    assert solve([[1, 1], [1, 1]], [0, 1], F) is None
+    m = [[1, 1], [1, 2], [2, 3]]
+    Q, X, Y = duals(m, F)
+    assert Q.tolist() == [0, 1] and Y.tolist() == [[1, 1, 6]]
+    assert matmul(X, [row[:2] for row in m], F).tolist() == [[1, 0], [0, 1]]
+    Q, X, Y = duals(m[:2], F)
+    assert Q.tolist() == [0, 1] and Y.shape == (0, 2)
+    assert matmul(m[:2], X, F).tolist() == [[1, 0], [0, 1]]
 
 
-def test_solve_rational():
-    x = solve([[Fraction(1, 2), 1]], [Fraction(5, 2)], QQ)
-    assert Fraction(1, 2) * x[0] + x[1] == Fraction(5, 2)
+def test_duals_rational():
+    Q, X, Y = duals([[Fraction(1, 2), 1], [1, 2]], QQ)
+    assert Q.tolist() == [0] and X.tolist() == [[0, 1]] and Y.tolist() == [[1, Fraction(-1, 2)]]
+    assert {type(v) for v in itertools.chain(X.flat, Y.flat)} == {Fraction}
 
 
 def _gauss_jordan(matrix, p):
@@ -166,9 +172,12 @@ def _seeded_matrix(rng, p):
 
 @pytest.mark.parametrize("p", [5, 101, 2**31 - 1, 0])
 def test_rref_nullspace_solve_match_gauss_jordan_oracle(p):
-    """Over F_p the matrix is also given as an int64 array, which linalg
-    reads as it is: the same answers as on its lists.  Answers are arrays,
-    int64 over F_p and Fractions in dtype object over QQ; pivots are ints."""
+    """rref and nullspace against the oracle, and duals' X and Y solving
+    X @ M[:, Q] = I and Y @ M = 0, with Q the oracle's pivots and Y the
+    oracle's RREF of itself, one relation per row past the rank.  Over F_p
+    the matrix is also given as an int64 array, which linalg reads as it
+    is: the same answers as on its lists.  Answers are arrays, int64 over
+    F_p and Fractions in dtype object over QQ; pivots are ints."""
     F = GF(p) if p else QQ
     rng = SplitMix64(40 + p % 97)
     for trial in range(40):
@@ -181,47 +190,49 @@ def test_rref_nullspace_solve_match_gauss_jordan_oracle(p):
         ns = nullspace(m, ncols, F)
         assert len(ns) == ncols - r
         assert all(_dot(row, v, p) == 0 for row in m for v in ns)
-        x_true = _random_matrix(rng, 1, ncols, p)[0]
-        rhs = [_dot(row, x_true, p) for row in m]
-        x = solve(m, rhs, F)
-        assert [_dot(row, x, p) for row in m] == rhs
-        # the last row is the sum of two others: break its equation
-        bad = rhs[:-1] + [rhs[-1] + 1]
-        assert solve(m, bad, F) is None
+        Q, X, Y = duals(m, F)
+        assert Q.tolist() == pivots and X.shape == (r, len(m)) and Y.shape == (len(m) - r, len(m))
+        assert [[_dot([row[q] for row in m], x, p) for q in pivots] for x in X.tolist()] == [
+            [int(i == j) for j in range(r)] for i in range(r)]
+        assert all(_dot(col, y, p) == 0 for col in zip(*m) for y in Y.tolist())
+        assert _gauss_jordan(Y.tolist(), p) == (Y.tolist(), [row.index(next(filter(None, row)))
+                                                             for row in Y.tolist()])
+        # the zero row and the last row, the sum of two others, lie in relations
+        zero = next(i for i, row in enumerate(m) if not any(row))
+        assert Y[:, zero].any() and Y[:, -1].any()
         assert {type(v) for v in pivots} <= {int}
         if p:
             a = np.array(m, dtype=np.int64)
-            got = [rref(a, F), rank(a, F), nullspace(a, ncols, F), solve(a, rhs, F), solve(a, bad, F)]
-            assert _lists(tuple(got)) == _lists(((R, pivots), r, ns, x, None))
-            (Ra, pa), _, nsa, xa, _ = got
-            assert {v.dtype for v in (R, ns, x, Ra, nsa, xa)} == {np.dtype(np.int64)}
+            got = [rref(a, F), rank(a, F), nullspace(a, ncols, F), duals(a, F)]
+            assert _lists(tuple(got)) == _lists(((R, pivots), r, ns, (Q, X, Y)))
+            (Ra, pa), _, nsa, (_, Xa, Ya) = got
+            assert {v.dtype for v in (R, ns, X, Y, Ra, nsa, Xa, Ya)} == {np.dtype(np.int64)}
             assert {type(v) for v in pa} <= {int}
         else:
-            assert {v.dtype for v in (R, ns, x)} == {np.dtype(object)}
-            assert {type(v) for v in itertools.chain(R.flat, ns.flat, x.flat)} == {Fraction}
+            assert {v.dtype for v in (R, ns, X, Y)} == {np.dtype(object)}
+            assert {type(v) for v in itertools.chain(R.flat, ns.flat, X.flat, Y.flat)} == {Fraction}
 
 
 def test_unreduced_entries_give_the_answers_of_the_reduced_rows():
     F = GF(101)
     assert _lists(rref([[101, 1], [0, 0]], F)) == ([[0, 1], [0, 0]], [1])
     assert nullspace([[101, 1]], 2, F).tolist() == [[1, 0]]
-    assert solve([[-101, 2]], [1], F).tolist() == [0, 51]
+    assert _lists(duals([[-101, 2]], F)) == ([1], [[51]], [])
     # entries past int64 are reduced before they reach numpy
     big = [[2**70 + 3, -1], [0, 2**64 * 101]]
     assert _lists(rref(big, F)) == _gauss_jordan(big, 101)
     assert rank([[2**70 + 3, 2**80]], F) == 1
+    assert _lists(duals(big, F)) == _lists(duals([[x % 101 for x in row] for row in big], F))
     rng = SplitMix64(9)
     for trial in range(30):
         m = _random_matrix(rng, 1 + rng.below(4), 1 + rng.below(5), p=101)
-        rhs = [rng.below(101) for _ in m]
         # entries shifted by -101, 0 or 101, so some are negative or ≡ 0 but not 0
         shifted = [[x + 101 * (rng.below(3) - 1) for x in row] for row in m]
-        shifted_rhs = [b - 101 * rng.below(2) for b in rhs]
         assert _lists(rref(shifted, F)) == _lists(rref(m, F))
         ns = nullspace(shifted, len(m[0]), F)
         assert ns.tolist() == nullspace(m, len(m[0]), F).tolist()
         assert all(_dot(row, v, 101) == 0 for row in shifted for v in ns)
-        assert _lists(solve(shifted, shifted_rhs, F)) == _lists(solve(m, rhs, F))
+        assert _lists(duals(shifted, F)) == _lists(duals(m, F))
 
 
 def test_dot_and_combine_reduce_unreduced_and_negative_entries():

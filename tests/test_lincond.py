@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -208,13 +209,14 @@ def test_fp_evaluation_matrix_is_an_int64_array_of_point_rows(p):
 
 
 def test_separators_over_the_largest_field_check_by_horner(monkeypatch, product_paths):
-    """Over F_(2^31 - 1) separator and all_separators multiply their arrays
-    by linalg.matmul alone, which keeps every sum exact (an np.int64 sum of
-    three products near p^2 overflows): each product is matmul_mod_p's
-    int64 sum of terms reduced one by one.  Every certificate form, checked
-    with eval_poly_horner, vanishes on the set but at its point, at xi = 2
-    and 3 on 9 seeded points of P^3, and on 6 points of a conic at xi = 2
-    every span witness rebuilds its point's row."""
+    """Over F_(2^31 - 1) separator and all_separators read their answers
+    off one elimination and multiply arrays only to rebuild a span witness's
+    row, by linalg.matmul alone, which keeps every sum exact (an np.int64
+    sum of three products near p^2 overflows): each product is
+    matmul_mod_p's int64 sum of terms reduced one by one.  Every certificate
+    form, checked with eval_poly_horner, vanishes on the set but at its
+    point, at xi = 2 and 3 on 9 seeded points of P^3, and on 6 points of a
+    conic at xi = 2 every span witness rebuilds its point's row."""
     p = 2**31 - 1
     F = GF(p)
     rng = SplitMix64(31)
@@ -241,6 +243,34 @@ def test_separators_over_the_largest_field_check_by_horner(monkeypatch, product_
     assert seen == {F} and set(product_paths) == {"int64"}
 
 
+@pytest.mark.parametrize("field", [F101, QQ], ids=["F101", "QQ"])
+def test_all_separators_run_one_elimination(monkeypatch, field):
+    """all_separators on N points reduces one matrix, [M | I_N] of width
+    C(3 + 3, 3) + N at degree 3 in P^3, whatever N is (over F_p one
+    echelon_mod_p): no elimination per point.  Every certificate passes
+    verify, and its form is 1 at its point."""
+    stacks, echelons = [], []
+    reduce_stack, echelon = linalg._rref_stack, linalg.echelon_mod_p
+    monkeypatch.setattr(linalg, "_rref_stack",
+                        lambda stack, f: stacks.append(stack.shape) or reduce_stack(stack, f))
+    monkeypatch.setattr(linalg, "echelon_mod_p", lambda a, p: echelons.append(p) or echelon(a, p))
+    rng = random.Random(24)
+    for size in (1, 4, 9, 16):
+        pts = []
+        while len(pts) < size:
+            c = [rng.randint(-9, 9) for _ in range(4)]
+            if any(c) and canonicalize(c, field) not in pts:
+                pts.append(canonicalize(c, field))
+        sigma = point_set(pts)
+        stacks.clear()
+        echelons.clear()
+        seps = all_separators(sigma, 3)
+        assert stacks == [(1, size, 20 + size)] and len(echelons) == (1 if field.p else 0)
+        assert list(seps) == [q.coords for q in sigma]
+        for cert in seps.values():
+            assert cert.verify(sigma) and eval_poly(cert.form, cert.point.coords) == field.one
+
+
 def test_separator_not_in_set():
     sigma = conic_points(7, 4)
     outsider = canonicalize([1, 5, 3], F7)
@@ -259,15 +289,27 @@ def test_separator_refused_when_verify_fails(monkeypatch):
 @pytest.mark.parametrize("witness", [None, "zeros"])
 def test_separator_witness_refused_unless_it_reproduces_the_row(monkeypatch, tmp_path,
                                                                  capsys, witness):
-    """A span witness is printed only once it reproduces P's row: no
-    solution, or a wrong one, raises VerificationFailure, and the CLI exits
-    5 with nothing on stdout."""
+    """An answer read off linalg.duals is printed only once it checks: with
+    relations that name no point (None) the dual form of a spanned point
+    fails SeparatorCertificate.verify, and with a relation that gives the
+    zero combination ("zeros") the span witness does not rebuild P's row.
+    Either raises VerificationFailure, and the CLI exits 5 with nothing on
+    stdout."""
     sigma = conic_points(7, 6)
     index = next(i for i, pt in enumerate(sigma)
                  if isinstance(separator(sigma, pt, 2), SeparatorFailure))
-    monkeypatch.setattr(lincond, "solve",
-                        lambda matrix, rhs, field: witness and np.zeros(len(matrix[0]), dtype=np.int64))
-    with pytest.raises(VerificationFailure, match="span witness"):
+    real_duals = lincond.duals
+
+    def tampered(values, field):
+        Q, X, Y = real_duals(values, field)
+        Y = np.zeros_like(Y)
+        if witness == "zeros":
+            Y[:, index] = 1
+        return Q, X, Y
+
+    monkeypatch.setattr(lincond, "duals", tampered)
+    message = "span witness" if witness else "failed its defining evaluations"
+    with pytest.raises(VerificationFailure, match=message):
         separator(sigma, sigma.points[index], 2)
     path = tmp_path / "conic.points"
     path.write_text(dump_point_set(sigma))
@@ -771,13 +813,25 @@ def _conics_cases():
     return cases
 
 
+def _assert_matches_the_oracle(got, want, sigma):
+    """The oracle's count; where sigma lies on no conic (the count is below
+    |sigma|) the oracle's witness, and where it lies on one a nonzero conic
+    through all of sigma: max_on_conics then reads a kernel conic where the
+    oracle may find a line pair."""
+    assert got[0] == want[0], list(map(str, sigma))
+    if want[0] < len(sigma):
+        assert repr(got[1]) == repr(want[1]), list(map(str, sigma))
+    else:
+        form = got[1]
+        assert form.degree == 2 and not form.is_zero(), list(map(str, sigma))
+        assert not any(eval_poly(form, q.coords) for q in sigma), list(map(str, sigma))
+
+
 def test_max_on_conics_matches_five_subset_oracle():
     cases = _conics_cases()
     assert len(cases) >= 60
     for sigma in cases:
-        got = max_on_conics(sigma)
-        want = _conics_oracle(sigma)
-        assert got[0] == want[0] and repr(got[1]) == repr(want[1]), list(map(str, sigma))
+        _assert_matches_the_oracle(max_on_conics(sigma), _conics_oracle(sigma), sigma)
 
 
 def _line_heavy_set(rng, field, size):
@@ -805,33 +859,72 @@ def _line_heavy_set(rng, field, size):
     return point_set(pts)
 
 
-def test_max_on_conics_line_pairs_match_the_oracle_on_both_fields(monkeypatch):
-    """The line pairs are counted at once on bitmasks: the count and the
-    first best pair in combinations_with_replacement order are the
-    oracle's, over F_p and over QQ.  A line-pair witness is the only
-    degree-1 basis that max_on_conics builds."""
-    degrees, basis = [], lincond.monomial_basis
-    monkeypatch.setattr(lincond, "monomial_basis", lambda n, d: degrees.append(d) or basis(n, d))
+def test_max_on_conics_line_pairs_match_the_oracle_on_both_fields():
+    """On line-heavy sets over F_p and QQ the count is the oracle's, which
+    tries every pair of secant lines; so is the witness where the set lies
+    on no conic.  A line pair beats every 5-subset only on a set that lies
+    on a conic, which max_on_conics answers with one rank test: the cases
+    reach that test and the pencils on both fields."""
     rng = random.Random(77)
     wins = Counter()
     for k in range(36):
         field = QQ if k % 3 == 0 else GF(rng.choice((7, 11, 101, 2**31 - 1)))
         sigma = _line_heavy_set(rng, field, rng.randint(6, 9 if field is QQ else 11))
-        degrees.clear()
         got, want = max_on_conics(sigma), _conics_oracle(sigma)
-        assert (got[0], got[1].to_text()) == (want[0], want[1].to_text()), list(map(str, sigma))
-        wins[field.p == 0, 1 in degrees] += 1
+        _assert_matches_the_oracle(got, want, sigma)
+        wins[field.p == 0, want[0] == len(sigma)] += 1
     assert wins[True, True] >= 3 and wins[False, True] >= 5 and wins[False, False] >= 3
+    assert wins[True, False] >= 3
 
 
 def test_max_on_conics_pencil_cost(rref_stack_sizes):
-    """One stack of C(n-1, 4) pencils and one of C(n, 2) secant lines, not
-    one elimination per subset; the witness takes one more."""
+    """The C(n-1, 4) pencils are reduced in blocks of _PENCIL_BLOCK, not as
+    one stack and not one elimination per subset; the rank test and the
+    witness take one matrix each."""
     sizes = rref_stack_sizes
     sigma = _seeded_plane_set(random.Random(15), 101, 15, "conic")
     max_on_conics(sigma)
-    assert sorted(sizes, reverse=True)[:2] == [comb(14, 4), comb(15, 2)]
-    assert len(sizes) <= 4
+    blocks = [size for size in sizes if size > 1]
+    assert sum(blocks) == comb(14, 4) and max(blocks) <= lincond._PENCIL_BLOCK
+    assert len(blocks) == -(-comb(14, 4) // lincond._PENCIL_BLOCK) and sizes.count(1) == 2
+
+
+def test_qq_pencils_are_reduced_a_block_at_a_time(monkeypatch):
+    """Over QQ every pencil RREF is Fractions: on 20 seeded points of P^2
+    the C(19, 4) = 3876 4-subsets held as one stack peaked at 6.5 MB
+    (tracemalloc).  Reduced a block at a time, the traced peak up to the
+    third block's count stays under 1 MB.  Blocks of 64 and a stop at that
+    count keep the Fraction products short."""
+    rng = random.Random(20)
+    pts = []
+    while len(pts) < 20:
+        c = [rng.randint(-3, 3) for _ in range(3)]
+        if any(c) and canonicalize(c, QQ) not in pts:
+            pts.append(canonicalize(c, QQ))
+    sigma = point_set(pts)
+
+    class Stop(Exception):
+        pass
+
+    calls, count = [], lincond._pencil_counts
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        if len(calls) == 3:
+            raise Stop
+        return count(*args)
+
+    monkeypatch.setattr(lincond, "_PENCIL_BLOCK", 64)
+    monkeypatch.setattr(lincond, "_pencil_counts", counting)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            max_on_conics(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sigma) == 20 and len(calls) == 3 and max(calls) <= 64
+    assert peak < 1_000_000, peak
 
 
 def test_fp_evaluation_matrices_make_no_python_power(monkeypatch):
