@@ -15,10 +15,12 @@ differs, mod p or not); nullspace runs on one matrix, duals on one matrix
 beside its identity, and rank_and_dependents on the transpose.  matmul is
 the one product in the field, and ratio_ids the one key of a ratio b/a.
 Over F_p the product is matmul_mod_p, and matmul_zeros_mod_p its zero
-mask, so only they know how a product stays exact: float64 BLAS reduced
-once while the K terms of a sum keep K * (p-1)^2 < 2^53 (the delayed
-reduction of Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), an int64 sum
-past it.  inverse_mod_p is the batched inverse mod p, and dot the scalar
+mask, so only they know how a product stays exact: BLAS in the narrowest
+exact float word, reduced once (the delayed reduction of Dumas, Giorgi and
+Pernet, ACM TOMS 35(3), 2008), an int64 sum past it.  The word rule lives
+here alone: residue_word gives the int32 or int64 word of residues mod p,
+and product_word the float32, float64 or int64 word of a sum of K products
+of residues.  inverse_mod_p is the batched inverse mod p, and dot the scalar
 product poly.eval_poly takes.  bareiss_rank is an independent
 fraction-free elimination over QQ, kept as the oracle tests compare
 against.
@@ -37,7 +39,11 @@ import numpy as np
 from .fields import FieldSpec, Scalar
 
 _EXACT = 2**53  # float64 holds every integer below this exactly
-# multiply-adds per float64 product: BLAS splits a larger product across
+# float32 holds every integer below 2^24; its sums stay below half that, so
+# that the rint zero test of matmul_zeros_mod_p is sound at p = 3 (see there)
+_EXACT32 = 2**23
+INT64_LIMIT = 2**63  # int64 holds every integer below this
+# multiply-adds per float product: BLAS splits a larger product across
 # threads, which saved nothing and cost CPU time (on a 2-vCPU machine one
 # 10404 x 10 x 10 product took 0.12-3.7 ms at twice its wall time in CPU,
 # four blocks of 2601 rows 0.12-0.14 ms on one thread)
@@ -153,24 +159,53 @@ def inverse_mod_p(a: np.ndarray, p: int) -> np.ndarray:
     return inv
 
 
-def _float_blocks(a: np.ndarray, b: np.ndarray, p: int):
-    """(lo, a[lo:lo + step] @ b) in float64, step rows of at most _PRODUCT
-    multiply-adds each, while every sum of K terms below p**2 stays below
-    _EXACT, so that each product is exact; None past that bound."""
-    (m, k), n = a.shape, b.shape[1]
+def residue_word(p: int) -> Tuple[type, int]:
+    """The narrowest exact word for residues mod p, and its limit: int32
+    while p^2 < 2^31, so that a residue times a residue plus a residue,
+    (p-1)^2 + (p-1) < p^2, stays inside it; int64 (limit 2^63) above, where
+    p < 2^31, the FieldSpec bound, gives the same room."""
+    return (np.int32, 2**31) if p * p < 2**31 else (np.int64, INT64_LIMIT)
+
+
+def product_word(k: int, p: int) -> type:
+    """The narrowest word in which every sum of k products of residues mod p
+    is exact: float32 while k (p-1)^2 < _EXACT32, float64 while k (p-1)^2 <
+    _EXACT, and int64 past that, summed term by term (matmul_mod_p)."""
     if k * (p - 1) ** 2 >= _EXACT:
+        return np.int64
+    return np.float32 if k * (p - 1) ** 2 < _EXACT32 else np.float64
+
+
+def product_rows(k: int, n: int) -> int:
+    """Rows per block of a product of K terms into n columns: at most
+    _PRODUCT multiply-adds, and at least one row."""
+    return max(1, _PRODUCT // max(1, k * n))
+
+
+def _float_blocks(a: np.ndarray, b: np.ndarray, p: int):
+    """(lo, a[lo:lo + step] @ b) in product_word(K, p), product_rows(K, n)
+    rows at a time, so that each product is exact; None where that word is
+    int64.  An input already in the word is not copied."""
+    (m, k), n = a.shape, b.shape[1]
+    word = product_word(k, p)
+    if word is np.int64:
         return None
-    b, step = b.astype(np.float64, copy=False), max(1, _PRODUCT // max(1, k * n))
-    return ((lo, a[lo:lo + step].astype(np.float64, copy=False) @ b) for lo in range(0, m, step))
+    b, step = b.astype(word, copy=False), product_rows(k, n)
+    return ((lo, a[lo:lo + step].astype(word, copy=False) @ b) for lo in range(0, m, step))
 
 
-def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """a @ b mod p as (m, n) int64 residues, for a (m, K) and b (K, n) with
-    integer entries in [0, p), int64 or float64.  Past the float64 bound, a
-    sum of K int64 terms reduced after each (p < 2**31 keeps it in int64)."""
-    out, blocks = np.zeros((len(a), b.shape[1]), dtype=np.int64), _float_blocks(a, b, p)
+    integer entries in [0, p), of any integer or float dtype: written into
+    out, an (m, n) int64 array (a view of the caller's rows), when it is
+    given.  Past the float64 bound, a sum of K int64 terms reduced after
+    each (p < 2**31 keeps it in int64)."""
+    if out is None:
+        out = np.empty((len(a), b.shape[1]), dtype=np.int64)
+    blocks = _float_blocks(a, b, p)
     if blocks is None:
-        a, b = a.astype(np.int64), b.astype(np.int64)
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
+        out[...] = 0
         for k in range(a.shape[1]):
             out += a[:, k, None] * b[k]
             out %= p
@@ -183,9 +218,16 @@ def matmul_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def matmul_zeros_mod_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """The mask of the entries of a @ b that are 0 mod p, for a and b as
-    matmul_mod_p takes them, with no residues formed: an exact float64 x is
-    a multiple q * p exactly when x == rint(x * (1/p)) * p, as x * (1/p)
-    then lies within 0.5 of q, and otherwise the right side is one."""
+    matmul_mod_p takes them, with no residues formed: an exact sum x in the
+    product word is a multiple q * p exactly when x == rint(x * (1/p)) * p.
+    If x = q * p, rounding 1/p and then the product each err by a relative u
+    (2^-24 in float32, 2^-53 in float64), so x * (1/p) lies within about
+    2u * q = 2u * x / p of q.  In float32, x < 2^23 keeps that below 1/p <=
+    1/3 (at 2^24, float32's own limit, it could reach 2/p = 2/3 at p = 3,
+    past 0.5); in float64, x < 2^53 keeps it below 2/p, under 0.5 for p >=
+    5, and at p = 3 a float64 sum stays within 0.5 for fewer than 2^49
+    terms.  So rint gives q, and q * p = x exactly.  Otherwise rint(...) * p
+    is another multiple of p, exact and not x.  (At p = 2, 1/p is exact.)"""
     blocks = _float_blocks(a, b, p)
     if blocks is None:
         return matmul_mod_p(a, b, p) == 0

@@ -26,11 +26,10 @@ import numpy as np
 
 from .errors import DuplicatePoint, PolySyntaxError, TooLarge, ZeroVector
 from .fields import FieldSpec, Scalar, parse_field_spec
-from .linalg import inverse_mod_p
+from .linalg import INT64_LIMIT, inverse_mod_p
 from .linalg import rank as matrix_rank
 
 SCAN_CAP = 10**8  # points of P^n(F_p) a scan may visit
-_KEY_LIMIT = 2**63  # an int64 row key of k entries mod p needs p**k <= this
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def first_copies(rows: np.ndarray, p: int) -> np.ndarray:
     group first, one stable sort each."""
     count, width = rows.shape
     per = 1
-    while per < width and p ** (per + 1) <= _KEY_LIMIT:
+    while per < width and p ** (per + 1) <= INT64_LIMIT:
         per += 1
     weights = p ** np.arange(per - 1, -1, -1, dtype=np.int64)
     keys = np.stack([rows[:, lo:lo + per] @ weights[max(0, per - width + lo):]

@@ -16,6 +16,10 @@ form's x_n^deg coefficient.  The first form's zeros are kept as flat grid
 indices, and every further form filters them in turn on its own chart
 table, by Horner in the first free coordinate at each surviving index.
 Rows are built only for the points that survive every form, in order.
+Every chart table holds its residues in linalg.residue_word(p), int32 while
+p^2 < 2^31, and the grid products run in linalg.product_word, float32 while
+D (p-1)^2 < 2^23: as D <= p, at every prime up to 199, whatever the degree,
+the scan's largest arrays take half the bytes of int64 and float64.
 projective_zeros and coords_table refuse, before any work, a P^n(F_p) of
 more than projgeom.SCAN_CAP points (TooLarge); the cap is a constant, not a
 setting.
@@ -46,7 +50,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import matmul_mod_p, matmul_zeros_mod_p
+from .linalg import matmul_mod_p, matmul_zeros_mod_p, product_rows, product_word, residue_word
 from .poly import HomoPoly, Monomial
 from .projgeom import check_scan_cap
 
@@ -102,21 +106,24 @@ def eval_forms(forms: Sequence[HomoPoly], pts: np.ndarray, p: int) -> np.ndarray
     (int64 entries in [0, p)), mod p.
 
     The monomials of all the forms become columns (monomial_columns),
-    written straight into a float64 block of at most _CHUNK column entries
-    and multiplied by the (monomials, forms) matrix of coefficients mod p
-    with linalg.matmul_mod_p, block after block of rows.
+    written straight into a block in linalg's product word, and multiplied
+    by the (monomials, forms) matrix of coefficients mod p, held in the same
+    word, with linalg.matmul_mod_p, straight into the output's rows.  A
+    block of rows holds at most _CHUNK column entries and no more rows than
+    one product block (linalg.product_rows), so matmul_mod_p splits none.
     """
     monos = sorted(set().union(*(f.terms for f in forms)))
+    word = product_word(len(monos), p)
     coeffs = np.array([[int(f.terms.get(m, 0)) % p for f in forms] for m in monos],
-                      dtype=np.float64).reshape(len(monos), len(forms))
+                      dtype=word).reshape(len(monos), len(forms))
     out = np.empty((pts.shape[0], len(forms)), dtype=np.int64)
-    step = max(1, _CHUNK // max(1, len(monos)))
+    step = min(max(1, _CHUNK // max(1, len(monos))), product_rows(len(monos), len(forms)))
     for lo in range(0, pts.shape[0], step):
         block = pts[lo:lo + step]
-        cols = np.empty((len(monos), block.shape[0]))
+        cols = np.empty((len(monos), block.shape[0]), dtype=word)
         for row, col in zip(cols, monomial_columns(monos, block, p)):
             row[:] = col
-        out[lo:lo + step] = matmul_mod_p(cols.T, coeffs, p)
+        matmul_mod_p(cols.T, coeffs, p, out=out[lo:lo + step])
     return out
 
 
@@ -177,15 +184,18 @@ def common_zeros(polys: Sequence[HomoPoly], pts: np.ndarray, p: int) -> np.ndarr
 
 def _horner(coeffs: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
     """sum_j coeffs[..., j, :] * t**j mod p for every value in t: an array of
-    shape (..., D, G) becomes (..., len(t), G)."""
+    shape (..., D, G) becomes (..., len(t), G), in the dtype of coeffs and t:
+    linalg.residue_word(p), or a wider integer word.  The reductions mod p
+    are delayed until one more step could leave that word's limit."""
+    limit = residue_word(p)[1]
     tt = t[:, None]
     acc = np.repeat(coeffs[..., -1:, :], len(t), axis=-2)
     top = p - 1  # t and the coefficients lie in [0, p), and so does acc here
     for j in range(coeffs.shape[-2] - 2, -1, -1):
         # acc * t + c <= (top + 1) * (p - 1); reduce mod p only when that
-        # could overflow int64 (p < 2**31, the FieldSpec bound, so a reduced
-        # acc always has room for one more step)
-        if (top + 1) * (p - 1) >= 2**63:
+        # could reach the limit (residue_word leaves a reduced acc room for
+        # one more step)
+        if (top + 1) * (p - 1) >= limit:
             acc %= p
             top = p - 1
         acc *= tt
@@ -197,26 +207,27 @@ def _horner(coeffs: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
 
 def _chart_table(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
     """f on the chart x_pivot = 1 (earlier coordinates 0) with k >= 1 free
-    coordinates t_1..t_k, as a (D, p^(k-1)) array: row j holds the
-    coefficient of t_1^j on the grid of t_2..t_k in lex order.
+    coordinates t_1..t_k, as a (D, p^(k-1)) array of residues in
+    linalg.residue_word(p) (int32 at every p with p^2 < 2^31): row j holds
+    the coefficient of t_1^j on the grid of t_2..t_k in lex order.
 
     On F_p, t^e = t^(1 + (e-1) mod (p-1)) for e >= 1, so exponents are
     reduced below p and the coefficients that meet are summed mod p.  Each
     axis of the coefficient tensor ends at the largest reduced exponent on
     it, so D <= min(deg, p-1) + 1, and a form constant on the chart gives a
     single row."""
-    k = f.nvars - 1 - pivot
+    k, word = f.nvars - 1 - pivot, residue_word(p)[0]
     terms = {}
     for mono, c in f.terms.items():
         if not any(mono[:pivot]):
             e = tuple(1 + (x - 1) % (p - 1) if x else 0 for x in mono[pivot + 1:])
             terms[e] = (terms.get(e, 0) + int(c)) % p
-    dense = np.zeros(tuple(max(col) + 1 for col in zip(*terms)) or (1,) * k, dtype=np.int64)
+    dense = np.zeros(tuple(max(col) + 1 for col in zip(*terms)) or (1,) * k, dtype=word)
     for e, c in terms.items():
         dense[e] = c
     # Horner in t_k first: each new grid axis lands in front of the later ones
     table = dense.reshape(dense.shape + (1,))
-    t = np.arange(p, dtype=np.int64)
+    t = np.arange(p, dtype=word)
     for _ in range(k - 1):
         table = _horner(table, t, p)
         table = table.reshape(table.shape[:-2] + (-1,))
@@ -225,10 +236,11 @@ def _chart_table(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
 
 def _horner_at(table: np.ndarray, idx: np.ndarray, p: int) -> np.ndarray:
     """A (D, G) chart table at flat grid indices idx = t_1 * G + column:
-    sum_j table[j, column] * t_1**j mod p for each index (entries and t_1 in
-    [0, p), p < 2**31, so acc * t_1 + c stays inside int64)."""
+    sum_j table[j, column] * t_1**j mod p for each index, in the table's
+    word, reduced at every step (entries and t_1 in [0, p), so acc * t_1 + c
+    < p^2 stays inside linalg.residue_word(p))."""
     t, col = np.divmod(idx, table.shape[1])
-    coeffs = table[:, col]
+    t, coeffs = t.astype(table.dtype), table[:, col]
     acc = coeffs[-1].copy()
     for c in coeffs[-2::-1]:
         acc *= t
@@ -244,7 +256,9 @@ def _grid_zeros(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
 
     With T the (D, G) chart table and V[t, j] = t^j mod p, the zeros on the
     grid are the zero mask of V @ T mod p (linalg.matmul_zeros_mod_p), taken
-    one block of at most _CHUNK grid points at a time.
+    one block of at most _CHUNK grid points at a time.  V is built in
+    linalg.product_word(D, p), float32 at every p with D (p-1)^2 < 2^23, so
+    only T's block of columns is cast to it.
     """
     table = _chart_table(f, pivot, p)
     depth, width = table.shape
@@ -253,7 +267,8 @@ def _grid_zeros(f: HomoPoly, pivot: int, p: int) -> np.ndarray:
     found = []
     for lo in range(0, p, rows):
         t = np.arange(lo, min(lo + rows, p), dtype=np.int64)[:, None]
-        powers = np.array(list(monomial_columns([(j,) for j in range(depth)], t, p)), np.float64).T
+        powers = np.array(list(monomial_columns([(j,) for j in range(depth)], t, p)),
+                          product_word(depth, p)).T
         for c0 in range(0, width, cols):
             c = min(cols, width - c0)
             zero = matmul_zeros_mod_p(powers, table[:, c0:c0 + c], p)

@@ -68,15 +68,23 @@ def rref_stack_sizes(monkeypatch):
 @pytest.fixture
 def product_paths(monkeypatch):
     """Each product that linalg.matmul_mod_p or matmul_zeros_mod_p takes
-    during the test, counted by its path: "float64" blocks, or the "int64"
-    sum of terms past the bound."""
+    during the test, counted by its path: "float32" or "float64", the dtype
+    of its blocks (counted at the first block), or the "int64" sum of terms
+    past the float64 bound."""
     paths = Counter()
     blocks_of = linalg._float_blocks
 
+    def labelled(blocks):
+        for lo, x in blocks:
+            paths[x.dtype.name] += lo == 0
+            yield lo, x
+
     def counting(a, b, p):
         blocks = blocks_of(a, b, p)
-        paths["int64" if blocks is None else "float64"] += 1
-        return blocks
+        if blocks is None:
+            paths["int64"] += 1
+            return None
+        return labelled(blocks)
 
     monkeypatch.setattr(linalg, "_float_blocks", counting)
     return paths

@@ -385,8 +385,9 @@ def test_rref_mod_p_ranks_match_rank(p):
 
 # --- products mod p ------------------------------------------------------------
 
-# primes on both sides of the float64 bound: K (p - 1)^2 < 2^53 for every K
-# used here below 2^26 - 5, for K <= 2 at 2^26 - 5, for no K at 2^31 - 1
+# primes on every side of the float bounds: K (p - 1)^2 < 2^23 for every K
+# used here at 3 and 101, < 2^53 at 10007, for K <= 2 at 2^26 - 5, and for
+# no K at 2^31 - 1
 _PRODUCT_PRIMES = [3, 101, 10007, 2**26 - 5, 2**31 - 1]
 
 
@@ -428,8 +429,8 @@ def _product_cases(rng, p):
 @pytest.mark.parametrize("p", _PRODUCT_PRIMES)
 @pytest.mark.parametrize("path", ["chosen", "int64"])
 def test_matmul_mod_p_matches_python_integers(monkeypatch, product_paths, p, path):
-    """Both entry points, int64 and float64 inputs, on both sides of the
-    exact float64 bound: the path K (p - 1)^2 chooses, and the int64 sum of
+    """Both entry points, int64 and float64 inputs, on every side of the
+    exact float bounds: the path K (p - 1)^2 chooses, and the int64 sum of
     terms at every p when the bound is lowered (a test hook)."""
     if path == "int64":
         monkeypatch.setattr(linalg, "_EXACT", 1)
@@ -442,8 +443,8 @@ def test_matmul_mod_p_matches_python_integers(monkeypatch, product_paths, p, pat
         assert set(product_paths) == {"int64"}
     elif p == 2**26 - 5:
         assert set(product_paths) == {"float64", "int64"}
-    else:
-        assert set(product_paths) == {"float64"}
+    else:  # K (p - 1)^2 < 2^23 for every K used here at p = 3 and 101
+        assert set(product_paths) == {"float32" if p <= 101 else "float64"}
 
 
 @pytest.mark.parametrize("p", [2**21 - 9, 2**26 - 5])  # both prime: limits K = 2048 and 2
@@ -457,6 +458,39 @@ def test_matmul_mod_p_at_the_float64_limit(product_paths, p):
         product_paths.clear()
         assert _check_product(a, b, p).tolist() == [[k * (p - 1) ** 2 % p] * 2] * 3
         assert set(product_paths) == {path}
+
+
+@pytest.mark.parametrize("p", [3, 101])  # limits K = 2^21 - 1 and 838
+def test_matmul_mod_p_at_the_float32_limit(product_paths, p):
+    """Every entry p - 1 makes the largest sum, K (p - 1)^2: the largest K
+    below 2^23 takes float32 blocks, one more term float64.  The second row
+    of a brings its sum to a multiple of p with one smaller entry, so the
+    zero mask meets a zero at the bound too.  Both rows against their
+    Python-int sums."""
+    limit = (linalg._EXACT32 - 1) // (p - 1) ** 2
+    assert limit * (p - 1) ** 2 < 2**23 <= (limit + 1) * (p - 1) ** 2
+    for k, path in ((limit, "float32"), (limit + 1, "float64")):
+        a, b = np.full((2, k), p - 1, dtype=np.int64), np.full((k, 1), p - 1, dtype=np.int64)
+        a[1, 0] = (k - 1) % p  # (k - 1) (p - 1)^2 + a[1, 0] (p - 1) = 0 mod p
+        sums = [k * (p - 1) ** 2, (k - 1) * (p - 1) ** 2 + int(a[1, 0]) * (p - 1)]
+        product_paths.clear()
+        got = matmul_mod_p(a, b, p)
+        assert got.tolist() == [[sums[0] % p], [0]] and sums[1] % p == 0
+        assert matmul_zeros_mod_p(a, b, p).tolist() == [[sums[0] % p == 0], [True]]
+        assert dict(product_paths) == {path: 2}
+
+
+def test_matmul_mod_p_writes_into_the_callers_rows():
+    """Given out, matmul_mod_p writes a @ b mod p into it, every block of
+    rows in place, on each path, and returns it."""
+    for p in (101, 10007, 2**31 - 1):  # float32, float64, int64
+        rng = np.random.default_rng(p)
+        a, b = rng.integers(0, p, (linalg._PRODUCT // 8 + 5, 4)), rng.integers(0, p, (4, 2))
+        want = (a.astype(object) @ b.astype(object)) % p  # Python integers
+        rows = np.full((len(a) + 2, 2), -1, dtype=np.int64)
+        view = rows[1:-1]
+        assert matmul_mod_p(a, b, p, out=view) is view
+        assert view.tolist() == want.tolist() and (rows[[0, -1]] == -1).all()
 
 
 @pytest.mark.parametrize("p", [101, 2**31 - 1])

@@ -121,9 +121,10 @@ def _python_monomial(mono, row, p):
 @pytest.mark.parametrize("path", ["chosen", "int64"])
 def test_eval_forms_matches_python_integers(monkeypatch, product_paths, p, path):
     """Seeded dense forms of degree 1..4 at rows with 0 and p - 1 entries,
-    with no rows at all, and on both sides of the exact-product bound: the
-    float64 product for small p, the int64 sum of terms at p = 2^31 - 1, and
-    either at every p when linalg's bound is lowered (a test hook)."""
+    with no rows at all, and on every side of the exact-product bounds: the
+    float32 product for p <= 101, float64 for larger p, the int64 sum of
+    terms at p = 2^31 - 1, and that sum at every p when linalg's float64
+    bound is lowered (a test hook)."""
     if path == "int64":
         monkeypatch.setattr(linalg, "_EXACT", 1)
     rng = random.Random(p)
@@ -143,7 +144,9 @@ def test_eval_forms_matches_python_integers(monkeypatch, product_paths, p, path)
         assert sides == {False} and set(product_paths) == {"int64"}
     else:
         assert sides == ({True, False} if p == _NEAR_BOUND else {True})
-        assert set(product_paths) == ({"float64", "int64"} if p == _NEAR_BOUND else {"float64"})
+        # at most 35 monomials: 35 (p - 1)^2 < 2^23 for p <= 101
+        assert set(product_paths) == ({"float64", "int64"} if p == _NEAR_BOUND
+                                      else {"float32"} if p <= 101 else {"float64"})
 
 
 @pytest.mark.parametrize("nvars", [2, 3])
@@ -300,6 +303,60 @@ def test_horner_at_matches_python_integers(p):
     idx = np.array([t * cols + c for t, c in pairs], dtype=np.int64)
     want = [sum(int(table[j, c]) * t**j for j in range(12)) % p for t, c in pairs]
     assert _horner_at(table, idx, p).tolist() == want
+
+
+# the largest prime with p^2 < 2^31 (int32 residues) and the next prime (int64)
+_WORD_PRIMES = [46337, 46349]
+
+
+@pytest.mark.parametrize("p", _WORD_PRIMES)
+def test_horner_in_the_residue_word(p):
+    """_horner and _horner_at on tables held in linalg.residue_word(p), int32
+    exactly while p^2 < 2^31, against Python-int Horner: every coefficient
+    and t_1 = p - 1 make the largest step, (p - 1)^2 + (p - 1) = p (p - 1),
+    which fits int32 at 46337 and not at 46349."""
+    word = linalg.residue_word(p)[0]
+    assert word is (np.int32 if p == 46337 else np.int64)
+    rng = random.Random(p)
+    coeffs = np.full((10, 3), p - 1, dtype=word)
+    coeffs[:, 1] = [rng.randrange(p) for _ in range(10)]
+    t = np.array([0, 1, p - 1, rng.randrange(p)], dtype=word)
+    want = [[sum(int(coeffs[j, g]) * int(x) ** j for j in range(10)) % p for g in range(3)]
+            for x in t]
+    got = _horner(coeffs, t, p)
+    assert got.dtype == word and got.tolist() == want
+    idx = np.array([int(x) * 3 + g for x in t for g in range(3)], dtype=np.int64)
+    assert _horner_at(coeffs, idx, p).tolist() == [v for row in want for v in row]
+
+
+@pytest.mark.parametrize("p", _WORD_PRIMES)
+def test_chart_table_at_the_int32_limit(p):
+    """A cubic of P^2 with every coefficient p - 1: chart 0's table, in
+    linalg.residue_word(p), against Python-int Horner in t_2 on the whole
+    grid."""
+    f = make_poly(3, 3, {m: p - 1 for m in monomial_basis(3, 3)}, GF(p))
+    table = _chart_table(f, 0, p)
+    assert table.dtype == linalg.residue_word(p)[0] and table.shape == (4, p)
+    for j in range(4):
+        terms = [(m[2], int(c)) for m, c in f.terms.items() if m[1] == j]
+        want = [sum(c * pow(t, e, p) for e, c in terms) % p for t in range(p)]
+        assert table[j].tolist() == want
+
+
+@pytest.mark.parametrize("p", _WORD_PRIMES)
+def test_projective_zeros_on_p1_at_the_int32_limit(p):
+    """projective_zeros against common_zeros on P^1 over both primes: a
+    form with three seeded linear factors, then a second form sharing one
+    of them, filtered on its chart table at the survivors."""
+    field, rng = GF(p), random.Random(p)
+    line = [make_poly(2, 1, {(1, 0): rng.randrange(1, p), (0, 1): rng.randrange(1, p)}, field)
+            for _ in range(3)]
+    polys = [line[0] * line[1] * line[2] * _form(2, 2, field, rng, 1.0),
+             line[1] * _form(2, 3, field, rng, 1.0)]
+    for k in (1, 2):
+        want = common_zeros(polys[:k], coords_table(1, p), p)
+        assert want.shape[0] >= 1
+        assert np.array_equal(projective_zeros(polys[:k], 1, p), want)
 
 
 def test_chart_table_reduces_exponents_below_p():

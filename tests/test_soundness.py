@@ -101,6 +101,42 @@ def test_products_mod_p_only_in_linalg():
     assert not found, f"array products outside linalg: {found}"
 
 
+# the word limits a module may not name outside linalg: 2^31 (int32), 2^53
+# (float64's exact integers) and 2^63 (int64)
+_WORD_LIMITS = {2**31, 2**53, 2**63}
+# the one word limit outside linalg, and why it stays
+_WORD_ALLOWED = {("fields.py", "_P_MAX"): "the FieldSpec bound p < 2^31; linalg imports fields"}
+
+
+def test_word_rule_only_in_linalg():
+    """linalg alone picks a machine word (residue_word, product_word): no
+    other module names np.float32, np.int32 or np.iinfo, or writes a word
+    limit 2**31, 2**53 or 2**63 in code, as a power, a shift or a literal.
+    Docstrings and comments may quote them.  _WORD_ALLOWED names each
+    exception."""
+    def names_a_word(node):
+        if isinstance(node, ast.Attribute):
+            return (isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}
+                    and node.attr in {"float32", "int32", "iinfo"})
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.LShift))
+                and all(isinstance(side, ast.Constant) and type(side.value) is int
+                        for side in (node.left, node.right))):
+            a, b = node.left.value, node.right.value
+            return (a ** b if isinstance(node.op, ast.Pow) else a << b) in _WORD_LIMITS
+        return (isinstance(node, ast.Constant) and type(node.value) is int
+                and node.value in _WORD_LIMITS)
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            targets = [t.id for t in getattr(top, "targets", []) if isinstance(t, ast.Name)]
+            if (path.name, getattr(top, "name", targets[0] if targets else None)) not in _WORD_ALLOWED:
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(top) if names_a_word(node)]
+    assert not found, f"machine words chosen outside linalg: {found}"
+
+
 # the field forks outside linalg, fields and projgeom, and why each stays
 _FIELD_FORKS = {
     # monomial values mod p (scan.monomial_columns) against exact point_row
