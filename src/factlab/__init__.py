@@ -44,6 +44,7 @@ from .lincond import (
     incidence_bound_from_intersection,
     is_independent,
     max_on_conics,
+    max_on_curves,
     max_on_lines,
     separator,
     swap_combine,

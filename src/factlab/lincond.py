@@ -1,6 +1,7 @@
 """Evaluation matrices, the independence defect, separator certificates,
-the certificate combiner, exact line/conic incidence counts, intersection
-certificates, and the blown-up-plane base-point checker.
+the certificate combiner, exact incidence counts on lines and on plane
+curves of every degree, intersection certificates, and the blown-up-plane
+base-point checker.
 
 evaluation_matrix is the package's one builder of monomial rows, which
 every evaluation matrix here and in families reads.  It returns one
@@ -271,8 +272,10 @@ def swap_combine(
 
 # --- incidence counts -------------------------------------------------------
 
-_CONIC_CAP = 40  # max_on_conics refuses larger sets (TooLarge)
-_PENCIL_BLOCK = 256  # pencils per block of max_on_conics' count
+# max_on_curves' most pencil work, pencils x (M - 2) x M: the conic count
+# at 40 points, about 18 points at k = 3 and 19 at k = 4
+_PENCIL_CAP = comb(39, 4) * 4 * 6
+_PENCIL_BLOCK = 256  # pencils per block of max_on_curves' count
 
 
 def secant_lines(sigma: PointSet) -> Dict[Tuple, Tuple[Tuple[int, int], int]]:
@@ -302,44 +305,45 @@ def max_on_lines(sigma: PointSet) -> Tuple[int, Tuple[ProjPoint, ProjPoint]]:
 
 
 def _pencils(table: np.ndarray, field: FieldSpec) -> Tuple[int, Tuple[int, ...]]:
-    """max_on_conics' 5-subset candidates, from the (n, 6) array of the
-    points' conic rows: the largest count, and the first 5-subset T + (e,)
-    in (lex T, ascending e) order that holds more than five points and
-    attains it; (5, the first five indices) when none does.  A 4-subset
-    ending at the last point extends to no 5-subset.  The 4-subsets are
-    reduced and counted in blocks of _PENCIL_BLOCK, so no stack of all
-    C(n-1, 4) RREFs is held at once.
+    """max_on_curves' candidates, from the (n, M) array of the points'
+    degree-k rows: the largest count, and the first (M-1)-subset T + (e,)
+    in (lex T, ascending e) order that holds more than M - 1 points and
+    attains it; (M - 1, the first M - 1 indices) when none does.  An
+    (M-2)-subset ending at the last point extends to no (M-1)-subset.  The
+    (M-2)-subsets are reduced and counted in blocks of _PENCIL_BLOCK, so no
+    stack of all C(n-1, M-2) RREFs is held at once.
     """
-    n = len(table)
-    subsets = np.fromiter(itertools.combinations(range(n - 1), 4), dtype=(np.intp, 4))
-    best, witness = 5, tuple(range(5))
+    n, M = table.shape
+    subsets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n - 1), M - 2)),
+                          dtype=np.intp).reshape(-1, M - 2)
+    best, witness = M - 1, tuple(range(M - 1))
     for lo in range(0, len(subsets), _PENCIL_BLOCK):
         block = subsets[lo:lo + _PENCIL_BLOCK]
         R, piv = rref_subsets(table, block, field)
-        pencil = np.flatnonzero(piv[:, 3] < 6)  # no four collinear
-        count = _pencil_counts(R[pencil], piv[pencil], block[pencil, 3], table, field)
+        pencil = np.flatnonzero(piv[:, M - 3] < M)  # T imposes M - 2 conditions
+        count = _pencil_counts(R[pencil], piv[pencil], block[pencil, -1], table, field)
         top = count.max(initial=0)
         if top > best:  # argmax is the first in row-major order: lex T, then ascending e
-            k, e = divmod(int(count.argmax()), n)
-            best, witness = int(top), tuple(block[pencil[k]].tolist()) + (e,)
+            i, e = divmod(int(count.argmax()), n)
+            best, witness = int(top), tuple(block[pencil[i]].tolist()) + (e,)
     return best, witness
 
 
 def _pencil_counts(R: np.ndarray, piv: np.ndarray, last: np.ndarray, table: np.ndarray,
                    field: FieldSpec) -> np.ndarray:
-    """(len(R), n) array: for each 4-subset T with RREF R (rank 4, pivot
-    columns piv) and last index last, the number of points on the conic
-    through T and e at each e > last that is no base point, and 0 at every
-    other e.
+    """(len(R), n) array: for each (M-2)-subset T with RREF R (rank M - 2,
+    pivot columns piv) and last index last, the number of points on the
+    curve through T and e at each e > last that is no base point, and 0 at
+    every other e.
 
     Each point q is keyed by linalg.ratio_ids of its parameter b/a, for
     [a : b] = [c1(q) : c2(q)], or by -1 for [0 : 1]; the points of T and
     the base points, where a = b = 0, share the key -2.  The count at e is
-    4 + base + the length of the run of e's key in its row."""
-    m, n = len(R), len(table)
-    pencils = linalg.kernel(R, piv, 4, field).transpose(1, 0, 2)  # c1 and c2 of every pencil
-    a, b = matmul(pencils.reshape(-1, 6), table.T, field).reshape(2, m, n)
-    on_all = (a == 0) & (b == 0)  # the 4 points of T and the base points
+    M - 2 + base + the length of the run of e's key in its row."""
+    (m, rank, M), n = R.shape, len(table)
+    pencils = linalg.kernel(R, piv, rank, field).transpose(1, 0, 2)  # c1 and c2 of every pencil
+    a, b = matmul(pencils.reshape(-1, M), table.T, field).reshape(2, m, n)
+    on_all = (a == 0) & (b == 0)  # the points of T and the base points
     key = linalg.ratio_ids(a, b, field)
     key[on_all] = -2
     # equal keys of a row are one run after a stable sort, the kind that
@@ -352,45 +356,61 @@ def _pencil_counts(R: np.ndarray, piv: np.ndarray, last: np.ndarray, table: np.n
     run = np.cumsum(starts) - 1  # runs never cross rows: each row starts one
     count = np.empty_like(key)
     np.put_along_axis(count, order, np.bincount(run)[run].reshape(m, n), axis=1)
-    count += on_all.sum(axis=1, keepdims=True)  # 4 + base
+    count += on_all.sum(axis=1, keepdims=True)  # M - 2 + base
     count[on_all | (np.arange(n) <= last[:, None])] = 0
     return count
 
 
-def max_on_conics(sigma: PointSet) -> Tuple[int, HomoPoly]:
-    """Exact max of |conic ∩ sigma| over all conics of P^2, with a witness.
+def max_on_curves(sigma: PointSet, k: int) -> Tuple[int, HomoPoly]:
+    """nu_k, the exact max of |C ∩ sigma| over all curves C of degree k in
+    P^2, with a witness form.  M = C(k+2, 2) is the number of degree-k
+    monomials.
 
-    When sigma lies on a conic (its conic rows have rank < 6, as any five
-    points do), the count is |sigma| and the witness the first form of that
-    kernel.  Otherwise the candidates, each replacing the witness only when
-    it holds strictly more points, are the first five points and the conic
-    through each 5-subset with no four collinear (in lex order).  A line
-    pair needs no candidate of its own: if one line holds three points of
-    sigma and the other two more off it, five of them with no four
-    collinear span that pair; and a line with at most one more point beats
-    every such pair only when it holds all of sigma, which then lies on a
-    conic.
+    When sigma lies on a degree-k curve (its degree-k rows have rank < M,
+    as any M - 1 points do), the count is |sigma| and the witness the first
+    form of that kernel.  Otherwise a curve C that attains nu_k meets sigma
+    in rank exactly M - 1: were it lower, C ∩ sigma and one point off C
+    would lie on a curve with more points.  So C is the only curve through
+    an independent (M-1)-subset of C ∩ sigma, and the candidates, each
+    replacing the witness only when it holds strictly more points, are the
+    first M - 1 points and the curve through each independent (M-1)-subset
+    (in lex order).
 
-    The 5-subsets are counted through pencils.  For each 4-subset T with no
-    four collinear, the conics through T form a pencil spanned by c1, c2.
+    They are counted through pencils.  For each (M-2)-subset T that imposes
+    M - 2 conditions, the curves through T form a pencil spanned by c1, c2.
     Every other point q has a parameter [c1(q) : c2(q)], or is a base point
-    of the pencil when both vanish.  The conic through T and a non-base
+    of the pencil when both vanish.  The curve through T and a non-base
     point e holds T, the base points and every point with e's parameter.
-    That is C(n, 4) eliminations of 4 x 6 matrices instead of C(n, 5) of
-    5 x 6 ones, reduced and counted as arrays in blocks of _PENCIL_BLOCK
-    pencils (_pencils), so the temporaries are O(_PENCIL_BLOCK * n).
+    That is C(n-1, M-2) eliminations of (M-2) x M matrices, reduced and
+    counted as arrays in blocks of _PENCIL_BLOCK pencils (_pencils), so the
+    temporaries are O(_PENCIL_BLOCK * n).  TooLarge when that work,
+    pencils x (M - 2) x M, exceeds _PENCIL_CAP.
     """
+    if k < 1:
+        raise ValueError("k >= 1 required")
     if sigma.ambient_dim != 2:
-        raise WrongAmbient("conic counting lives in P^2")
-    if len(sigma) > _CONIC_CAP:
-        raise TooLarge(f"|sigma| = {len(sigma)} > conic cap {_CONIC_CAP}")
-    field = sigma.field
-    basis2, rows = _set_matrix(sigma, 2)
-    through = nullspace(rows, 6, field)
+        raise WrongAmbient("curve counting lives in P^2")
+    field, n = sigma.field, len(sigma)
+    basis, rows = _set_matrix(sigma, k)
+    M = len(basis)
+    through = nullspace(rows, M, field)
     if len(through):
-        return len(sigma), form_from_coeffs(basis2, through[0], field)
-    best, witness_subset = _pencils(rows, field)
-    return best, form_from_coeffs(basis2, nullspace(rows[list(witness_subset)], 6, field)[0], field)
+        return n, form_from_coeffs(basis, through[0], field)
+    work = comb(n - 1, M - 2) * (M - 2) * M
+    if work > _PENCIL_CAP:
+        raise TooLarge(f"nu_{k} of {n} points: C({n - 1}, {M - 2}) pencils x {M - 2} x {M} "
+                       f"= {work} > cap {_PENCIL_CAP}")
+    best, witness = _pencils(rows, field)
+    return best, form_from_coeffs(basis, nullspace(rows[list(witness)], M, field)[0], field)
+
+
+def max_on_conics(sigma: PointSet) -> Tuple[int, HomoPoly]:
+    """max_on_curves(sigma, 2): nu_2 with a witness conic.  A line pair
+    needs no candidate of its own: if one line holds three points of sigma
+    and the other two more off it, five of them with no four collinear span
+    that pair; and a line with at most one more point beats every such pair
+    only when it holds all of sigma, which then lies on a conic."""
+    return max_on_curves(sigma, 2)
 
 
 # --- set-theoretic intersection certificates ---------------------------------
@@ -447,13 +467,13 @@ class BeseReport:
     scan_result: str  # free | base_point | not_scanned
     witness: Optional[object] = None
 
+    def witness_text(self) -> Optional[str]:
+        if isinstance(self.witness, tuple):  # (Q, v): a direction v at a point Q of sigma
+            Q, v = self.witness
+            return f"{Q} direction ({':'.join(map(str, v))})"
+        return None if self.witness is None else str(self.witness)
+
     def to_json(self) -> str:
-        wit = self.witness
-        if isinstance(wit, tuple):  # (Q, v): a direction v at a point Q of sigma
-            Q, v = wit
-            wit = f"{Q} direction ({':'.join(map(str, v))})"
-        elif wit is not None:
-            wit = str(wit)
         return dumps(
             {
                 "xi": self.xi,
@@ -461,7 +481,7 @@ class BeseReport:
                 "hypotheses_hold": self.hypotheses_hold,
                 "hypothesis_detail": self.hypothesis_detail,
                 "scan_result": self.scan_result,
-                "witness": wit,
+                "witness": self.witness_text(),
                 "scan_label": None if self.scan_result == "not_scanned" else "F_p-rational scan",
             }
         )
@@ -520,7 +540,13 @@ def bese_check(
 ) -> BeseReport:
     """Check the blow-up base-point-freeness hypotheses for points of P^2 at
     degree xi, then exhaustively scan for F_p-rational base points including
-    all first-order directions at the blown-up points themselves."""
+    all first-order directions at the blown-up points themselves.
+
+    The hypothesis at each non-vacuous k compares nu_k = max_on_curves(sigma,
+    k) with its bound; where that count is over its cap the line reads
+    incidence_cert's bound, or "unknown".  Hypotheses that hold next to a
+    base point found by the scan contradict the criterion in characteristic
+    p: VerificationFailure."""
     if xi < 3:
         raise XiTooSmall("the checker assumes xi >= 3")
     if sigma.ambient_dim != 2:
@@ -547,40 +573,25 @@ def bese_check(
         if delta <= bound:
             detail.append((f"k={k}: delta {delta} <= {bound} (vacuous)", "yes"))
             continue
-        if k == 1:
-            nu, _ = max_on_lines(sigma) if delta >= 2 else (delta, None)
-            verdict = "yes" if nu <= bound else "no"
-            detail.append((f"k=1: nu_1 = {nu} <= {bound}", verdict))
-        elif k == 2:
-            try:
-                nu, _ = max_on_conics(sigma)
-            except TooLarge as exc:  # above the conic count's cap: undecided, keep scanning
-                verdict = "unknown"
-                detail.append((f"k=2: {exc}", verdict))
-            else:
-                verdict = "yes" if nu <= bound else "no"
-                detail.append((f"k=2: nu_2 = {nu} <= {bound}", verdict))
-        else:
+        try:
+            nu, _ = max_on_curves(sigma, k)
+        except TooLarge as exc:  # above the count's cap: a certified bound, or undecided
+            line, verdict = f"k={k}: {exc}", "unknown"
             if incidence_cert is not None:
                 nu_bound = incidence_cert.bound(k)
+                line = f"k={k}: certified nu_{k} <= {nu_bound}, need <= {bound}"
                 verdict = "yes" if nu_bound <= bound else "unknown"
-                detail.append(
-                    (f"k={k}: certified nu_{k} <= {nu_bound}, need <= {bound}", verdict)
-                )
-            else:
-                verdict = "unknown"
-                detail.append((f"k={k}: no incidence bound available", "unknown"))
+        else:
+            line, verdict = f"k={k}: nu_{k} = {nu} <= {bound}", "yes" if nu <= bound else "no"
+        detail.append((line, verdict))
         if verdict == "no":
             status = "no"
         elif verdict == "unknown" and status == "yes":
             status = "unknown"
 
     scan_result, witness = _first_base_point(sigma, xi) if scan else ("not_scanned", None)
-    return BeseReport(
-        xi=xi,
-        delta=delta,
-        hypotheses_hold=status,
-        hypothesis_detail=detail,
-        scan_result=scan_result,
-        witness=witness,
-    )
+    report = BeseReport(xi, delta, status, detail, scan_result, witness)
+    if status == "yes" and scan_result == "base_point":
+        raise VerificationFailure(f"the hypotheses hold at xi = {xi}, yet the F_p-rational "
+                                  f"scan found the base point {report.witness_text()}")
+    return report

@@ -367,7 +367,8 @@ def test_bese_subcommand(tmp_path, capsys):
 
 
 def test_bese_above_conic_cap_still_scans(tmp_path, capsys):
-    """Past max_on_conics' cap of 40 points the k=2 line is unknown, not exit 3."""
+    """Past the conic count's cap of 40 points the k=2 line is unknown and
+    names the work it refused, not exit 3; so are the k=3 and k=4 lines."""
     F = GF(101)
     rng = SplitMix64(41)
     pts = set()
@@ -380,7 +381,36 @@ def test_bese_above_conic_cap_still_scans(tmp_path, capsys):
     report = json.loads(out)
     assert report["hypotheses_hold"] == "no"
     assert report["scan_result"] in ("free", "base_point")
-    assert ["k=2: |sigma| = 41 > conic cap 40", "unknown"] in report["hypothesis_detail"]
+    assert report["hypothesis_detail"][2:] == [
+        ["k=2: nu_2 of 41 points: C(40, 4) pencils x 4 x 6 = 2193360 > cap 1974024", "unknown"],
+        ["k=3: nu_3 of 41 points: C(40, 8) pencils x 8 x 10 = 6152374800 > cap 1974024",
+         "unknown"],
+        ["k=4: nu_4 of 41 points: C(40, 13) pencils x 13 x 15 = 2346478461600 > cap 1974024",
+         "unknown"],
+    ]
+
+
+def test_bese_decides_every_degree_on_a_grid(tmp_path, capsys):
+    """The 4 x 4 grid {(a : b : 1) : 0 <= a, b <= 3} over F_11 at xi = 5:
+    every non-vacuous k is counted exactly.  k = 2 and k = 3 run pencils
+    whose subsets are sometimes dependent (four points on a line; four on
+    each of two lines), and k = 4 is the rank test, as the grid lies on the
+    two quartics x(x-z)(x-2z)(x-3z) and y(y-z)(y-2z)(y-3z)."""
+    F = GF(11)
+    path = tmp_path / "grid.points"
+    path.write_text(dump_point_set(point_set(
+        [canonicalize([a, b, 1], F) for a in range(4) for b in range(4)])))
+    code, out, _ = run_cli(["bese", str(path), "--xi", "5"], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["hypothesis_detail"] == [
+        ["delta = 16 <= max-bound 16", "yes"],
+        ["k=1: nu_1 = 4 <= 5", "yes"],
+        ["k=2: nu_2 = 8 <= 10", "yes"],
+        ["k=3: nu_3 = 12 <= 13", "yes"],
+        ["k=4: nu_4 = 16 <= 14", "no"],
+    ]
+    assert report["hypotheses_hold"] == "no"
 
 
 @pytest.mark.parametrize("text, code", [

@@ -177,19 +177,25 @@ def _proved_incidence_sets():
     - the a x b grid (1 : s : t), s < a <= b, t < b, the crossings of the
       lines y = s*x with the lines z = t*x: a degree-k curve that contains
       j <= k of the a lines meets each other one in at most k - j points,
-      so it holds at most j*b + (a - j)(k - j) <= k*lambda when lambda >= b.
+      so it holds at most j*b + (a - j)(k - j) <= k*lambda when lambda >= b;
+    - m points (1 : t : t^2) of the conic x*z = y^2, no three collinear: a
+      curve that contains the conic has k >= 2 and holds m <= 2*lambda of
+      them, and one that does not holds at most 2k (Bezout), so lambda >=
+      max(2, m/2) suffices.
     """
     F = GF(101)
     sets = [(point_set([canonicalize([1, t, 0], F) for t in range(m)]), max(m, 2))
             for m in range(2, 10)]
     sets += [(point_set([canonicalize([1, s, t], F) for s in range(a) for t in range(b)]), b)
              for b in range(2, 7) for a in range(2, b + 1)]
+    sets += [(point_set([canonicalize([1, t, t * t], F) for t in range(m)]), max(2, -(-m // 2)))
+             for m in range(3, 16)]
     return sets
 
 
 def test_engines_never_apply_where_the_defect_is_positive():
     """theorem_main_certify (n = 2..4) and prop_3r4_certify on collinear
-    sets and grids, at every lambda from the least their incidence allows
+    sets, grids and points on a conic, at every lambda from the least their incidence allows
     to 3 above it: wherever an engine applies, the exact defect at its
     degree is 0.  A plane set has the same defect in every P^n, as forms
     on P^n restrict onto every degree-xi form of the plane, so the defect

@@ -415,24 +415,36 @@ def test_incidence_certificate():
         incidence_bound_from_intersection(wrong, [g1, g2])
 
 
-def test_bese_hypothesis_lines_from_an_incidence_certificate():
+def test_bese_hypothesis_lines_from_an_incidence_certificate(monkeypatch):
     # the 4 x 4 grid cut out by x(x-z)(x-2z)(x-3z) and y(y-z)(y-2z)(y-3z):
-    # at xi = 5 its 16 points exceed the k = 3 and k = 4 bounds 13 and 14, so
-    # those lines read the certified bound 4k: 12 <= 13 holds, 16 <= 14 not
+    # at xi = 5 its 16 points exceed the k = 3 and k = 4 bounds 13 and 14.
+    # Three of its lines hold 12 points, and it lies on a quartic
     F = GF(11)
     gx = parse_poly("x^4 - 6*x^3*z + 11*x^2*z^2 - 6*x*z^3", 3, F)
     gy = parse_poly("y^4 - 6*y^3*z + 11*y^2*z^2 - 6*y*z^3", 3, F)
     sigma = point_set([canonicalize([a, b, 1], F) for a in range(4) for b in range(4)])
+    plain = bese_check(sigma, 5, scan=False)
+    assert plain.hypothesis_detail[-2:] == [
+        ("k=3: nu_3 = 12 <= 13", "yes"),
+        ("k=4: nu_4 = 16 <= 14", "no"),
+    ]
+    assert plain.hypotheses_hold == "no"
+    # over the cap of pencil work (here the conic count's work on 16
+    # points, so C(15, 8) cubic pencils are refused) a line reads the
+    # certified bound 4k, and is unknown without one: at xi = 4 the bound
+    # 12 on cubics misses 10, where the exact nu_3 would decide "no"
+    monkeypatch.setattr(lincond, "_PENCIL_CAP", comb(15, 4) * 4 * 6)
     cert = incidence_bound_from_intersection(sigma, [gx, gy])
     rep = bese_check(sigma, 5, incidence_cert=cert, scan=False)
     assert rep.hypothesis_detail[-2:] == [
         ("k=3: certified nu_3 <= 12, need <= 13", "yes"),
-        ("k=4: certified nu_4 <= 16, need <= 14", "unknown"),
+        ("k=4: nu_4 = 16 <= 14", "no"),  # the rank test needs no pencils
     ]
-    assert rep.hypotheses_hold == "unknown"
-    # without the certificate neither line is decided
-    plain = bese_check(sigma, 5, scan=False)
-    assert [v for _, v in plain.hypothesis_detail[-2:]] == ["unknown", "unknown"]
+    rep = bese_check(sigma, 4, incidence_cert=cert, scan=False)
+    assert rep.hypothesis_detail[-1] == ("k=3: certified nu_3 <= 12, need <= 10", "unknown")
+    plain = bese_check(sigma, 4, scan=False)
+    assert plain.hypothesis_detail[-1] == (
+        "k=3: nu_3 of 16 points: C(15, 8) pencils x 8 x 10 = 514800 > cap 32760", "unknown")
 
 
 def test_bese_xi_too_small():
@@ -875,6 +887,70 @@ def test_max_on_conics_line_pairs_match_the_oracle_on_both_fields():
         wins[field.p == 0, want[0] == len(sigma)] += 1
     assert wins[True, True] >= 3 and wins[False, True] >= 5 and wins[False, False] >= 3
     assert wins[True, False] >= 3
+
+
+def _curves_oracle(sigma, k):
+    """nu_k by subset search: the largest subset of sigma whose degree-k
+    rows have rank < C(k+2, 2), that is, which lies on a degree-k curve;
+    sizes are tried from |sigma| down, each size's subsets reduced as one
+    stack."""
+    basis = monomial_basis(3, k)
+    rows = [point_row(q.coords, basis, sigma.field) for q in sigma]
+    for size in range(len(rows), 0, -1):
+        _, piv = rref_subsets(rows, list(itertools.combinations(range(len(rows)), size)),
+                              sigma.field)
+        if ((piv < len(basis)).sum(axis=1) < len(basis)).any():
+            return size
+    return 0
+
+
+def _on_a_cuspidal_cubic(p, count, extra, rng):
+    """count points (t^2 : t^3 : 1) of the cubic y^2*z = x^3 over F_p, then
+    extra random points off it."""
+    F = GF(p)
+    pts = [canonicalize([t * t % p, t ** 3 % p, 1], F) for t in range(count)]
+    while len(pts) < count + extra:
+        c = [rng.randrange(p) for _ in range(3)]
+        q = canonicalize(c, F) if any(c) else None
+        if q is not None and (c[1] ** 2 * c[2] - c[0] ** 3) % p and q not in pts:
+            pts.append(q)
+    return point_set(pts)
+
+
+def test_max_on_curves_matches_the_subset_oracle():
+    """nu_1 .. nu_4 by pencils against the largest subset that lies on a
+    curve, on seeded sets over F_5, F_7 and QQ, on a cubic with points off
+    it, on a cubic alone and on a conic alone.  The witness is a nonzero
+    degree-k form through exactly nu_k points, and at k = 1 the count is
+    max_on_lines'."""
+    rng = random.Random(43)
+    cases = []
+    for p, sizes in [(5, (6, 9, 12)), (7, (7, 10, 13))]:
+        for size, kind in zip(sizes * 2, ("random", "conic", "collinear", "pair_and_conic",
+                                          "random", "conic")):
+            cases.append((_seeded_plane_set(rng, p, size, kind), (1, 2, 3)))
+    for p in (5, 7):
+        cases.append((_seeded_plane_set(rng, p, 16, "random"), (3, 4)))
+    cases += [(_line_heavy_set(rng, QQ, size), (1, 2, 3)) for size in (7, 9, 11)]
+    cases.append((_line_heavy_set(rng, QQ, 15), (4,)))
+    cases.append((_on_a_cuspidal_cubic(13, 11, 3, rng), (1, 2, 3, 4)))
+    cases.append((_on_a_cuspidal_cubic(13, 12, 0, rng), (1, 2, 3)))
+    cases.append((conic_points(13, 12), (1, 2, 3, 4)))
+    cases.append((point_set([canonicalize([1, t, 0], GF(7)) for t in range(6)]), (1, 2)))
+    seen = Counter()
+    for sigma, degrees in cases:
+        for k in degrees:
+            nu, form = lincond.max_on_curves(sigma, k)
+            assert nu == _curves_oracle(sigma, k), (k, list(map(str, sigma)))
+            assert form.degree == k and not form.is_zero()
+            assert sum(not eval_poly(form, q.coords) for q in sigma) == nu
+            if k == 1:
+                assert nu == max_on_lines(sigma)[0]
+            seen[k, nu == len(sigma)] += 1
+    assert min(seen[k, on] for k in (1, 2, 3) for on in (False, True)) >= 1, seen
+    assert seen[4, False] >= 2 and seen[4, True] >= 1, seen
+    with pytest.raises(ValueError):
+        lincond.max_on_curves(cases[0][0], 0)
 
 
 def test_max_on_conics_pencil_cost(rref_stack_sizes):

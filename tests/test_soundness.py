@@ -262,6 +262,39 @@ sys.exit(1)
     assert proc.returncode == 0, proc.stderr
 
 
+def test_bese_base_point_under_its_hypotheses_exits_5(tmp_path):
+    """Hypotheses that hold next to a base point found by the scan
+    contradict the criterion in characteristic p: cli.main exits 5, and the
+    error names the witness and the F_p-rational scan, under python -O too.
+    The scan is replaced by one that reports the direction (0:1:0) at
+    (1:0:0), on six points of P^2(F_101) whose hypotheses hold at xi = 3;
+    with the real scan the same file exits 0."""
+    path = tmp_path / "six.points"
+    path.write_text("P 2 Fp:101\n1,3,7\n1,5,31\n1,11,64\n1,20,83\n1,41,2\n1,57,90\n")
+    script = f"""
+import contextlib, io, sys
+import factlab.lincond as lincond
+from factlab.cli import main
+from factlab.fields import GF
+from factlab.projgeom import ProjPoint
+
+argv = ["bese", {str(path)!r}, "--xi", "3"]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    held = main(argv) == 0 and '"hypotheses_hold": "yes"' in out.getvalue()
+lincond._first_base_point = lambda sigma, xi: ("base_point", (ProjPoint((1, 0, 0), GF(101)), (0, 1, 0)))
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+    code = main(argv)
+message = err.getvalue()
+sys.exit(0 if held and code == 5 and not out.getvalue() and "F_p-rational scan" in message
+         and "(1:0:0) direction (0:1:0)" in message else 1)
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (flags, proc.stderr)
+
+
 def test_reports_have_one_writer():
     """Every JSON report goes through report.dumps: the package passes
     indent= to json.dumps in one place only, the writer's fallback."""
